@@ -3,8 +3,8 @@
 //! * ingest throughput of `WindowedCounter` as the window shrinks from
 //!   effectively-unbounded down to `W = δ` (eviction churn rises while
 //!   arrival cost stays fixed),
-//! * the eviction-cost ablation — the same stream through the
-//!   append-only `StreamingCounter` (no retirement work at all),
+//! * the eviction-cost ablation — the same stream through the same
+//!   counter at a window no stream outlasts (no retirement work at all),
 //! * the reorder-buffer overhead at `slack > 0` on an in-order stream
 //!   (pure buffering cost, no actual reordering).
 
@@ -43,7 +43,7 @@ fn bench_eviction_ablation(c: &mut Criterion) {
     group.bench_function("windowed_tight", |b| {
         b.iter(|| black_box(stream_windowed(&g, delta, delta, 0)))
     });
-    // …vs the append-only counter, which never retires anything.
+    // …vs an unbounded window, which never retires anything.
     group.bench_function("append_only", |b| {
         b.iter(|| black_box(stream_append_only(&g, delta)))
     });

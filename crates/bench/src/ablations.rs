@@ -12,8 +12,9 @@
 //! * [`stream_windowed`] vs [`stream_append_only`] — the eviction-cost
 //!   ablation for the sliding-window engine: the same chronological
 //!   stream through `WindowedCounter` (arrival counting **plus**
-//!   first-edge retirement at expiry) and through the append-only
-//!   `StreamingCounter` (arrival counting only). Their runtime gap is
+//!   first-edge retirement at expiry) and through the same counter with
+//!   a window no stream outlasts (arrival counting only, nothing ever
+//!   retires). Their runtime gap is
 //!   the price of exact expiry; shrinking `window` towards `delta`
 //!   raises eviction churn without changing arrival cost.
 //!
@@ -21,7 +22,6 @@
 
 use hare::counters::{MotifMatrix, PairCounter, StarCounter, TriCounter};
 use hare::motif::{StarType, TriType};
-use hare::streaming::StreamingCounter;
 use hare::windowed::WindowedCounter;
 use temporal_graph::util::FxHashMap;
 use temporal_graph::{Dir, NodeId, TemporalGraph, Timestamp};
@@ -126,15 +126,12 @@ pub fn stream_windowed(
     wc.counts()
 }
 
-/// The no-eviction baseline: the same stream through the append-only
-/// streaming counter (full-history counts, no retirement work).
+/// The no-eviction baseline: the same stream through the windowed
+/// counter at a window no stream outlasts (full-history counts, no
+/// retirement work).
 #[must_use]
 pub fn stream_append_only(g: &TemporalGraph, delta: Timestamp) -> MotifMatrix {
-    let mut sc = StreamingCounter::new(delta);
-    for e in g.edges() {
-        sc.push(e.src, e.dst, e.t).expect("chronological stream");
-    }
-    sc.counts()
+    stream_windowed(g, delta, Timestamp::MAX / 2, 0)
 }
 
 #[cfg(test)]

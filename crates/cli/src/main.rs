@@ -13,11 +13,9 @@
 
 use std::process::ExitCode;
 
-use hare::sample::{SampleConfig, SampledCounter};
-use hare::stream_sample::{StreamSampleConfig, StreamingEstimator};
-use hare::streaming::StreamError;
-use hare::windowed::WindowedCounter;
-use hare::{Hare, HareConfig, MotifCategory};
+use hare::query::{Answer, Outcome, Param, Plan, PlanError, Session, SessionEngine, SessionSpec};
+use hare::stream_sample::StreamSampleConfig;
+use hare::{MotifCategory, NoopProbe, WallClockProbe};
 use temporal_graph::io::{load_edges, load_graph, LoadOptions};
 use temporal_graph::stats::GraphStats;
 use temporal_graph::util::FxHashMap;
@@ -33,7 +31,7 @@ OPTIONS:
     --input FILE        SNAP-style edge list: 'src dst timestamp' per line
     --dataset NAME      generate a Table II stand-in from the registry
     --scale K           stand-in scale divisor (default 1)
-    --delta SECONDS     the motif time window δ (required)
+    --delta SECONDS     the motif time window δ >= 0 (required)
     --threads N         worker threads (default: all cores; 1 = sequential FAST)
     --only CATEGORY     pairs | stars | triangles | all (default all)
     --timestamp-col N   zero-based timestamp column (default 2)
@@ -289,20 +287,14 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     if let Err(e) = hare::report::parse_only(&o.only) {
         return Err(format!("--only {e}"));
     }
-    if let Some(w) = o.window {
-        let delta = o.delta.ok_or("--window requires --delta")?;
-        if w < delta {
-            return Err(format!("--window must be >= --delta ({w} < {delta})"));
-        }
+    if o.window.is_some() {
+        o.delta.ok_or("--window requires --delta")?;
         if o.stats {
             return Err("--stats is not supported with --window".into());
         }
         if o.only != "all" {
             return Err("--only is not supported with --window".into());
         }
-    }
-    if o.slack < 0 {
-        return Err("--slack must be non-negative".into());
     }
     if o.window.is_none() && (o.slack != 0 || o.tick.is_some()) {
         return Err("--slack/--tick require --window".into());
@@ -323,18 +315,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         if o.only != "all" {
             return Err("--only is not supported with --approx".into());
         }
-        if !(o.prob > 0.0 && o.prob <= 1.0) {
-            return Err(format!("--prob must be in (0, 1], got {}", o.prob));
-        }
-        if !(o.ci > 0.0 && o.ci < 1.0) {
-            return Err(format!("--ci must be in (0, 1), got {}", o.ci));
-        }
-        if o.window_factor < 1 {
-            return Err(format!(
-                "--window-factor must be at least 1, got {}",
-                o.window_factor
-            ));
-        }
     } else {
         if args.iter().any(|a| a == "--prob") {
             return Err("--prob requires --approx".into());
@@ -348,22 +328,8 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             return Err("--ci/--window-factor/--seed require --approx or --memory-budget".into());
         }
     }
-    if let Some(b) = o.memory_budget {
-        if b == 0 {
-            return Err("--memory-budget must be at least 1 byte".into());
-        }
-        if o.window.is_none() {
-            return Err("--memory-budget requires --window (streaming mode)".into());
-        }
-        if !(o.ci > 0.0 && o.ci < 1.0) {
-            return Err(format!("--ci must be in (0, 1), got {}", o.ci));
-        }
-        if o.window_factor < 1 {
-            return Err(format!(
-                "--window-factor must be at least 1, got {}",
-                o.window_factor
-            ));
-        }
+    if o.memory_budget.is_some() && o.window.is_none() {
+        return Err("--memory-budget requires --window (streaming mode)".into());
     }
     if o.nodes {
         if o.delta.is_none() {
@@ -375,14 +341,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         if o.only != "all" {
             return Err("--only is not supported with --nodes".into());
         }
-        if o.top_k == Some(0) {
-            return Err("--top-k must be at least 1".into());
-        }
-        if let Some(m) = &o.rank_motif {
-            if let Err(e) = m.parse::<hare::Motif>() {
-                return Err(format!("--rank-motif: {e}"));
-            }
-        }
     } else if o.top_k.is_some() || o.rank_motif.is_some() {
         return Err("--top-k/--rank-motif require --nodes".into());
     }
@@ -392,18 +350,24 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     if o.lanes != "raw" && o.window.is_some() {
         return Err("--lanes is not supported with --window".into());
     }
-    if let Some(b) = o.chunk_budget {
-        if b == 0 {
-            return Err("--chunk-budget must be at least 1 byte".into());
-        }
-        if o.window.is_some() || o.approx || o.stats || o.nodes || o.only != "all" {
-            return Err(
-                "--chunk-budget is exclusive with --only/--window/--approx/--stats/--nodes".into(),
-            );
-        }
+    if o.chunk_budget.is_some()
+        && (o.window.is_some() || o.approx || o.stats || o.nodes || o.only != "all")
+    {
+        return Err(
+            "--chunk-budget is exclusive with --only/--window/--approx/--stats/--nodes".into(),
+        );
     }
     if o.profile && (o.window.is_some() || o.stats || o.nodes) {
         return Err("--profile is not supported with --window/--stats/--nodes".into());
+    }
+    // Every parameter rule (delta >= 0 included) lives in the query
+    // layer; reject here so a bad value fails before any loading.
+    if let Some(delta) = o.delta.filter(|_| !o.stats) {
+        match o.window {
+            Some(_) => session_spec(&o).validate(),
+            None => batch_plan(&o)?.validate(delta),
+        }
+        .map_err(|e| plan_error(&e))?;
     }
     Ok(o)
 }
@@ -442,152 +406,149 @@ fn load_stream(o: &Opts) -> Result<Vec<(NodeId, NodeId, Timestamp)>, String> {
     }
 }
 
-/// Cumulative drop statistics of a streaming run.
-#[derive(Debug, Default)]
-struct DropStats {
-    late: u64,
-    self_loops: u64,
-}
-
-/// The engine behind `--window` mode: exact live-window counting, or —
-/// with `--memory-budget` — the bounded-memory streaming estimator.
-/// Both mirror the same acceptance semantics, so tick cadence and drop
-/// counters are identical for the same stream.
-enum StreamEngine {
-    Exact(Box<WindowedCounter>),
-    Budget(Box<StreamingEstimator>),
-}
-
-impl StreamEngine {
-    fn push(&mut self, src: NodeId, dst: NodeId, t: Timestamp) -> Result<(), StreamError> {
-        match self {
-            StreamEngine::Exact(wc) => wc.push(src, dst, t),
-            StreamEngine::Budget(est) => est.push(src, dst, t),
-        }
-    }
-
-    fn advance_to(&mut self, t: Timestamp) {
-        match self {
-            StreamEngine::Exact(wc) => wc.advance_to(t),
-            StreamEngine::Budget(est) => est.advance_to(t),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            StreamEngine::Exact(wc) => wc.flush(),
-            StreamEngine::Budget(est) => est.flush(),
-        }
+/// The CLI flag that sets a query-layer parameter.
+fn flag(param: Param) -> &'static str {
+    match param {
+        Param::Delta => "--delta",
+        Param::Window => "--window",
+        Param::Slack => "--slack",
+        Param::MemoryBudget => "--memory-budget",
+        Param::ChunkBudget => "--chunk-budget",
+        Param::Prob => "--prob",
+        Param::Ci => "--ci",
+        Param::WindowFactor => "--window-factor",
+        Param::K => "--top-k",
     }
 }
 
-fn emit_tick(o: &Opts, engine: &StreamEngine, tick_t: Timestamp, drops: &DropStats) {
-    match engine {
-        StreamEngine::Exact(wc) => {
-            if o.json {
-                let body =
-                    hare::report::windowed_tick_body(tick_t, wc, drops.late, drops.self_loops);
-                print!("{}", hare::report::render(&body));
-            } else {
-                let matrix = wc.counts();
-                println!(
-                    "tick t={tick_t} | live edges {} | total motifs {} | late dropped {}",
-                    wc.live_edges(),
-                    matrix.total(),
-                    drops.late
-                );
-                println!("{matrix}");
-            }
+/// A query-layer error in this tool's vocabulary.
+fn plan_error(e: &PlanError) -> String {
+    match e {
+        PlanError::Invalid { param, reason } => format!("{} {reason}", flag(*param)),
+        other => other.to_string(),
+    }
+}
+
+/// The batch query the flags ask for (every mode but `--stats` and
+/// `--window`).
+fn batch_plan(o: &Opts) -> Result<Plan, String> {
+    Ok(if o.nodes {
+        match (&o.rank_motif, o.top_k) {
+            (Some(name), k) => Plan::TopByMotif {
+                motif: name.parse().map_err(|e| format!("--rank-motif: {e}"))?,
+                k: k.unwrap_or(10),
+            },
+            (None, Some(k)) => Plan::TopByZscore { k },
+            (None, None) => Plan::Profiles,
         }
-        StreamEngine::Budget(est) => {
+    } else if o.approx {
+        Plan::Approx {
+            prob: o.prob,
+            ci: o.ci,
+            window_factor: o.window_factor,
+            seed: o.seed,
+        }
+    } else if let Some(budget_bytes) = o.chunk_budget {
+        Plan::Chunked {
+            budget_bytes,
+            lane_layout: parse_lanes(&o.lanes)?,
+        }
+    } else {
+        Plan::Exact {
+            only: hare::report::parse_only(&o.only).map_err(|e| format!("--only {e}"))?,
+        }
+    })
+}
+
+/// The ingest session `--window` mode feeds: exact live-window counts,
+/// or under `--memory-budget` the bounded-memory estimator.
+fn session_spec(o: &Opts) -> SessionSpec {
+    let delta = o.delta.unwrap_or_default();
+    let window = o.window.unwrap_or_default();
+    match o.memory_budget {
+        None => SessionSpec::Exact {
+            delta,
+            window,
+            slack: o.slack,
+        },
+        Some(budget) => SessionSpec::Budget(StreamSampleConfig {
+            slack: o.slack,
+            window_factor: o.window_factor,
+            confidence: o.ci,
+            seed: o.seed,
+            threads: o.threads,
+            ..StreamSampleConfig::new(delta, window, budget)
+        }),
+    }
+}
+
+fn emit_tick(o: &Opts, session: &Session, tick_t: Timestamp) {
+    if o.json {
+        print!("{}", hare::report::render(&session.tick_body_at(tick_t)));
+        return;
+    }
+    match session.engine() {
+        SessionEngine::Exact(wc) => {
+            let matrix = wc.counts();
+            println!(
+                "tick t={tick_t} | live edges {} | total motifs {} | late dropped {}",
+                wc.live_edges(),
+                matrix.total(),
+                session.late_dropped()
+            );
+            println!("{matrix}");
+        }
+        SessionEngine::Budget(est) => {
             let tick = est.estimates();
-            if o.json {
-                let body = hare::report::stream_tick_body(
-                    tick_t,
-                    o.slack,
-                    &tick,
-                    drops.late,
-                    drops.self_loops,
-                );
-                print!("{}", hare::report::render(&body));
-            } else {
-                println!(
-                    "tick t={tick_t} | retained {} edges ({}/{} B) | p={} | total estimate {:.1} \
-                     | late dropped {}",
-                    tick.retained_edges,
-                    tick.retained_bytes,
-                    tick.budget_bytes,
-                    tick.prob,
-                    tick.total_estimate(),
-                    drops.late
-                );
-            }
+            println!(
+                "tick t={tick_t} | retained {} edges ({}/{} B) | p={} | total estimate {:.1} \
+                 | late dropped {}",
+                tick.retained_edges,
+                tick.retained_bytes,
+                tick.budget_bytes,
+                tick.prob,
+                tick.total_estimate(),
+                session.late_dropped()
+            );
         }
     }
 }
 
-/// Sliding-window streaming mode: feed the arrival stream through a
-/// `WindowedCounter` (or, under `--memory-budget`, the bounded-memory
-/// estimator), emitting the live-window motif matrix at every
-/// event-time tick boundary and once more at the final watermark.
+/// Sliding-window streaming mode: feed the arrival stream through an
+/// ingest session, emitting its tick at every event-time boundary and
+/// once more at the final watermark. Boundary arithmetic saturates, so
+/// windows, ticks and slacks up to `i64::MAX` still terminate.
 fn run_stream(o: &Opts) -> Result<(), String> {
-    let delta = o.delta.expect("validated");
-    let window = o.window.expect("streaming mode");
+    let window = o.window.unwrap_or_default();
     let tick = o.tick.unwrap_or_else(|| window.max(1));
+    let mut session = Session::new(session_spec(o)).map_err(|e| plan_error(&e))?;
     let arrivals = load_stream(o)?;
 
-    let mut wc = match o.memory_budget {
-        None => StreamEngine::Exact(Box::new(WindowedCounter::with_slack(
-            delta, window, o.slack,
-        ))),
-        Some(budget) => {
-            StreamEngine::Budget(Box::new(StreamingEstimator::new(StreamSampleConfig {
-                slack: o.slack,
-                window_factor: o.window_factor,
-                confidence: o.ci,
-                seed: o.seed,
-                threads: o.threads,
-                ..StreamSampleConfig::new(delta, window, budget)
-            })))
-        }
-    };
-    let mut drops = DropStats::default();
     let mut next_boundary: Option<Timestamp> = None;
-    let mut max_accepted: Option<Timestamp> = None;
     for &(src, dst, t) in &arrivals {
-        // Drop self-loops before the boundary catch-up below: their
-        // timestamp must not advance the ticks (a rejected arrival far
-        // in the future would otherwise emit spurious empty ticks and
-        // raise the acceptance floor past still-valid in-slack edges).
-        if src == dst {
-            drops.self_loops += 1;
-            continue;
-        }
         // Emit every boundary the stream has safely passed: a boundary B
         // is final once an arrival exceeds B + slack (nothing at or
-        // before B can arrive any more). Late arrivals can't reach here
-        // with t beyond a pending boundary's slack (they are below the
-        // acceptance floor, which trails the last accepted timestamp).
-        while let Some(boundary) = next_boundary {
-            if t <= boundary + o.slack {
-                break;
-            }
-            wc.advance_to(boundary);
-            emit_tick(o, &wc, boundary, &drops);
-            next_boundary = Some(boundary + tick);
-        }
-        match wc.push(src, dst, t) {
-            Ok(()) => {
-                max_accepted = Some(max_accepted.map_or(t, |m| m.max(t)));
-                if next_boundary.is_none() {
-                    next_boundary = Some(t + tick);
+        // before B can arrive any more). Self-loops skip this: they are
+        // dropped, and a rejected arrival far in the future must not
+        // emit spurious ticks or raise the acceptance floor. Late
+        // arrivals cannot pass a pending boundary's slack (they are
+        // below the acceptance floor, which trails the last accepted
+        // timestamp).
+        if src != dst {
+            while let Some(boundary) = next_boundary {
+                if t <= boundary.saturating_add(o.slack) {
+                    break;
                 }
+                session.advance_to(boundary);
+                emit_tick(o, &session, boundary);
+                next_boundary = Some(boundary.saturating_add(tick));
             }
-            Err(StreamError::OutOfOrder { .. }) => drops.late += 1,
-            Err(StreamError::SelfLoop) => drops.self_loops += 1,
+        }
+        if session.push(src, dst, t).is_ok() && next_boundary.is_none() {
+            next_boundary = Some(t.saturating_add(tick));
         }
     }
-    if let Some(final_t) = max_accepted {
+    if let Some(final_t) = session.max_accepted() {
         // Drain the trailing boundaries *before* the final flush:
         // advance_to(B) processes exactly the buffered arrivals with
         // t <= B, so each tick still reports the window as of B (a
@@ -596,174 +557,126 @@ fn run_stream(o: &Opts) -> Result<(), String> {
             if boundary >= final_t {
                 break;
             }
-            wc.advance_to(boundary);
-            emit_tick(o, &wc, boundary, &drops);
-            next_boundary = Some(boundary + tick);
+            session.advance_to(boundary);
+            emit_tick(o, &session, boundary);
+            next_boundary = Some(boundary.saturating_add(tick));
         }
-        wc.flush();
+        session.flush();
         // Final tick at the end-of-stream watermark.
-        emit_tick(o, &wc, final_t, &drops);
+        emit_tick(o, &session, final_t);
     } else if !o.json {
         println!("empty stream: nothing to count");
     }
     Ok(())
 }
 
-/// Approximate (interval-sampling) mode: estimate all 36 motif counts
-/// with per-motif standard errors and confidence intervals.
-fn run_approx(
-    o: &Opts,
-    graph: &temporal_graph::TemporalGraph,
-    stats: &GraphStats,
-    delta: i64,
-) -> Result<(), String> {
-    let counter = SampledCounter::new(SampleConfig {
-        prob: o.prob,
-        window_factor: o.window_factor,
-        confidence: o.ci,
-        seed: o.seed,
-        threads: o.threads,
-    });
-    let start = std::time::Instant::now();
-    // The probe is observation-only: the profiled estimate is
-    // bit-identical to the unprofiled one (pinned end-to-end).
-    let probe = o.profile.then(hare::WallClockProbe::new);
-    let est = match &probe {
-        Some(p) => counter.count_probed(graph, delta, p),
-        None => counter.count(graph, delta),
-    };
-    let secs = start.elapsed().as_secs_f64();
-    if let Some(p) = &probe {
-        eprint!("{}", p.render_table());
-    }
-
-    if o.json {
-        let body = hare::report::approx_body(
-            stats.num_nodes,
-            stats.num_edges,
-            delta,
-            o.window_factor,
-            o.seed,
-            &est,
-            (!o.no_timing).then_some(secs),
-        );
-        print!("{}", hare::report::render(&body));
-    } else {
-        let timing = if o.no_timing {
+/// Human-readable rendering of a batch answer.
+fn print_text(o: &Opts, answer: &Answer, secs: f64) {
+    let delta = answer.delta;
+    let (nodes, edges) = (answer.num_nodes, answer.num_edges);
+    let timing = |verb: &str| {
+        if o.no_timing {
             String::new()
         } else {
-            format!(" | counted in {secs:.3}s")
-        };
-        println!(
-            "graph: {} nodes, {} edges | delta = {delta}s | approx p={:.3} c={} ci={:.0}% \
-             seed={} | windows {}/{}{timing}",
-            stats.num_nodes,
-            stats.num_edges,
-            est.prob,
-            o.window_factor,
-            est.confidence * 100.0,
-            o.seed,
-            est.windows_sampled,
-            est.windows_total,
-        );
-        println!(
-            "{:>6} {:>14} {:>12} {:>14} {:>14}",
-            "motif", "estimate", "stderr", "ci_lo", "ci_hi"
-        );
-        for (m, e) in est.iter() {
-            println!(
-                "{:>6} {:>14.1} {:>12.1} {:>14.1} {:>14.1}",
-                m.to_string(),
-                e.estimate,
-                e.stderr,
-                e.ci_lo,
-                e.ci_hi
-            );
+            format!(" | {verb} in {secs:.3}s")
         }
-        println!("total estimate: {:.1}", est.total_estimate());
-    }
-    Ok(())
-}
-
-/// Per-node profile mode: sparse local motif profiles, optionally
-/// ranked (top-k by one motif, or by z-score anomaly). JSON output is
-/// timing-free by construction — profile bodies are served from the
-/// `hare-serve` cache and must be byte-stable.
-fn run_nodes(
-    o: &Opts,
-    graph: &temporal_graph::TemporalGraph,
-    stats: &GraphStats,
-    delta: i64,
-) -> Result<(), String> {
-    let start = std::time::Instant::now();
-    let profiles = hare::NodeProfiles::compute(graph, delta, o.threads);
-    let secs = start.elapsed().as_secs_f64();
-
-    if let Some(name) = &o.rank_motif {
-        let motif: hare::Motif = name.parse().expect("validated in parse_args");
-        let k = o.top_k.unwrap_or(10);
-        let ranked = hare::top_k_nodes(&profiles, motif, k);
-        if o.json {
-            let body = hare::report::top_nodes_body(delta, motif, k, &ranked);
-            print!("{}", hare::report::render(&body));
-        } else {
+    };
+    match &answer.outcome {
+        Outcome::Counts(matrix) => {
             println!(
-                "top {k} nodes by {motif} participation | delta = {delta}s | {} participating nodes",
-                profiles.len()
+                "graph: {nodes} nodes, {edges} edges | delta = {delta}s{}",
+                timing("counted")
+            );
+            println!("{matrix}");
+            for (label, cat) in [
+                ("pair", MotifCategory::Pair),
+                ("star", MotifCategory::Star),
+                ("triangle", MotifCategory::Triangle),
+            ] {
+                println!("{label:>9} total: {}", matrix.category_total(cat));
+            }
+            // Grid layout (rows/cols to motif identities) is documented in
+            // `hare::motif`.
+            println!("    total: {}", matrix.total());
+        }
+        Outcome::Estimates {
+            counts: est,
+            window_factor,
+            seed,
+        } => {
+            println!(
+                "graph: {nodes} nodes, {edges} edges | delta = {delta}s | approx p={:.3} c={window_factor} \
+                 ci={:.0}% seed={seed} | windows {}/{}{}",
+                est.prob,
+                est.confidence * 100.0,
+                est.windows_sampled,
+                est.windows_total,
+                timing("counted"),
+            );
+            println!(
+                "{:>6} {:>14} {:>12} {:>14} {:>14}",
+                "motif", "estimate", "stderr", "ci_lo", "ci_hi"
+            );
+            for (m, e) in est.iter() {
+                println!(
+                    "{:>6} {:>14.1} {:>12.1} {:>14.1} {:>14.1}",
+                    m.to_string(),
+                    e.estimate,
+                    e.stderr,
+                    e.ci_lo,
+                    e.ci_hi
+                );
+            }
+            println!("total estimate: {:.1}", est.total_estimate());
+        }
+        Outcome::Profiles(profiles) => {
+            println!(
+                "graph: {nodes} nodes, {edges} edges | delta = {delta}s | {} participating nodes{}",
+                profiles.len(),
+                timing("computed")
+            );
+            for (u, p) in profiles.iter() {
+                print_profile(u, p);
+            }
+        }
+        Outcome::Node { node, profile } => print_profile(*node, profile),
+        Outcome::TopByMotif {
+            motif,
+            k,
+            ranked,
+            participating,
+        } => {
+            println!(
+                "top {k} nodes by {motif} participation | delta = {delta}s | {participating} participating nodes"
             );
             println!("{:>10} {:>12}", "node", "count");
-            for (u, n) in &ranked {
+            for (u, n) in ranked {
                 println!("{u:>10} {n:>12}");
             }
         }
-    } else if let Some(k) = o.top_k {
-        let dist = hare::ProfileDistribution::compute(&profiles);
-        let ranked = hare::rank_by_zscore(&profiles, &dist, k);
-        if o.json {
-            let body = hare::report::zscore_nodes_body(delta, k, &ranked);
-            print!("{}", hare::report::render(&body));
-        } else {
+        Outcome::TopByZscore {
+            k,
+            ranked,
+            participating,
+        } => {
             println!(
-                "top {k} anomalous nodes by z-score norm | delta = {delta}s | {} participating nodes",
-                profiles.len()
+                "top {k} anomalous nodes by z-score norm | delta = {delta}s | {participating} participating nodes"
             );
             println!("{:>10} {:>12}", "node", "score");
-            for (u, s) in &ranked {
+            for (u, s) in ranked {
                 println!("{u:>10} {s:>12.3}");
             }
         }
-    } else if o.json {
-        // One line per participating node — each line is byte-identical
-        // to the `GET /nodes/{id}/motifs` body for that node.
-        let mut out = String::new();
-        for (u, p) in profiles.iter() {
-            out.push_str(&hare::report::render(&hare::report::node_profile_body(
-                u, delta, p,
-            )));
-        }
-        print!("{out}");
-    } else {
-        let timing = if o.no_timing {
-            String::new()
-        } else {
-            format!(" | computed in {secs:.3}s")
-        };
-        println!(
-            "graph: {} nodes, {} edges | delta = {delta}s | {} participating nodes{timing}",
-            stats.num_nodes,
-            stats.num_edges,
-            profiles.len()
-        );
-        for (u, p) in profiles.iter() {
-            let cells: Vec<String> = p
-                .iter()
-                .filter(|&(_, n)| n > 0)
-                .map(|(m, n)| format!("{m}:{n}"))
-                .collect();
-            println!("node {u:>8} | total {:>8} | {}", p.total(), cells.join(" "));
-        }
     }
-    Ok(())
+}
+
+fn print_profile(u: NodeId, p: &hare::NodeProfile) {
+    let cells: Vec<String> = p
+        .iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(m, n)| format!("{m}:{n}"))
+        .collect();
+    println!("node {u:>8} | total {:>8} | {}", p.total(), cells.join(" "));
 }
 
 fn run(o: &Opts) -> Result<(), String> {
@@ -784,13 +697,12 @@ fn run(o: &Opts) -> Result<(), String> {
                 format!("unknown dataset {name:?}; known: {}", names.join(", "))
             })?
             .generate(o.scale),
-        _ => unreachable!("validated in parse_args"),
+        _ => return Err("one of --input or --dataset is required".into()),
     };
-    let layout = parse_lanes(&o.lanes).expect("validated in parse_args");
-    let graph = graph.into_lane_layout(layout);
+    let graph = graph.into_lane_layout(parse_lanes(&o.lanes)?);
 
-    let stats = GraphStats::compute(&graph);
     if o.stats {
+        let stats = GraphStats::compute(&graph);
         if o.json {
             print!(
                 "{}",
@@ -809,45 +721,18 @@ fn run(o: &Opts) -> Result<(), String> {
         return Ok(());
     }
 
-    let delta = o.delta.expect("validated");
-    if o.nodes {
-        return run_nodes(o, &graph, &stats, delta);
-    }
-    if o.approx {
-        return run_approx(o, &graph, &stats, delta);
-    }
+    let plan = batch_plan(o)?;
+    let delta = o.delta.ok_or("--delta is required (seconds)")?;
     let start = std::time::Instant::now();
     // `--profile` threads a wall-clock probe through the kernel's phase
-    // seams; the probe only observes boundaries, so the matrix — and
+    // seams; the probe only observes boundaries, so the answer — and
     // therefore stdout — is bit-identical to the unprofiled run.
-    let probe = o.profile.then(hare::WallClockProbe::new);
-    let matrix = if let Some(budget) = o.chunk_budget {
-        // Out-of-core path: stream delta-haloed chunks under the budget.
-        // Counter addition is commutative, so the matrix (and therefore
-        // the rendered body) is bit-identical to the in-RAM path.
-        let src = hare::InMemorySource::from_graph(&graph);
-        let cfg = hare::OocConfig {
-            delta,
-            budget_bytes: budget,
-            lane_layout: layout,
-        };
-        let (counts, _stats) = match &probe {
-            Some(p) => hare::count_motifs_ooc_probed(&src, cfg, p),
-            None => hare::count_motifs_ooc(&src, cfg),
-        }
-        .map_err(|e| format!("out-of-core counting: {e}"))?;
-        counts.matrix
-    } else {
-        let engine = Hare::new(HareConfig {
-            num_threads: o.threads,
-            ..HareConfig::default()
-        });
-        let only = hare::report::parse_only(&o.only).expect("validated in parse_args");
-        match &probe {
-            Some(p) => engine.count_matrix_probed(&graph, delta, only, p),
-            None => engine.count_matrix(&graph, delta, only),
-        }
-    };
+    let probe = o.profile.then(WallClockProbe::new);
+    let answer = match &probe {
+        Some(p) => plan.execute(&graph, delta, o.threads, p),
+        None => plan.execute(&graph, delta, o.threads, &NoopProbe),
+    }
+    .map_err(|e| plan_error(&e))?;
     let secs = start.elapsed().as_secs_f64();
     if let Some(p) = &probe {
         eprint!("{}", p.render_table());
@@ -856,37 +741,9 @@ fn run(o: &Opts) -> Result<(), String> {
     if o.json {
         // Timing is the one nondeterministic field; --no-timing omits
         // it so output is byte-stable (golden-file tests rely on it).
-        let body = hare::report::exact_body(
-            stats.num_nodes,
-            stats.num_edges,
-            delta,
-            &matrix,
-            (!o.no_timing).then_some(secs),
-        );
-        print!("{}", hare::report::render(&body));
+        print!("{}", answer.render((!o.no_timing).then_some(secs)));
     } else {
-        if o.no_timing {
-            println!(
-                "graph: {} nodes, {} edges | delta = {delta}s",
-                stats.num_nodes, stats.num_edges
-            );
-        } else {
-            println!(
-                "graph: {} nodes, {} edges | delta = {delta}s | counted in {:.3}s",
-                stats.num_nodes, stats.num_edges, secs
-            );
-        }
-        println!("{matrix}");
-        for (label, cat) in [
-            ("pair", MotifCategory::Pair),
-            ("star", MotifCategory::Star),
-            ("triangle", MotifCategory::Triangle),
-        ] {
-            println!("{label:>9} total: {}", matrix.category_total(cat));
-        }
-        // Grid layout (rows/cols to motif identities) is documented in
-        // `hare::motif`.
-        println!("    total: {}", matrix.total());
+        print_text(o, &answer, secs);
     }
     Ok(())
 }
@@ -1458,6 +1315,69 @@ mod tests {
             let o = parse_args(&args(&a)).unwrap();
             run(&o).unwrap();
         }
+    }
+
+    /// The plan `hare-serve` parses from a `GET` target.
+    fn http_plan(target: &str) -> Plan {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let req = hare_serve::http::Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: hare_serve::http::parse_query(query),
+            body: Vec::new(),
+        };
+        match hare_serve::api::plan(&req) {
+            Ok(plan) => plan,
+            Err(resp) => panic!("{target}: {}", resp.body),
+        }
+    }
+
+    #[test]
+    fn cli_flags_and_http_queries_yield_equal_plans() {
+        let cases: &[(&[&str], &str)] = &[
+            (&[], "/count"),
+            (&["--only", "all"], "/count?only=all"),
+            (&["--only", "pairs"], "/count?only=pairs"),
+            (&["--only", "stars"], "/count?only=stars"),
+            (&["--only", "triangles"], "/count?only=triangles"),
+            (&["--approx"], "/count?engine=approx"),
+            (
+                &[
+                    "--approx",
+                    "--prob",
+                    "0.3",
+                    "--ci",
+                    "0.9",
+                    "--window-factor",
+                    "4",
+                    "--seed",
+                    "7",
+                ],
+                "/count?engine=approx&prob=0.3&ci=0.9&window_factor=4&seed=7",
+            ),
+            (&["--nodes", "--rank-motif", "M65"], "/nodes/top?motif=M65"),
+            (
+                &["--nodes", "--rank-motif", "M65", "--top-k", "5"],
+                "/nodes/top?motif=M65&k=5",
+            ),
+            (&["--nodes", "--top-k", "5"], "/nodes/top?k=5"),
+        ];
+        for (flags, target) in cases {
+            let mut a = args(&["--input", "x", "--delta", "600"]);
+            a.extend(args(flags));
+            let cli = batch_plan(&parse_args(&a).unwrap()).unwrap();
+            let http = http_plan(target);
+            assert_eq!(cli, http, "{flags:?} vs {target}");
+            assert_eq!(cli.engine_key(), http.engine_key(), "{flags:?} vs {target}");
+        }
+        // The CLI has no single-node query: `--nodes` prints every
+        // profile, one line per node, and each line is the body of
+        // that node's `/nodes/{id}/motifs` plan.
+        let o = parse_args(&args(&["--input", "x", "--delta", "600", "--nodes"])).unwrap();
+        assert_eq!(batch_plan(&o).unwrap(), Plan::Profiles);
+        let node = http_plan("/nodes/3/motifs");
+        assert_eq!(node, Plan::Node { node: 3 });
+        assert_eq!(node.engine_key(), "nodes/node=3");
     }
 
     #[test]

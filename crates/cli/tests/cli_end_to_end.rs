@@ -1043,3 +1043,104 @@ fn memory_budget_flag_combinations_are_rejected() {
         assert!(err.contains(fragment), "{args:?}: {err}");
     }
 }
+
+#[test]
+fn negative_delta_is_an_error_in_every_mode() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/fig1.txt");
+    for extra in [
+        [].as_slice(),
+        &["--window", "10"],
+        &["--window", "10", "--memory-budget", "4096"],
+        &["--approx"],
+        &["--nodes"],
+        &["--nodes", "--top-k", "3"],
+        &["--chunk-budget", "4096"],
+    ] {
+        let mut args = vec!["--input", data, "--delta", "-5"];
+        args.extend(extra);
+        let out = hare_count(&args);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: want exit 1");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("--delta must be non-negative, got -5"),
+            "{extra:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{extra:?}: no output on error");
+    }
+}
+
+/// Run `hare-count`, failing the test if it has not exited within 10 s.
+fn hare_count_within_10s(args: &[&str]) -> Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hare-count"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn hare-count");
+    // Drain stdout on a thread so a runaway tick stream cannot fill the
+    // pipe and stall the child before the deadline.
+    let mut stdout = child.stdout.take().unwrap();
+    let reader = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        std::io::Read::read_to_end(&mut stdout, &mut buf).ok();
+        buf
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} did not terminate within 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut out = child.wait_with_output().unwrap();
+    out.stdout = reader.join().unwrap();
+    out
+}
+
+#[test]
+fn windowed_cadence_saturates_at_the_largest_timestamp() {
+    // Windows, ticks and slacks of i64::MAX used to overflow `t + tick`
+    // and `boundary + slack`: ticks wrapped to negative labels and the
+    // slack case never terminated. Each must terminate, and no tick may
+    // be labelled before the first accepted timestamp (t=1).
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/fig1.txt");
+    let max = i64::MAX.to_string();
+    for extra in [
+        ["--window", max.as_str()].as_slice(),
+        &["--window", "20", "--tick", max.as_str()],
+        &["--window", "20", "--slack", max.as_str()],
+        &[
+            "--window",
+            max.as_str(),
+            "--tick",
+            max.as_str(),
+            "--slack",
+            max.as_str(),
+        ],
+    ] {
+        let mut args = vec!["--input", data, "--delta", "10", "--json"];
+        args.extend(extra);
+        let out = hare_count_within_10s(&args);
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = stdout_of(&out);
+        let ticks: Vec<i64> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap()["tick"].as_i64().unwrap())
+            .collect();
+        assert!(!ticks.is_empty(), "{extra:?}: no ticks");
+        assert!(ticks.iter().all(|&t| t >= 1), "{extra:?}: {ticks:?}");
+        assert_eq!(ticks.last(), Some(&21), "{extra:?}: final watermark");
+        assert!(
+            ticks.windows(2).all(|w| w[0] <= w[1]),
+            "{extra:?}: {ticks:?}"
+        );
+    }
+}

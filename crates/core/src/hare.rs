@@ -226,27 +226,6 @@ impl Hare {
         })
     }
 
-    /// *Approximately* count all 36 motifs by interval sampling
-    /// ([`crate::sample`]), scheduling the sampled windows across this
-    /// engine's worker threads (the estimator inherits
-    /// [`HareConfig::num_threads`]; the rest of `cfg` is taken as
-    /// given). Returns unbiased per-motif estimates with confidence
-    /// intervals; `cfg.prob = 1.0` reproduces [`Hare::count_all`]'s
-    /// matrix bit-identically.
-    #[must_use]
-    pub fn estimate_all(
-        &self,
-        g: &TemporalGraph,
-        delta: Timestamp,
-        cfg: &crate::sample::SampleConfig,
-    ) -> crate::sample::SampledCounts {
-        let cfg = crate::sample::SampleConfig {
-            threads: self.cfg.num_threads,
-            ..cfg.clone()
-        };
-        crate::sample::SampledCounter::new(cfg).count(g, delta)
-    }
-
     /// Count into the canonical 6×6 grid, optionally restricted to one
     /// motif category (`None` = all 36 motifs). This is the single
     /// entry point behind every `--only` / `?only=` query shape, so the
@@ -618,28 +597,6 @@ mod tests {
             ..HareConfig::default()
         });
         assert_eq!(off.resolve_threshold(&g), usize::MAX);
-    }
-
-    #[test]
-    fn estimate_all_matches_one_shot_counter_and_exact_at_p_one() {
-        let g = erdos_renyi_temporal(25, 700, 2_000, 8);
-        let delta = 150;
-        let cfg = crate::sample::SampleConfig {
-            prob: 0.6,
-            window_factor: 3,
-            seed: 4,
-            ..crate::sample::SampleConfig::default()
-        };
-        // The engine overrides only the thread count; estimates stay
-        // bit-identical to the sequential one-shot counter.
-        let engine = Hare::with_threads(2);
-        let via_engine = engine.estimate_all(&g, delta, &cfg);
-        let one_shot = crate::sample::SampledCounter::new(cfg.clone()).count(&g, delta);
-        assert_eq!(via_engine, one_shot);
-
-        let exact_cfg = crate::sample::SampleConfig { prob: 1.0, ..cfg };
-        let exact = engine.estimate_all(&g, delta, &exact_cfg);
-        assert_eq!(exact.as_exact(), Some(engine.count_all(&g, delta).matrix));
     }
 
     /// Pinned: HARE/k is bit-identical to sequential FAST at every k,

@@ -21,11 +21,10 @@
 //! * [`Hare`] — the hierarchical parallel framework (§IV.C): inter-node
 //!   work stealing for the long tail plus intra-node splitting for hub
 //!   nodes above a degree threshold.
-//! * [`streaming::StreamingCounter`] — exact incremental counts over an
-//!   append-only chronological edge stream.
 //! * [`windowed::WindowedCounter`] — exact counts over a sliding time
 //!   window: edges expire, motif instances are retired with them, and a
-//!   bounded reorder buffer absorbs slightly out-of-order arrivals.
+//!   bounded reorder buffer absorbs slightly out-of-order arrivals. A
+//!   window wider than the stream is the append-only counter.
 //! * [`sample::SampledCounter`] — approximate counts by interval
 //!   sampling: windows of the time axis are kept with probability `p`,
 //!   counted exactly with the fused kernel, and rescaled into unbiased
@@ -40,6 +39,9 @@
 //!   [`ooc::EdgeSource`] (in-RAM slice or `HARELG01` lane file) are
 //!   streamed through the fused kernel under a resident lane-byte
 //!   budget, bit-identical to the in-RAM drivers.
+//! * [`query`] — the one query layer both front-ends execute: a
+//!   validated [`query::Plan`] per batch query (with its cache key and
+//!   typed answer) and a [`query::Session`] per ingest stream.
 //! * [`report`] — the canonical JSON wire schema, built in one place so
 //!   `hare-count --json` and the `hare-serve` HTTP service emit
 //!   byte-identical bodies for the same query.
@@ -80,14 +82,12 @@ pub mod fused;
 pub mod hare;
 pub mod motif;
 pub mod ooc;
+pub mod query;
 pub mod report;
 pub mod sample;
 pub mod scratch;
 pub mod stream_sample;
-pub mod streaming;
-pub mod sweep;
 pub mod windowed;
-pub mod windows;
 
 pub use counters::{MotifCounts, MotifMatrix, PairCounter, StarCounter, TriCounter};
 pub use fingerprint::{
@@ -103,7 +103,7 @@ pub use ooc::{
 pub use sample::{MotifEstimate, SampleConfig, SampledCounter, SampledCounts};
 pub use scratch::NeighborScratch;
 pub use stream_sample::{StreamEstimates, StreamSampleConfig, StreamingEstimator};
-pub use windowed::WindowedCounter;
+pub use windowed::{StreamError, WindowedCounter};
 
 use temporal_graph::{TemporalGraph, Timestamp};
 

@@ -120,7 +120,7 @@ use crate::sample::{
     fold_fractional, normal_quantile, window_kept, FoldTables, MotifEstimate, WindowTally,
 };
 use crate::scratch::with_thread_scratch;
-use crate::streaming::StreamError;
+use crate::windowed::StreamError;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{GraphBuilder, NodeId, TemporalGraph, Timestamp};
 
@@ -552,7 +552,7 @@ impl StreamingEstimator {
     /// [`crate::windowed::WindowedCounter::accept_floor`]).
     #[must_use]
     pub fn accept_floor(&self) -> Option<Timestamp> {
-        let slack_floor = self.max_seen.map(|m| m - self.cfg.slack);
+        let slack_floor = self.max_seen.map(|m| m.saturating_sub(self.cfg.slack));
         match (self.hard_floor, slack_floor) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
@@ -599,7 +599,10 @@ impl StreamingEstimator {
         self.buffer.insert((t, self.next_seq), (src, dst));
         self.next_seq += 1;
         self.accepted += 1;
-        let release_to = self.max_seen.expect("just set") - self.cfg.slack;
+        let release_to = self
+            .max_seen
+            .expect("just set")
+            .saturating_sub(self.cfg.slack);
         self.release_until(release_to, probe);
         Ok(())
     }
@@ -771,7 +774,7 @@ impl StreamingEstimator {
     fn expire(&mut self) {
         let Some(wm) = self.watermark else { return };
         while let Some(&front) = self.retained.front() {
-            if wm - front.t <= self.cfg.window {
+            if wm.saturating_sub(front.t) <= self.cfg.window {
                 break;
             }
             self.retained.pop_front();

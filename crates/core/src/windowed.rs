@@ -1,16 +1,14 @@
 //! Sliding-window (expiring) motif counting.
 //!
-//! [`crate::streaming::StreamingCounter`] answers "how many motifs so
-//! far?" over the whole history; this module answers the deployment
-//! question the paper's §I actually poses for "frequently updated dynamic
-//! systems": **how many motifs are there right now, over the last `W`
-//! time units?** [`WindowedCounter`] maintains the exact 36-motif counts
-//! over a moving window of width `W >= δ`:
+//! This module answers the deployment question the paper's §I poses for
+//! "frequently updated dynamic systems": **how many motifs are there
+//! right now, over the last `W` time units?** [`WindowedCounter`]
+//! maintains the exact 36-motif counts over a moving window of width
+//! `W >= δ`:
 //!
 //! * **Arrival** — a new edge counts every motif instance it completes,
-//!   using the same backward Algorithm-1 identity as the append-only
-//!   streaming counter (each instance counted once, at its
-//!   chronologically *last* edge).
+//!   using the backward Algorithm-1 identity (each instance counted
+//!   once, at its chronologically *last* edge).
 //! * **Expiry** — when the watermark advances past `t + W`, the edge at
 //!   `t` leaves the window and every motif instance whose chronologically
 //!   *first* edge it was is retired by the mirrored *forward* identity.
@@ -28,6 +26,10 @@
 //! is accepted and re-sorted; only edges older than that are rejected
 //! with [`StreamError::OutOfOrder`].
 //!
+//! A window wider than the stream's time span never expires anything,
+//! so `WindowedCounter::new(delta, Timestamp::MAX / 2)` is the
+//! append-only counter: exact counts over the whole history so far.
+//!
 //! ```
 //! use hare::windowed::WindowedCounter;
 //! let mut wc = WindowedCounter::new(10, 50); // δ = 10, W = 50
@@ -43,13 +45,41 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::counters::{MotifMatrix, PairCounter, StarCounter};
 use crate::motif::{classify_instance, StarType};
-use crate::streaming::StreamError;
 use temporal_graph::util::FxHashMap;
 use temporal_graph::{Dir, NodeId, TemporalEdge, Timestamp};
 
-/// One live edge as seen from a node or pair list (mirror of the
-/// streaming counter's event record, with the processing rank `id` as the
-/// tie-breaker of the chronological total order).
+/// Why [`WindowedCounter::push`] or
+/// [`crate::stream_sample::StreamingEstimator::push`] refused an edge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StreamError {
+    /// The edge arrived too late: its timestamp is below the acceptance
+    /// floor (reorder slack behind the newest arrival, or an explicit
+    /// watermark). Equal timestamps are never late.
+    OutOfOrder {
+        /// Timestamp of the rejected edge.
+        got: Timestamp,
+        /// The acceptance floor at the time of the push.
+        last: Timestamp,
+    },
+    /// Self-loops cannot participate in motifs and are rejected.
+    SelfLoop,
+}
+
+impl std::fmt::Display for StreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamError::OutOfOrder { got, last } => {
+                write!(f, "edge at t={got} arrived after t={last}")
+            }
+            StreamError::SelfLoop => write!(f, "self-loop rejected"),
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+/// One live edge as seen from a node or pair list, with the processing
+/// rank `id` as the tie-breaker of the chronological total order.
 #[derive(Debug, Clone, Copy)]
 struct WinEvent {
     t: Timestamp,
@@ -198,7 +228,7 @@ impl WindowedCounter {
     /// `None` while everything is acceptable.
     #[must_use]
     pub fn accept_floor(&self) -> Option<Timestamp> {
-        let slack_floor = self.max_seen.map(|m| m - self.slack);
+        let slack_floor = self.max_seen.map(|m| m.saturating_sub(self.slack));
         match (self.hard_floor, slack_floor) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
@@ -233,7 +263,7 @@ impl WindowedCounter {
         self.buffer.insert((t, self.next_seq), (src, dst));
         self.next_seq += 1;
         self.accepted += 1;
-        let release_to = self.max_seen.expect("just set") - self.slack;
+        let release_to = self.max_seen.expect("just set").saturating_sub(self.slack);
         self.release_until(release_to);
         Ok(())
     }
@@ -339,7 +369,7 @@ impl WindowedCounter {
     fn expire(&mut self) {
         let Some(wm) = self.watermark else { return };
         while let Some(&front) = self.live.front() {
-            if wm - front.t <= self.window {
+            if wm.saturating_sub(front.t) <= self.window {
                 break;
             }
             self.live.pop_front();
@@ -381,7 +411,7 @@ impl WindowedCounter {
     /// Star/pair instances completed by the arrival with center `u`,
     /// third edge = the arrival (direction `d3` w.r.t. `u`, far endpoint
     /// `w`, time `t3`): backward Algorithm 1 anchored at the new third
-    /// edge, identical to the append-only streaming counter.
+    /// edge.
     fn count_completions(&mut self, u: NodeId, d3: Dir, w: NodeId, t3: Timestamp) {
         let Some(events) = self.node_events.get(&u) else {
             return;
@@ -623,15 +653,129 @@ mod tests {
 
     #[test]
     fn unbounded_window_matches_append_only_streaming() {
+        // With a window wider than the stream nothing expires: after
+        // every arrival the counts equal batch FAST over the prefix.
         let g = erdos_renyi_temporal(15, 400, 300, 7);
         let delta = 90;
-        let mut wc = WindowedCounter::new(delta, Timestamp::MAX / 2);
-        let mut sc = crate::streaming::StreamingCounter::new(delta);
+        let mut wc = append_only(delta);
+        for (i, e) in g.edges().iter().enumerate() {
+            wc.push(e.src, e.dst, e.t).unwrap();
+            let prefix = temporal_graph::TemporalGraph::from_edges(g.edges()[..=i].to_vec());
+            assert_eq!(wc.counts(), crate::count_motifs(&prefix, delta).matrix);
+        }
+    }
+
+    /// The append-only counter: a window no stream can outlast.
+    fn append_only(delta: Timestamp) -> WindowedCounter {
+        WindowedCounter::new(delta, Timestamp::MAX / 2)
+    }
+
+    fn append_only_over(g: &temporal_graph::TemporalGraph, delta: Timestamp) -> MotifMatrix {
+        let mut wc = append_only(delta);
         for e in g.edges() {
             wc.push(e.src, e.dst, e.t).unwrap();
-            sc.push(e.src, e.dst, e.t).unwrap();
-            assert_eq!(wc.counts(), sc.counts());
         }
+        wc.counts()
+    }
+
+    #[test]
+    fn append_only_equals_batch_on_toy_graph() {
+        let g = paper_fig1_toy();
+        for delta in [0, 5, 10, 50] {
+            assert_eq!(
+                append_only_over(&g, delta),
+                crate::count_motifs(&g, delta).matrix,
+                "{delta}"
+            );
+        }
+    }
+
+    #[test]
+    fn append_only_equals_batch_on_random_graphs() {
+        for seed in 0..4 {
+            let g = erdos_renyi_temporal(15, 400, 300, seed);
+            assert_eq!(
+                append_only_over(&g, 90),
+                crate::count_motifs(&g, 90).matrix,
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn append_only_equals_batch_on_bursty_graph() {
+        let g = GenConfig {
+            nodes: 30,
+            edges: 800,
+            time_span: 5_000,
+            seed: 13,
+            ..GenConfig::default()
+        }
+        .generate();
+        assert_eq!(
+            append_only_over(&g, 400),
+            crate::count_motifs(&g, 400).matrix
+        );
+    }
+
+    #[test]
+    fn append_only_counts_are_monotone() {
+        let g = erdos_renyi_temporal(10, 150, 100, 5);
+        let mut wc = append_only(40);
+        let mut prev = 0u64;
+        for e in g.edges() {
+            wc.push(e.src, e.dst, e.t).unwrap();
+            let now = wc.counts().total();
+            assert!(now >= prev);
+            prev = now;
+        }
+    }
+
+    #[test]
+    fn append_only_rejects_out_of_order_and_self_loops() {
+        let mut wc = append_only(10);
+        wc.push(0, 1, 100).unwrap();
+        assert_eq!(
+            wc.push(1, 2, 99),
+            Err(StreamError::OutOfOrder { got: 99, last: 100 })
+        );
+        assert_eq!(wc.push(3, 3, 100), Err(StreamError::SelfLoop));
+        // Counter still usable afterwards.
+        wc.push(1, 2, 100).unwrap();
+        wc.push(2, 0, 100).unwrap();
+        assert_eq!(wc.live_edges(), 3);
+        assert_eq!(wc.counts().get(m(2, 6)), 1, "the cyclic triangle");
+    }
+
+    #[test]
+    fn append_only_equal_timestamps_are_accepted_only_decreasing_rejected() {
+        // Zero slack accepts t == newest and rejects only t < newest.
+        let mut wc = append_only(10);
+        wc.push(0, 1, 100).unwrap();
+        wc.push(1, 2, 100).unwrap();
+        wc.push(2, 3, 100).unwrap();
+        assert_eq!(wc.live_edges(), 3);
+        assert_eq!(
+            wc.push(3, 4, 99),
+            Err(StreamError::OutOfOrder { got: 99, last: 100 })
+        );
+        // The rejection did not disturb the accepted prefix.
+        wc.push(3, 4, 100).unwrap();
+        assert_eq!(wc.live_edges(), 4);
+    }
+
+    #[test]
+    fn append_only_equal_timestamps_match_batch_tie_breaking() {
+        // All edges at one instant: arrival order must agree with the
+        // builder's stable input order.
+        let edges = vec![
+            TemporalEdge::new(0, 1, 7),
+            TemporalEdge::new(1, 2, 7),
+            TemporalEdge::new(2, 0, 7),
+            TemporalEdge::new(0, 1, 7),
+        ];
+        let g = temporal_graph::TemporalGraph::from_edges(edges);
+        assert_eq!(append_only_over(&g, 0), crate::count_motifs(&g, 0).matrix);
     }
 
     #[test]

@@ -28,14 +28,16 @@ const DETERMINISM_SCOPE: [&str; 7] = [
     "crates/core/src/hare.rs",
     "crates/core/src/sample.rs",
     "crates/core/src/windowed.rs",
-    "crates/core/src/streaming.rs",
     "crates/core/src/stream_sample.rs",
     "crates/core/src/ooc.rs",
+    "crates/core/src/query.rs",
 ];
 
 /// `hare-serve` request-path modules bound by the panic-safety (P)
-/// rules: a panic here kills a pool worker mid-request.
-const PANIC_SCOPE: [&str; 6] = [
+/// rules: a panic here kills a pool worker mid-request. The core query
+/// layer is among them: it validates outside input on that path.
+const PANIC_SCOPE: [&str; 7] = [
+    "crates/core/src/query.rs",
     "crates/serve/src/api.rs",
     "crates/serve/src/http.rs",
     "crates/serve/src/sessions.rs",
@@ -127,6 +129,8 @@ mod tests {
         assert!(scopes_for("crates/obs/src/timing.rs").determinism);
         assert!(scopes_for("crates/serve/src/api.rs").panic_safety);
         assert!(scopes_for("crates/serve/src/nodes.rs").panic_safety);
+        assert!(scopes_for("crates/core/src/query.rs").panic_safety);
+        assert!(scopes_for("crates/core/src/query.rs").determinism);
         assert!(!scopes_for("crates/serve/src/main.rs").panic_safety);
     }
 

@@ -10,8 +10,7 @@
 use std::io::BufReader;
 use std::sync::{Arc, PoisonError};
 
-use hare::sample::{SampleConfig, SampledCounter};
-use hare::{Hare, HareConfig};
+use hare::query::{Plan, PlanError, SessionSpec};
 use serde_json::Value;
 use temporal_graph::io::{graph_from_raw, read_edges, LoadOptions};
 use temporal_graph::{NodeId, Timestamp};
@@ -19,6 +18,7 @@ use temporal_graph::{NodeId, Timestamp};
 use crate::cache::CacheKey;
 use crate::catalog::CatalogError;
 use crate::http::Request;
+use crate::sessions::CreateError;
 use crate::AppState;
 
 /// Prometheus text exposition format 0.0.4 (the `/metrics` body).
@@ -83,9 +83,7 @@ pub fn handle(state: &AppState, req: &Request) -> ApiResponse {
         ("GET", ["metrics"]) => metrics(state),
         ("GET", ["datasets"]) => list_datasets(state),
         ("POST", ["datasets"]) => register_dataset(state, req),
-        ("GET", ["count"]) => count(state, req),
-        ("GET", ["nodes", "top"]) => crate::nodes::top_nodes(state, req),
-        ("GET", ["nodes", id, "motifs"]) => crate::nodes::node_motifs(state, req, id),
+        ("GET", ["count"] | ["nodes", "top"] | ["nodes", _, "motifs"]) => query(state, req),
         ("POST", ["cache", "clear"]) => {
             state.cache.clear();
             ok(200, &serde_json::json!({"cleared": true}))
@@ -127,8 +125,8 @@ fn index() -> ApiResponse {
             "service": "hare-serve",
             "endpoints": [
                 "GET /count?dataset=NAME&delta=SECONDS[&only=pairs|stars|triangles][&engine=approx&prob=P&ci=L&window_factor=C&seed=S][&threads=N][&trace=1]",
-                "GET /nodes/{id}/motifs?dataset=NAME&delta=SECONDS[&threads=N]",
-                "GET /nodes/top?dataset=NAME&delta=SECONDS[&motif=M][&k=K][&threads=N]",
+                "GET /nodes/{id}/motifs?dataset=NAME&delta=SECONDS[&threads=N][&trace=1]",
+                "GET /nodes/top?dataset=NAME&delta=SECONDS[&motif=M][&k=K][&threads=N][&trace=1]",
                 "GET /datasets",
                 "POST /datasets",
                 "GET /sessions",
@@ -296,152 +294,72 @@ pub(crate) fn param<T: std::str::FromStr>(
     }
 }
 
-/// The validated execution plan of one `/count` query: every
-/// result-relevant parameter is parsed exactly once, and both the
-/// cache key and the computation derive from the same values (so they
-/// can never drift apart).
-enum Plan {
-    Exact {
-        only: Option<hare::MotifCategory>,
-        only_str: String,
-    },
-    Approx {
-        prob: f64,
-        ci: f64,
-        window_factor: i64,
-        seed: u64,
-    },
+/// The query plan a `GET` request asks for. Each endpoint maps its own
+/// parameters onto [`Plan`]; the parameter rules themselves are
+/// [`Plan::validate`], applied by the handler once δ is known.
+///
+/// # Errors
+/// A ready 400 response for a malformed parameter, 404 for a path that
+/// is not a query endpoint.
+pub fn plan(req: &Request) -> Result<Plan, Box<ApiResponse>> {
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    match segments.as_slice() {
+        ["count"] => count_plan(req),
+        ["nodes", "top"] => crate::nodes::top_plan(req),
+        ["nodes", id, "motifs"] => crate::nodes::node_plan(id),
+        _ => Err(Box::new(error_response(
+            404,
+            &format!("no such endpoint: {}", req.path),
+        ))),
+    }
 }
 
-impl Plan {
-    /// Parse and validate the engine parameters of a request.
-    fn from_request(req: &Request) -> Result<Plan, Box<ApiResponse>> {
-        match req.query_param("engine").unwrap_or("exact") {
-            "exact" => {
-                for p in ["prob", "ci", "window_factor", "seed"] {
-                    if req.query_param(p).is_some() {
-                        return Err(Box::new(error_response(
-                            400,
-                            &format!("'{p}' requires engine=approx"),
-                        )));
-                    }
+/// `/count`: `engine=exact` (optionally `only`) or `engine=approx`.
+fn count_plan(req: &Request) -> Result<Plan, Box<ApiResponse>> {
+    match req.query_param("engine").unwrap_or("exact") {
+        "exact" => {
+            for p in ["prob", "ci", "window_factor", "seed"] {
+                if req.query_param(p).is_some() {
+                    return Err(Box::new(error_response(
+                        400,
+                        &format!("'{p}' requires engine=approx"),
+                    )));
                 }
-                let only_str = req.query_param("only").unwrap_or("all").to_string();
-                let only = hare::report::parse_only(&only_str)
-                    .map_err(|e| Box::new(error_response(400, &format!("parameter 'only' {e}"))))?;
-                Ok(Plan::Exact { only, only_str })
             }
-            "approx" => {
-                if req.query_param("only").is_some_and(|o| o != "all") {
-                    return Err(Box::new(error_response(
-                        400,
-                        "'only' is not supported with engine=approx",
-                    )));
-                }
-                let prob: f64 = param(req, "prob", Some(0.1))?;
-                if !(prob > 0.0 && prob <= 1.0) {
-                    return Err(Box::new(error_response(
-                        400,
-                        &format!("'prob' must be in (0, 1], got {prob}"),
-                    )));
-                }
-                let ci: f64 = param(req, "ci", Some(0.95))?;
-                if !(ci > 0.0 && ci < 1.0) {
-                    return Err(Box::new(error_response(
-                        400,
-                        &format!("'ci' must be in (0, 1), got {ci}"),
-                    )));
-                }
-                let window_factor: i64 = param(req, "window_factor", Some(10))?;
-                if window_factor < 1 {
-                    return Err(Box::new(error_response(
-                        400,
-                        &format!("'window_factor' must be at least 1, got {window_factor}"),
-                    )));
-                }
-                let seed: u64 = param(req, "seed", Some(42))?;
-                Ok(Plan::Approx {
-                    prob,
-                    ci,
-                    window_factor,
-                    seed,
-                })
-            }
-            other => Err(Box::new(error_response(
-                400,
-                &format!("parameter 'engine' must be exact or approx, got {other:?}"),
-            ))),
+            let only = hare::report::parse_only(req.query_param("only").unwrap_or("all"))
+                .map_err(|e| Box::new(error_response(400, &format!("parameter 'only' {e}"))))?;
+            Ok(Plan::Exact { only })
         }
+        "approx" => {
+            if req.query_param("only").is_some_and(|o| o != "all") {
+                return Err(Box::new(error_response(
+                    400,
+                    "'only' is not supported with engine=approx",
+                )));
+            }
+            Ok(Plan::Approx {
+                prob: param(req, "prob", Some(0.1))?,
+                ci: param(req, "ci", Some(0.95))?,
+                window_factor: param(req, "window_factor", Some(10))?,
+                seed: param(req, "seed", Some(42))?,
+            })
+        }
+        other => Err(Box::new(error_response(
+            400,
+            &format!("parameter 'engine' must be exact or approx, got {other:?}"),
+        ))),
     }
+}
 
-    /// Canonical cache-key half: engine + result-relevant parameters.
-    /// `threads` is deliberately excluded — counts are bit-identical
-    /// across thread counts, so results are interchangeable.
-    fn cache_key(&self) -> String {
-        match self {
-            Plan::Exact { only_str, .. } => format!("exact/only={only_str}"),
-            Plan::Approx {
-                prob,
-                ci,
-                window_factor,
-                seed,
-            } => format!("approx/prob={prob}/ci={ci}/wf={window_factor}/seed={seed}"),
-        }
-    }
-
-    /// Execute the plan and build the canonical response body. Generic
-    /// over [`hare::Probe`] so `?trace=1` can observe phase timings;
-    /// the body itself is probe-invariant (kernels only let probes
-    /// watch phase boundaries), so traced and untraced runs cache the
-    /// same bytes.
-    fn execute<P: hare::Probe>(
-        &self,
-        entry: &crate::catalog::DatasetEntry,
-        delta: Timestamp,
-        threads: usize,
-        probe: &P,
-    ) -> Value {
-        match self {
-            Plan::Exact { only, .. } => {
-                let hare = Hare::new(HareConfig {
-                    num_threads: threads,
-                    ..HareConfig::default()
-                });
-                let matrix = hare.count_matrix_probed(&entry.graph, delta, *only, probe);
-                hare::report::exact_body(
-                    entry.stats.num_nodes,
-                    entry.stats.num_edges,
-                    delta,
-                    &matrix,
-                    None,
-                )
-            }
-            Plan::Approx {
-                prob,
-                ci,
-                window_factor,
-                seed,
-            } => {
-                let counter = SampledCounter::new(SampleConfig {
-                    prob: *prob,
-                    window_factor: *window_factor,
-                    confidence: *ci,
-                    seed: *seed,
-                    threads,
-                });
-                let est = counter.count_probed(&entry.graph, delta, probe);
-                hare::report::approx_body(
-                    entry.stats.num_nodes,
-                    entry.stats.num_edges,
-                    delta,
-                    *window_factor,
-                    *seed,
-                    &est,
-                    None,
-                )
-            }
-        }
-    }
+/// The response for a query-layer error: bad parameters are 400, an
+/// unknown node 404, a failing source 500.
+fn plan_error(e: &PlanError) -> ApiResponse {
+    let status = match e {
+        PlanError::Invalid { .. } => 400,
+        PlanError::UnknownNode { .. } => 404,
+        PlanError::Source(_) => 500,
+    };
+    error_response(status, &e.to_string())
 }
 
 /// Upper bound on `?threads=`: far above any real core count, low
@@ -449,7 +367,15 @@ impl Plan {
 /// rayon pool spawns up to this many workers per query).
 pub(crate) const MAX_QUERY_THREADS: usize = 1024;
 
-fn count(state: &AppState, req: &Request) -> ApiResponse {
+/// Every query endpoint (`/count`, `/nodes/top`, `/nodes/{id}/motifs`):
+/// parse the plan, resolve `dataset`/`delta`/`threads`, validate, then
+/// answer from the LRU cache or execute and fill it. The cache key is
+/// `(dataset fingerprint, delta, Plan::engine_key())`.
+fn query(state: &AppState, req: &Request) -> ApiResponse {
+    let plan = match plan(req) {
+        Ok(plan) => plan,
+        Err(resp) => return *resp,
+    };
     let Some(dataset) = req.query_param("dataset") else {
         return error_response(400, "missing required parameter 'dataset'");
     };
@@ -476,15 +402,14 @@ fn count(state: &AppState, req: &Request) -> ApiResponse {
             &format!("parameter 'threads' must be at most {MAX_QUERY_THREADS}, got {threads}"),
         );
     }
-    let plan = match Plan::from_request(req) {
-        Ok(plan) => plan,
-        Err(resp) => return *resp,
-    };
+    if let Err(e) = plan.validate(delta) {
+        return plan_error(&e);
+    }
 
     let key = CacheKey {
         fingerprint: entry.fingerprint,
         delta,
-        engine: plan.cache_key(),
+        engine: plan.engine_key(),
     };
 
     // `?trace=1` always computes (a cached body has no phases to time)
@@ -492,8 +417,10 @@ fn count(state: &AppState, req: &Request) -> ApiResponse {
     // so the inserted bytes match what an untraced query would cache.
     if matches!(req.query_param("trace"), Some("1" | "true")) {
         let probe = hare::WallClockProbe::new();
-        let body = plan.execute(&entry, delta, threads, &probe);
-        let rendered = Arc::new(hare::report::render(&body));
+        let rendered = match plan.execute(&entry.graph, delta, threads, &probe) {
+            Ok(answer) => Arc::new(answer.render(None)),
+            Err(e) => return plan_error(&e),
+        };
         state.cache.insert(key, Arc::clone(&rendered));
         return traced_response(state, &probe, &rendered);
     }
@@ -508,8 +435,10 @@ fn count(state: &AppState, req: &Request) -> ApiResponse {
 
     // Miss: run the query on this worker (kernels parallelise
     // internally over the rayon pool with `threads` workers).
-    let body = plan.execute(&entry, delta, threads, &hare::NoopProbe);
-    let rendered = Arc::new(hare::report::render(&body));
+    let rendered = match plan.execute(&entry.graph, delta, threads, &hare::NoopProbe) {
+        Ok(answer) => Arc::new(answer.render(None)),
+        Err(e) => return plan_error(&e),
+    };
     state.cache.insert(key, Arc::clone(&rendered));
     ApiResponse {
         body: rendered,
@@ -518,7 +447,7 @@ fn count(state: &AppState, req: &Request) -> ApiResponse {
     }
 }
 
-/// Wrap a rendered `/count` body in `{"result":…,"trace":…}` with the
+/// Wrap a rendered query body in `{"result":…,"trace":…}` with the
 /// probe's per-phase breakdown, recording the events into the server's
 /// trace ring for later inspection.
 fn traced_response(state: &AppState, probe: &hare::WallClockProbe, rendered: &str) -> ApiResponse {
@@ -576,23 +505,16 @@ fn create_session(state: &AppState, req: &Request) -> ApiResponse {
         (_, Some(s)) => s,
         (_, None) => return error_response(400, "'slack' must be an integer"),
     };
-    if delta < 0 {
-        return error_response(400, "'delta' must be non-negative");
-    }
-    if window < delta {
-        return error_response(
-            400,
-            &format!("'window' must be >= 'delta' ({window} < {delta})"),
-        );
-    }
-    if slack < 0 {
-        return error_response(400, "'slack' must be non-negative");
-    }
     let memory_budget = match (&v["memory_budget"], v["memory_budget"].as_u64()) {
         (Value::Null, _) => None,
-        (_, Some(b)) if b >= 1 => Some(b),
-        (_, _) => return error_response(400, "'memory_budget' must be a positive integer (bytes)"),
+        (_, Some(b)) => Some(b),
+        (_, None) => {
+            return error_response(400, "'memory_budget' must be a positive integer (bytes)")
+        }
     };
+    if let Err(e) = SessionSpec::new(delta, window, slack, memory_budget).validate() {
+        return plan_error(&e);
+    }
     // Bound client-driven memory twice over: every open session holds a
     // live engine, so creation beyond the count cap is backpressured,
     // and budgeted sessions additionally reserve their bytes from the
@@ -608,7 +530,8 @@ fn create_session(state: &AppState, req: &Request) -> ApiResponse {
     }
     let id = match state.sessions.create(delta, window, slack, memory_budget) {
         Ok(id) => id,
-        Err(e) => {
+        Err(CreateError::Invalid(e)) => return plan_error(&e),
+        Err(CreateError::PoolExhausted(e)) => {
             return error_response(
                 429,
                 &format!(

@@ -1,163 +1,51 @@
 //! Per-node profile endpoints: `GET /nodes/{id}/motifs` and
 //! `GET /nodes/top`.
 //!
-//! Both serve the `hare::fingerprint` query family over the same
-//! contract as `/count`: the body is built by `hare::report`, carries
-//! no timing, and is byte-identical to the matching
-//! `hare-count --nodes --json --no-timing` output (per-node lines for
-//! `/nodes/{id}/motifs`, the single ranking line for `/nodes/top`).
-//! Results are cached under the existing `(fingerprint, delta, engine)`
-//! LRU key scheme with a `nodes/...` engine string, so repeated profile
-//! queries against an unchanged dataset are cache hits.
+//! Both serve the `hare::fingerprint` query family through the same
+//! handler as `/count` ([`crate::api::plan`]): the body is built by
+//! `hare::report`, carries no timing, is cached under
+//! [`hare::query::Plan::engine_key`], and is byte-identical to the
+//! matching `hare-count --nodes --json --no-timing` output (per-node
+//! lines for `/nodes/{id}/motifs`, the single ranking line for
+//! `/nodes/top`). This module only maps each route's own parameters
+//! onto a [`Plan`].
 
-use std::sync::Arc;
+use hare::query::Plan;
+use temporal_graph::NodeId;
 
-use temporal_graph::{NodeId, Timestamp};
-
-use crate::api::{error_response, param, ApiResponse, MAX_QUERY_THREADS};
-use crate::cache::CacheKey;
-use crate::catalog::DatasetEntry;
+use crate::api::{error_response, param, ApiResponse};
 use crate::http::Request;
-use crate::AppState;
-
-/// The `(dataset, delta, threads)` triple every per-node query starts
-/// from, validated exactly like `/count` (same error shapes).
-struct NodeQuery {
-    entry: Arc<DatasetEntry>,
-    delta: Timestamp,
-    threads: usize,
-}
-
-fn node_query(state: &AppState, req: &Request) -> Result<NodeQuery, Box<ApiResponse>> {
-    let Some(dataset) = req.query_param("dataset") else {
-        return Err(Box::new(error_response(
-            400,
-            "missing required parameter 'dataset'",
-        )));
-    };
-    let Some(entry) = state.catalog.get(dataset) else {
-        return Err(Box::new(error_response(
-            404,
-            &format!(
-                "dataset {dataset:?} is not in the catalog; registered: [{}]",
-                state.catalog.names().join(", ")
-            ),
-        )));
-    };
-    let delta: Timestamp = param(req, "delta", None)?;
-    let threads: usize = param(req, "threads", Some(state.cfg.query_threads))?;
-    if threads > MAX_QUERY_THREADS {
-        return Err(Box::new(error_response(
-            400,
-            &format!("parameter 'threads' must be at most {MAX_QUERY_THREADS}, got {threads}"),
-        )));
-    }
-    Ok(NodeQuery {
-        entry,
-        delta,
-        threads,
-    })
-}
-
-/// Serve a body from the LRU cache, computing and inserting on a miss.
-/// `engine` is the canonical parameter string of the query (threads
-/// excluded: profiles are bit-identical across thread counts).
-fn cached(
-    state: &AppState,
-    q: &NodeQuery,
-    engine: String,
-    compute: impl FnOnce() -> serde_json::Value,
-) -> ApiResponse {
-    let key = CacheKey {
-        fingerprint: q.entry.fingerprint,
-        delta: q.delta,
-        engine,
-    };
-    if let Some(body) = state.cache.get(&key) {
-        return ApiResponse {
-            body,
-            cache: Some(true),
-            ..ApiResponse::default()
-        };
-    }
-    let rendered = Arc::new(hare::report::render(&compute()));
-    state.cache.insert(key, Arc::clone(&rendered));
-    ApiResponse {
-        body: rendered,
-        cache: Some(false),
-        ..ApiResponse::default()
-    }
-}
 
 /// `GET /nodes/{id}/motifs?dataset=NAME&delta=SECONDS[&threads=N]` —
-/// one node's sparse motif participation profile. Unknown node ids are
-/// 404; a known node with no participation gets its (empty) profile.
-pub(crate) fn node_motifs(state: &AppState, req: &Request, id: &str) -> ApiResponse {
-    let Ok(node) = id.parse::<NodeId>() else {
-        return error_response(400, &format!("node id must be an integer, got {id:?}"));
-    };
-    let q = match node_query(state, req) {
-        Ok(q) => q,
-        Err(resp) => return *resp,
-    };
-    if node as usize >= q.entry.stats.num_nodes {
-        return error_response(
-            404,
-            &format!(
-                "no such node: {node} (dataset has {} nodes)",
-                q.entry.stats.num_nodes
-            ),
-        );
+/// one node's sparse motif profile. Unknown node ids are 404 (from the
+/// plan's execution); a known node with no participation gets its
+/// (empty) profile.
+pub(crate) fn node_plan(id: &str) -> Result<Plan, Box<ApiResponse>> {
+    match id.parse::<NodeId>() {
+        Ok(node) => Ok(Plan::Node { node }),
+        Err(_) => Err(Box::new(error_response(
+            400,
+            &format!("node id must be an integer, got {id:?}"),
+        ))),
     }
-    cached(state, &q, format!("nodes/node={node}"), || {
-        let profiles = hare::NodeProfiles::compute(&q.entry.graph, q.delta, q.threads);
-        let empty = hare::NodeProfile::default();
-        let profile = profiles.get(node).unwrap_or(&empty);
-        hare::report::node_profile_body(node, q.delta, profile)
-    })
 }
 
 /// `GET /nodes/top?dataset=NAME&delta=SECONDS[&motif=M][&k=K][&threads=N]`
 /// — the top-k ranking: by one motif's participation when `motif` is
 /// given (count descending, node id ascending on ties), otherwise by
 /// z-score anomaly against the graph-wide profile distribution.
-pub(crate) fn top_nodes(state: &AppState, req: &Request) -> ApiResponse {
-    let k: usize = match param(req, "k", Some(10)) {
-        Ok(v) => v,
-        Err(resp) => return *resp,
-    };
-    if k == 0 {
-        return error_response(400, "parameter 'k' must be at least 1");
-    }
-    let motif = match req.query_param("motif") {
-        Some(raw) => match raw.parse::<hare::Motif>() {
-            Ok(m) => Some(m),
-            Err(e) => return error_response(400, &format!("parameter 'motif': {e}")),
+pub(crate) fn top_plan(req: &Request) -> Result<Plan, Box<ApiResponse>> {
+    let k: usize = param(req, "k", Some(10))?;
+    match req.query_param("motif") {
+        Some(raw) => match raw.parse() {
+            Ok(motif) => Ok(Plan::TopByMotif { motif, k }),
+            Err(e) => Err(Box::new(error_response(
+                400,
+                &format!("parameter 'motif': {e}"),
+            ))),
         },
-        None => None,
-    };
-    let q = match node_query(state, req) {
-        Ok(q) => q,
-        Err(resp) => return *resp,
-    };
-    let engine = match motif {
-        Some(m) => format!("nodes/top/motif={m}/k={k}"),
-        None => format!("nodes/top/rank=zscore/k={k}"),
-    };
-    cached(state, &q, engine, || {
-        let profiles = hare::NodeProfiles::compute(&q.entry.graph, q.delta, q.threads);
-        match motif {
-            Some(m) => {
-                let ranked = hare::top_k_nodes(&profiles, m, k);
-                hare::report::top_nodes_body(q.delta, m, k, &ranked)
-            }
-            None => {
-                let dist = hare::ProfileDistribution::compute(&profiles);
-                let ranked = hare::rank_by_zscore(&profiles, &dist, k);
-                hare::report::zscore_nodes_body(q.delta, k, &ranked)
-            }
-        }
-    })
+        None => Ok(Plan::TopByZscore { k }),
+    }
 }
 
 #[cfg(test)]

@@ -1,165 +1,33 @@
-//! Streaming ingest sessions: a sliding-window engine per client stream.
+//! Streaming ingest sessions: one [`Session`] per client stream.
 //!
-//! A session wraps one of two engines behind three verbs — create
-//! (`POST /sessions`), push a batch of edges
-//! (`POST /sessions/{id}/edges`), and poll the live per-tick body
+//! A session is the query layer's ingest type ([`hare::query::Session`])
+//! behind three verbs — create (`POST /sessions`), push a batch of
+//! edges (`POST /sessions/{id}/edges`), and poll the live per-tick body
 //! (`GET /sessions/{id}`):
 //!
-//! * **Exact** ([`WindowedCounter`]) — the default: exact live-window
-//!   counts, body shape [`hare::report::windowed_tick_body`], the same
-//!   bytes as one `hare-count --window --json` tick.
-//! * **Budgeted** ([`StreamingEstimator`]) — created with a
-//!   `"memory_budget"` (bytes): the bounded-memory estimator, body
-//!   shape [`hare::report::stream_tick_body`], the same bytes as one
-//!   `hare-count --window --memory-budget --json` tick. Per-session
-//!   budgets are carved out of the daemon-wide pool
+//! * **Exact** ([`hare::WindowedCounter`]) — the default: exact
+//!   live-window counts, the same bytes as one
+//!   `hare-count --window --json` tick.
+//! * **Budgeted** ([`hare::StreamingEstimator`]) — created with a
+//!   `"memory_budget"` (bytes): the bounded-memory estimator, the same
+//!   bytes as one `hare-count --window --memory-budget --json` tick.
+//!   Per-session budgets are carved out of the daemon-wide pool
 //!   (`--session-memory-budget`), so thousands of concurrent ingest
 //!   sessions run at a fixed total RSS instead of only the count cap.
 //!
 //! Late and self-loop arrivals are dropped and counted, never fatal —
-//! mirroring the CLI's streaming drop policy, so a flushed session is
-//! byte-identical to the final tick of the equivalent CLI run.
+//! the CLI runs the same session type, so a flushed session is
+//! byte-identical to the final tick of the equivalent CLI run. This
+//! module only keeps the store: ids, locking and the memory pool.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use hare::stream_sample::{StreamSampleConfig, StreamingEstimator};
-use hare::streaming::StreamError;
-use hare::windowed::WindowedCounter;
-use temporal_graph::{NodeId, Timestamp};
+use hare::query::{PlanError, SessionSpec};
+use temporal_graph::Timestamp;
 
-/// The counting engine behind one session.
-#[derive(Debug)]
-pub enum SessionEngine {
-    /// Exact live-window counting (no budget).
-    Exact(Box<WindowedCounter>),
-    /// Bounded-memory estimation under a per-session byte budget.
-    Budget(Box<StreamingEstimator>),
-}
-
-/// One client's streaming state.
-#[derive(Debug)]
-pub struct Session {
-    /// The sliding-window engine (exact or budgeted).
-    pub engine: SessionEngine,
-    /// Arrivals dropped as too late for the reorder slack.
-    pub late_dropped: u64,
-    /// Self-loop arrivals dropped.
-    pub self_loops_dropped: u64,
-    /// Largest accepted timestamp (the tick label of polled bodies).
-    pub max_accepted: Option<Timestamp>,
-}
-
-/// Result of pushing one batch of edges into a session.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PushOutcome {
-    /// Edges accepted from this batch.
-    pub accepted: u64,
-    /// Edges of this batch dropped as late.
-    pub late_dropped: u64,
-    /// Edges of this batch dropped as self-loops.
-    pub self_loops_dropped: u64,
-}
-
-impl Session {
-    /// Push a batch in arrival order, dropping (and counting) late and
-    /// self-loop edges exactly like the CLI streaming mode.
-    pub fn push_edges(&mut self, edges: &[(NodeId, NodeId, Timestamp)]) -> PushOutcome {
-        let mut out = PushOutcome::default();
-        for &(src, dst, t) in edges {
-            let pushed = match &mut self.engine {
-                SessionEngine::Exact(wc) => wc.push(src, dst, t),
-                SessionEngine::Budget(est) => est.push(src, dst, t),
-            };
-            match pushed {
-                Ok(()) => {
-                    out.accepted += 1;
-                    self.max_accepted = Some(self.max_accepted.map_or(t, |m| m.max(t)));
-                }
-                Err(StreamError::OutOfOrder { .. }) => {
-                    out.late_dropped += 1;
-                    self.late_dropped += 1;
-                }
-                Err(StreamError::SelfLoop) => {
-                    out.self_loops_dropped += 1;
-                    self.self_loops_dropped += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// Drain the engine's reorder buffer (`POST /sessions/{id}/flush`).
-    pub fn flush(&mut self) {
-        match &mut self.engine {
-            SessionEngine::Exact(wc) => wc.flush(),
-            SessionEngine::Budget(est) => est.flush(),
-        }
-    }
-
-    /// The session's per-session byte budget (`None` for exact
-    /// sessions).
-    #[must_use]
-    pub fn memory_budget(&self) -> Option<u64> {
-        match &self.engine {
-            SessionEngine::Exact(_) => None,
-            SessionEngine::Budget(est) => Some(est.budget_bytes()),
-        }
-    }
-
-    /// The session's current tick body, labelled with the largest
-    /// accepted timestamp (0 before any acceptance). Exact sessions use
-    /// the exact tick shape; budgeted sessions the estimator tick shape
-    /// — each byte-identical to the matching CLI mode.
-    #[must_use]
-    pub fn tick_body(&self) -> serde_json::Value {
-        let tick = self.max_accepted.unwrap_or(0);
-        match &self.engine {
-            SessionEngine::Exact(wc) => hare::report::windowed_tick_body(
-                tick,
-                wc,
-                self.late_dropped,
-                self.self_loops_dropped,
-            ),
-            SessionEngine::Budget(est) => hare::report::stream_tick_body(
-                tick,
-                est.config().slack,
-                &est.estimates(),
-                self.late_dropped,
-                self.self_loops_dropped,
-            ),
-        }
-    }
-
-    /// The response body of one push batch. Exact sessions report
-    /// `live_edges`; budgeted sessions report their reservoir state
-    /// instead (tracking the exact live count would itself need
-    /// unbounded memory).
-    #[must_use]
-    pub fn push_body(&self, out: PushOutcome) -> serde_json::Value {
-        let mut body = serde_json::json!({
-            "accepted": out.accepted,
-            "late_dropped": out.late_dropped,
-            "self_loops_dropped": out.self_loops_dropped,
-        });
-        if let Some(map) = body.as_object_mut() {
-            match &self.engine {
-                SessionEngine::Exact(wc) => {
-                    map.insert("live_edges".into(), wc.live_edges().into());
-                    map.insert("buffered_edges".into(), wc.buffered_edges().into());
-                }
-                SessionEngine::Budget(est) => {
-                    map.insert("retained_edges".into(), est.retained_edges().into());
-                    map.insert("retained_bytes".into(), est.retained_bytes().into());
-                    map.insert("memory_budget".into(), est.budget_bytes().into());
-                    map.insert("buffered_edges".into(), est.buffered_edges().into());
-                }
-            }
-        }
-        body
-    }
-}
+pub use hare::query::{PushOutcome, Session};
 
 /// Creation failure: reserving the requested per-session budget would
 /// overflow the daemon-wide session memory pool.
@@ -169,6 +37,15 @@ pub struct PoolExhausted {
     pub requested: u64,
     /// Bytes still unreserved in the pool.
     pub available: u64,
+}
+
+/// Why [`SessionStore::create`] refused a session.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CreateError {
+    /// A parameter is out of domain (see [`SessionSpec::validate`]).
+    Invalid(PlanError),
+    /// The requested budget does not fit in the pool.
+    PoolExhausted(PoolExhausted),
 }
 
 /// Thread-safe id → session map. Sessions are independently locked so
@@ -203,42 +80,27 @@ impl SessionStore {
         }
     }
 
-    /// Create a session; the caller has validated `window >= delta >= 0`,
-    /// `slack >= 0` and `memory_budget >= 1` (the engine constructors
-    /// enforce them by panic, so validation belongs at the API
-    /// boundary). A `memory_budget` selects the bounded-memory estimator
-    /// engine and reserves that many bytes from the pool.
+    /// Create a session. A `memory_budget` selects the bounded-memory
+    /// estimator engine and reserves that many bytes from the pool.
     ///
     /// # Errors
-    /// [`PoolExhausted`] when the requested budget does not fit in the
-    /// pool's unreserved remainder.
+    /// [`CreateError::Invalid`] for out-of-domain parameters,
+    /// [`CreateError::PoolExhausted`] when the requested budget does not
+    /// fit in the pool's unreserved remainder.
     pub fn create(
         &self,
         delta: Timestamp,
         window: Timestamp,
         slack: Timestamp,
         memory_budget: Option<u64>,
-    ) -> Result<u64, PoolExhausted> {
-        let engine = match memory_budget {
-            None => {
-                SessionEngine::Exact(Box::new(WindowedCounter::with_slack(delta, window, slack)))
-            }
-            Some(budget) => {
-                self.reserve(budget)?;
-                SessionEngine::Budget(Box::new(StreamingEstimator::new(StreamSampleConfig {
-                    slack,
-                    ..StreamSampleConfig::new(delta, window, budget)
-                })))
-            }
-        };
+    ) -> Result<u64, CreateError> {
+        let session = Session::new(SessionSpec::new(delta, window, slack, memory_budget))
+            .map_err(CreateError::Invalid)?;
+        if let Some(budget) = memory_budget {
+            self.reserve(budget).map_err(CreateError::PoolExhausted)?;
+        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         self.created.fetch_add(1, Ordering::Relaxed);
-        let session = Session {
-            engine,
-            late_dropped: 0,
-            self_loops_dropped: 0,
-            max_accepted: None,
-        };
         self.inner
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -408,10 +270,10 @@ mod tests {
         let err = store.create(10, 10, 0, Some(600)).unwrap_err();
         assert_eq!(
             err,
-            PoolExhausted {
+            CreateError::PoolExhausted(PoolExhausted {
                 requested: 600,
                 available: 400
-            }
+            })
         );
         // A fitting budget still goes through, then the pool is full.
         let b = store.create(10, 10, 0, Some(400)).unwrap();
@@ -422,6 +284,23 @@ mod tests {
         assert_eq!(store.reserved_bytes(), 400);
         assert!(store.remove(b));
         assert_eq!(store.reserved_bytes(), 0);
+    }
+
+    #[test]
+    fn invalid_sessions_are_rejected_without_reserving() {
+        let store = SessionStore::with_pool(Some(1000));
+        for (delta, window, slack, budget) in [
+            (-5, 10, 0, Some(600)),
+            (20, 10, 0, None),
+            (10, 10, -1, Some(600)),
+            (10, 10, 0, Some(0)),
+        ] {
+            let err = store.create(delta, window, slack, budget).unwrap_err();
+            assert!(matches!(err, CreateError::Invalid(_)), "{err:?}");
+        }
+        assert_eq!(store.reserved_bytes(), 0);
+        assert_eq!(store.open_count(), 0);
+        assert_eq!(store.created_count(), 0);
     }
 
     #[test]

@@ -599,6 +599,15 @@ fn malformed_requests_return_structured_errors() {
             400,
             "engine",
         ),
+        // One delta >= 0 rule for every query endpoint.
+        ("/count?dataset=CollegeMsg&delta=-5", 400, "delta"),
+        (
+            "/count?dataset=CollegeMsg&delta=-5&engine=approx",
+            400,
+            "delta",
+        ),
+        ("/nodes/top?dataset=CollegeMsg&delta=-5", 400, "delta"),
+        ("/nodes/1/motifs?dataset=CollegeMsg&delta=-5", 400, "delta"),
         ("/sessions/99", 404, "no such session"),
         ("/sessions/zzz", 400, "integer"),
         ("/definitely/not/here", 404, "no such endpoint"),
@@ -615,6 +624,16 @@ fn malformed_requests_return_structured_errors() {
             msg.contains(want_fragment),
             "{target}: message {msg:?} lacks {want_fragment:?}"
         );
+    }
+    // ...and for ingest sessions, exact or budgeted.
+    for body in [
+        r#"{"delta":-5,"window":10}"#,
+        r#"{"delta":-5,"window":10,"memory_budget":4096}"#,
+    ] {
+        let resp = server.post("/sessions", body);
+        assert_eq!(resp.status, 400, "{body}: {}", resp.text());
+        let msg = resp.json().unwrap()["error"]["message"].to_string();
+        assert!(msg.contains("delta"), "{body}: {msg}");
     }
     // Bad JSON bodies on the POST endpoints.
     for target in ["/datasets", "/sessions"] {

@@ -1,12 +1,12 @@
 //! Integration tests for the extension layers built on top of the
-//! paper's core: streaming, multi-δ sweep, sliding windows, per-node
-//! profiles and generic higher-order patterns — all cross-checked
-//! against the batch FAST pipeline.
+//! paper's core: streaming ingest, sliding windows, per-node profiles
+//! and generic higher-order patterns — all cross-checked against the
+//! batch FAST pipeline.
 
-use hare::streaming::StreamingCounter;
-use hare::{Hare, Motif};
+use hare::{Motif, WindowedCounter};
 use hare_baselines::MotifPattern;
 use temporal_graph::gen::GenConfig;
+use temporal_graph::Timestamp;
 
 fn workload(seed: u64) -> temporal_graph::TemporalGraph {
     GenConfig {
@@ -19,24 +19,24 @@ fn workload(seed: u64) -> temporal_graph::TemporalGraph {
     .generate()
 }
 
+/// The append-only stream counter: a window no stream outlasts.
+fn stream_all(g: &temporal_graph::TemporalGraph, delta: Timestamp) -> WindowedCounter {
+    let mut wc = WindowedCounter::new(delta, Timestamp::MAX / 2);
+    for e in g.edges() {
+        wc.push(e.src, e.dst, e.t).unwrap();
+    }
+    wc
+}
+
 #[test]
 fn streaming_sweep_and_batch_agree() {
+    // One stream per delta of a sweep: each equals batch FAST.
     let g = workload(1);
     for delta in [100, 1_000, 8_000] {
-        let batch = hare::count_motifs(&g, delta);
-
-        let mut sc = StreamingCounter::new(delta);
-        for e in g.edges() {
-            sc.push(e.src, e.dst, e.t).unwrap();
-        }
-        assert_eq!(sc.counts(), batch.matrix, "streaming, delta={delta}");
-    }
-    let sweep = hare::sweep::count_motifs_sweep(&g, &[100, 1_000, 8_000]);
-    for (delta, counts) in sweep {
         assert_eq!(
-            counts.matrix,
+            stream_all(&g, delta).counts(),
             hare::count_motifs(&g, delta).matrix,
-            "sweep, delta={delta}"
+            "streaming, delta={delta}"
         );
     }
 }
@@ -48,38 +48,63 @@ fn streaming_matches_oracle_not_just_fast() {
     // still be caught.
     let g = workload(2);
     let delta = 2_000;
-    let mut sc = StreamingCounter::new(delta);
-    for e in g.edges() {
-        sc.push(e.src, e.dst, e.t).unwrap();
+    let counts = stream_all(&g, delta).counts();
+    assert_eq!(counts, hare_baselines::enumerate_all(&g, delta));
+    assert_eq!(counts, hare::count_motifs(&g, delta).matrix);
+}
+
+/// Batch FAST over the edges of `[start, start + width)`.
+fn batch_window(
+    g: &temporal_graph::TemporalGraph,
+    delta: Timestamp,
+    start: Timestamp,
+    width: Timestamp,
+) -> hare::MotifMatrix {
+    let mut b = temporal_graph::GraphBuilder::new().compact_ids(true);
+    b.extend(
+        g.edges()
+            .iter()
+            .filter(|e| e.t >= start && e.t < start + width)
+            .copied(),
+    );
+    let sub = b.build();
+    if sub.num_edges() >= 3 {
+        hare::count_motifs(&sub, delta).matrix
+    } else {
+        hare::MotifMatrix::default()
     }
-    assert_eq!(sc.counts(), hare_baselines::enumerate_all(&g, delta));
 }
 
 #[test]
 fn window_rows_match_per_window_batch_counts() {
+    // Tumbling windows [start, start + W): one sliding counter of width
+    // W - 1, advanced to each window's last instant, holds exactly that
+    // window's edges, so its counts equal batch FAST over the window.
     let g = workload(3);
-    let delta = 500;
-    let engine = Hare::with_threads(2);
-    let rows = hare::windows::sliding_counts(&g, delta, 10_000, 10_000, &engine);
-    assert!(!rows.is_empty());
-    // Rebuild each window by hand and compare.
-    let edges = g.edges();
-    for row in &rows {
-        let mut b = temporal_graph::GraphBuilder::new().compact_ids(true);
-        b.extend(
-            edges
-                .iter()
-                .filter(|e| e.t >= row.start && e.t < row.end)
-                .copied(),
-        );
-        let sub = b.build();
-        let expect = if sub.num_edges() >= 3 {
-            hare::count_motifs(&sub, delta).matrix
-        } else {
-            hare::MotifMatrix::default()
-        };
-        assert_eq!(row.counts.matrix, expect, "window at {}", row.start);
+    let (delta, width) = (500, 10_000);
+    let mut wc = WindowedCounter::new(delta, width - 1);
+    let mut start = g.min_time().unwrap();
+    let mut rows = 0;
+    for e in g.edges() {
+        while e.t >= start + width {
+            wc.advance_to(start + width - 1);
+            assert_eq!(
+                wc.counts(),
+                batch_window(&g, delta, start, width),
+                "{start}"
+            );
+            start += width;
+            rows += 1;
+        }
+        wc.push(e.src, e.dst, e.t).unwrap();
     }
+    wc.advance_to(start + width - 1);
+    assert_eq!(
+        wc.counts(),
+        batch_window(&g, delta, start, width),
+        "{start}"
+    );
+    assert!(rows >= 2);
 }
 
 #[test]
@@ -134,14 +159,14 @@ fn streaming_ingest_is_usable_for_online_alerts() {
     // every arrival without recounting history.
     let g = workload(5);
     let delta = 1_000;
-    let mut sc = StreamingCounter::new(delta);
+    let mut wc = WindowedCounter::new(delta, Timestamp::MAX / 2);
     let mut checkpoints = 0;
     for (i, e) in g.edges().iter().enumerate() {
-        sc.push(e.src, e.dst, e.t).unwrap();
+        wc.push(e.src, e.dst, e.t).unwrap();
         if i % 500 == 499 {
             // Prefix equality against batch on the prefix graph.
             let prefix = temporal_graph::TemporalGraph::from_edges(g.edges()[..=i].to_vec());
-            assert_eq!(sc.counts(), hare::count_motifs(&prefix, delta).matrix);
+            assert_eq!(wc.counts(), hare::count_motifs(&prefix, delta).matrix);
             checkpoints += 1;
         }
     }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use hare::motif::{Motif, MotifCategory};
-use temporal_graph::{GraphBuilder, TemporalGraph};
+use temporal_graph::{GraphBuilder, TemporalGraph, Timestamp};
 
 /// Arbitrary small temporal multigraph: up to `max_edges` edges over up
 /// to 8 nodes with timestamps in a narrow range (dense ties on purpose).
@@ -160,11 +160,11 @@ proptest! {
     }
 
     /// Streaming equals batch on arbitrary in-order streams: raw triples
-    /// with duplicate timestamps and self-loops are pushed through
-    /// `StreamingCounter` (self-loops rejected edge-by-edge, exactly as
-    /// the batch builder drops them), and the final counts must equal a
-    /// batch FAST run over the accepted edges. Previously this was only
-    /// asserted on fixed fixtures.
+    /// with duplicate timestamps and self-loops are pushed through a
+    /// `WindowedCounter` whose window no stream outlasts (self-loops
+    /// rejected edge-by-edge, exactly as the batch builder drops them),
+    /// and the final counts must equal a batch FAST run over the
+    /// accepted edges.
     #[test]
     fn streaming_equals_batch_on_random_streams(
         triples in temporal_graph::gen::arb::raw_triples(8, 40, 30),
@@ -172,20 +172,21 @@ proptest! {
     ) {
         let mut arrivals = triples;
         arrivals.sort_by_key(|&(_, _, t)| t);
-        let mut sc = hare::streaming::StreamingCounter::new(delta);
+        let mut sc = hare::WindowedCounter::new(delta, Timestamp::MAX / 2);
         let mut b = GraphBuilder::new();
         for (s, d, t) in arrivals {
             match sc.push(s, d, t) {
                 Ok(()) => b.add_edge(s, d, t),
-                Err(hare::streaming::StreamError::SelfLoop) => {
+                Err(hare::StreamError::SelfLoop) => {
                     prop_assert_eq!(s, d);
                 }
                 Err(e) => return Err(TestCaseError::fail(format!("in-order push rejected: {e}"))),
             }
         }
         let g = b.build();
-        prop_assert_eq!(sc.num_edges(), g.num_edges() as u64);
+        prop_assert_eq!(sc.num_accepted(), g.num_edges() as u64);
         prop_assert_eq!(sc.counts(), hare::count_motifs(&g, delta).matrix);
+        prop_assert_eq!(sc.counts(), hare_baselines::enumerate_all(&g, delta));
     }
 
     /// Duplicating every edge (same timestamps) scales pair counts by

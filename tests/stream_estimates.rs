@@ -20,8 +20,8 @@
 
 use hare::sample::MotifEstimate;
 use hare::stream_sample::{StreamSampleConfig, StreamingEstimator, EDGE_BYTES};
-use hare::streaming::StreamError;
 use hare::windowed::WindowedCounter;
+use hare::StreamError;
 use hare_baselines::ews::EwsConfig;
 use proptest::prelude::*;
 use temporal_graph::gen::{arb, GenConfig};

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use hare::counters::MotifMatrix;
-use hare::streaming::StreamError;
 use hare::windowed::WindowedCounter;
+use hare::StreamError;
 use temporal_graph::gen::arb;
 use temporal_graph::{GraphBuilder, NodeId, Timestamp};
 
