@@ -380,7 +380,6 @@ fn load_stream(o: &Opts) -> Result<Vec<(NodeId, NodeId, Timestamp)>, String> {
         (Some(path), None) => {
             let opts = LoadOptions {
                 timestamp_column: o.timestamp_col,
-                ..LoadOptions::default()
             };
             let raw = load_edges(path, &opts).map_err(|e| format!("loading {path}: {e}"))?;
             let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
@@ -687,7 +686,6 @@ fn run(o: &Opts) -> Result<(), String> {
         (Some(path), None) => {
             let opts = LoadOptions {
                 timestamp_column: o.timestamp_col,
-                ..LoadOptions::default()
             };
             load_graph(path, &opts).map_err(|e| format!("loading {path}: {e}"))?
         }

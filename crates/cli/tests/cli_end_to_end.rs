@@ -457,6 +457,39 @@ fn truncated_line_is_a_parse_error() {
 }
 
 #[test]
+fn bad_timestamp_column_fails_with_a_message_not_a_panic() {
+    let dir = temp_dir("tscol");
+    let path = dir.join("edges.txt");
+    std::fs::write(&path, "0 1 10\n1 2 12\n").unwrap();
+    for (col, want) in [
+        (
+            "18446744073709551615",
+            "line 1: expected at least 18446744073709551616 fields, found 3",
+        ),
+        (
+            "9223372036854775807",
+            "line 1: expected at least 9223372036854775808 fields, found 3",
+        ),
+        ("-1", "--timestamp-col"),
+        ("2.5", "--timestamp-col"),
+    ] {
+        let out = hare_count(&[
+            "--input",
+            path.to_str().unwrap(),
+            "--delta",
+            "10",
+            "--timestamp-col",
+            col,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "--timestamp-col {col}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(want), "--timestamp-col {col}: {err}");
+        assert!(!err.contains("panicked"), "--timestamp-col {col}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn empty_input_file_counts_nothing() {
     let dir = temp_dir("empty");
     let path = dir.join("empty.txt");

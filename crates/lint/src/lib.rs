@@ -35,9 +35,11 @@ const DETERMINISM_SCOPE: [&str; 7] = [
 
 /// `hare-serve` request-path modules bound by the panic-safety (P)
 /// rules: a panic here kills a pool worker mid-request. The core query
-/// layer is among them: it validates outside input on that path.
-const PANIC_SCOPE: [&str; 7] = [
+/// layer and the SNAP text parser are among them: they validate outside
+/// input (query parameters, uploaded edge text) on that path.
+const PANIC_SCOPE: [&str; 8] = [
     "crates/core/src/query.rs",
+    "crates/temporal-graph/src/io.rs",
     "crates/serve/src/api.rs",
     "crates/serve/src/http.rs",
     "crates/serve/src/sessions.rs",
@@ -131,6 +133,9 @@ mod tests {
         assert!(scopes_for("crates/serve/src/nodes.rs").panic_safety);
         assert!(scopes_for("crates/core/src/query.rs").panic_safety);
         assert!(scopes_for("crates/core/src/query.rs").determinism);
+        assert!(scopes_for("crates/temporal-graph/src/io.rs").panic_safety);
+        assert!(scopes_for("crates/temporal-graph/src/io.rs").determinism);
+        assert!(!scopes_for("crates/temporal-graph/src/graph.rs").panic_safety);
         assert!(!scopes_for("crates/serve/src/main.rs").panic_safety);
     }
 

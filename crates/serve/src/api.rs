@@ -7,7 +7,6 @@
 //! Errors are structured: `{"error":{"code":N,"message":"..."}}` with
 //! the matching HTTP status.
 
-use std::io::BufReader;
 use std::sync::{Arc, PoisonError};
 
 use hare::query::{Plan, PlanError, SessionSpec};
@@ -246,11 +245,17 @@ fn register_dataset(state: &AppState, req: &Request) -> ApiResponse {
         let Some(name) = name else {
             return error_response(400, "uploads require a 'name'");
         };
-        let opts = LoadOptions {
-            timestamp_column: v["timestamp_col"].as_u64().unwrap_or(2) as usize,
-            ..LoadOptions::default()
+        let timestamp_column = match &v["timestamp_col"] {
+            Value::Null => LoadOptions::default().timestamp_column,
+            col => match col.as_u64().and_then(|c| usize::try_from(c).ok()) {
+                Some(c) => c,
+                None => {
+                    return error_response(400, "'timestamp_col' must be a non-negative integer")
+                }
+            },
         };
-        let raw = match read_edges(BufReader::new(edges_text.as_bytes()), &opts) {
+        let opts = LoadOptions { timestamp_column };
+        let raw = match read_edges(edges_text.as_bytes(), &opts) {
             Ok(raw) => raw,
             Err(e) => return error_response(400, &format!("parsing 'edges': {e}")),
         };

@@ -635,6 +635,39 @@ fn malformed_requests_return_structured_errors() {
         let msg = resp.json().unwrap()["error"]["message"].to_string();
         assert!(msg.contains("delta"), "{body}: {msg}");
     }
+    // Uploads with a timestamp column that is not a non-negative
+    // integer, or that no line can have, are 400s, never a 500.
+    for (body, want_fragment) in [
+        (
+            r#"{"name":"u","edges":"0 1 5\n","timestamp_col":"3"}"#,
+            "timestamp_col",
+        ),
+        (
+            r#"{"name":"u","edges":"0 1 5\n","timestamp_col":-1}"#,
+            "timestamp_col",
+        ),
+        (
+            r#"{"name":"u","edges":"0 1 5\n","timestamp_col":2.5}"#,
+            "timestamp_col",
+        ),
+        (
+            r#"{"name":"u","edges":"0 1 5\n","timestamp_col":true}"#,
+            "timestamp_col",
+        ),
+        (
+            r#"{"name":"u","edges":"0 1 5\n","timestamp_col":18446744073709551615}"#,
+            "expected at least 18446744073709551616 fields, found 3",
+        ),
+        (
+            r#"{"name":"u","edges":"0 1 5\n","timestamp_col":9223372036854775807}"#,
+            "expected at least 9223372036854775808 fields, found 3",
+        ),
+    ] {
+        let resp = server.post("/datasets", body);
+        assert_eq!(resp.status, 400, "{body}: {}", resp.text());
+        let msg = resp.json().unwrap()["error"]["message"].to_string();
+        assert!(msg.contains(want_fragment), "{body}: {msg}");
+    }
     // Bad JSON bodies on the POST endpoints.
     for target in ["/datasets", "/sessions"] {
         let resp = server.post(target, "{not json");

@@ -301,6 +301,25 @@ pub struct PairIndex {
     blooms: Box<[u64]>,
 }
 
+/// Stable counting sort of `items` by `key(item)`, which must be below
+/// `buckets`.
+fn counting_sort(items: &[u32], buckets: usize, key: impl Fn(u32) -> NodeId) -> Vec<u32> {
+    let mut next = vec![0usize; buckets + 1];
+    for &x in items {
+        next[key(x) as usize + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let mut out = vec![0u32; items.len()];
+    for &x in items {
+        let at = &mut next[key(x) as usize];
+        out[*at] = x;
+        *at += 1;
+    }
+    out
+}
+
 impl PairIndex {
     /// Bloom bit of neighbour `w` (multiplicative mix into 0..64).
     #[inline]
@@ -308,7 +327,91 @@ impl PairIndex {
         1u64 << (w.wrapping_mul(0x9E37_79B1) >> 26 & 63)
     }
 
+    /// Build from chronological edges without a comparison sort. Slots
+    /// are handed out in first-seen order (one hash probe per edge), two
+    /// counting-sort passes put only the distinct keys in order, and a
+    /// counting-sort fill in edge-id order places each pair's events
+    /// time-ordered.
     pub(crate) fn build(num_nodes: usize, edges: &[TemporalEdge]) -> PairIndex {
+        let mut slot_of: FxHashMap<(NodeId, NodeId), u32> = FxHashMap::default();
+        // First-seen slot of each edge, and each such slot's key and size.
+        let mut seen_slot = Vec::with_capacity(edges.len());
+        let mut seen: Vec<((NodeId, NodeId), u32)> = Vec::new();
+        for e in edges {
+            let key = e.unordered_pair();
+            let next = seen.len() as u32;
+            let slot = *slot_of.entry(key).or_insert(next);
+            if slot == next {
+                seen.push((key, 0));
+            }
+            seen[slot as usize].1 += 1;
+            seen_slot.push(slot);
+        }
+
+        // Final slots are the keys in ascending order: two stable
+        // counting sorts of the first-seen slots, by `hi` then by `lo`.
+        // `rank` maps a first-seen slot to its final one.
+        let first_seen: Vec<u32> = (0..seen.len() as u32).collect();
+        let by_hi = counting_sort(&first_seen, num_nodes, |s| seen[s as usize].0 .1);
+        let order = counting_sort(&by_hi, num_nodes, |s| seen[s as usize].0 .0);
+        let mut rank = vec![0u32; seen.len()];
+        let mut keys = Vec::with_capacity(seen.len());
+        let mut offsets = Vec::with_capacity(seen.len() + 1);
+        // Per first-seen slot: the next free position of its event run.
+        let mut cursor = vec![0usize; seen.len()];
+        let mut blooms = vec![0u64; num_nodes];
+        let mut at = 0;
+        for (final_slot, &s) in order.iter().enumerate() {
+            let (key, len) = seen[s as usize];
+            rank[s as usize] = final_slot as u32;
+            keys.push(key);
+            offsets.push(at);
+            cursor[s as usize] = at;
+            at += len as usize;
+            let (lo, hi) = key;
+            blooms[lo as usize] |= PairIndex::bloom_bit(hi);
+            blooms[hi as usize] |= PairIndex::bloom_bit(lo);
+        }
+        offsets.push(at);
+        // hare-lint: allow(map-iter, reason = "each value is rewritten on its own; visit order cannot show")
+        for slot in slot_of.values_mut() {
+            *slot = rank[*slot as usize];
+        }
+
+        // Edge ids ascend through this loop, so every pair's run fills
+        // in edge-id (chronological) order.
+        let mut events = vec![
+            PairEvent {
+                t: 0,
+                edge: 0,
+                dir_from_lo: Dir::Out,
+            };
+            edges.len()
+        ];
+        for (id, (e, &s)) in edges.iter().zip(&seen_slot).enumerate() {
+            let pos = &mut cursor[s as usize];
+            events[*pos] = PairEvent {
+                t: e.t,
+                edge: id as EdgeId,
+                dir_from_lo: if e.src <= e.dst { Dir::Out } else { Dir::In },
+            };
+            *pos += 1;
+        }
+
+        PairIndex {
+            keys: keys.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+            events: events.into_boxed_slice(),
+            slot_of,
+            blooms: blooms.into_boxed_slice(),
+        }
+    }
+
+    /// The stable-sort build [`PairIndex::build`] replaced, kept as its
+    /// oracle: one `((lo, hi), event)` tuple per edge, stable-sorted by
+    /// pair key.
+    #[cfg(test)]
+    pub(crate) fn build_by_sort(num_nodes: usize, edges: &[TemporalEdge]) -> PairIndex {
         // Edges are already in chronological (id) order, so a stable sort
         // by pair key keeps each pair's events time-ordered.
         let mut tagged: Vec<((NodeId, NodeId), PairEvent)> = edges
@@ -1172,5 +1275,46 @@ mod tests {
         assert_eq!(g.edge(0), TemporalEdge::new(0, 1, 5));
         assert_eq!(g.edge(1), TemporalEdge::new(1, 2, 5));
         assert_eq!(g.edge(2), TemporalEdge::new(2, 0, 5));
+    }
+
+    mod pair_index_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The counting build equals the sort build it replaced on
+            /// random multigraphs: few timestamps (so ties are common),
+            /// repeated pairs in both directions, and sparse node ids.
+            #[test]
+            fn counting_build_matches_sort_build(
+                shape in (2u32..300, 1i64..30),
+                raw in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0i64..1_000), 0..200),
+            ) {
+                let (span, times) = shape;
+                let g = TemporalGraph::from_edges(
+                    raw.iter()
+                        .map(|&(s, d, t)| TemporalEdge::new(s % span, d % span, t % times))
+                        .collect(),
+                );
+                let n = g.num_nodes();
+                let fast = PairIndex::build(n, g.edges());
+                let slow = PairIndex::build_by_sort(n, g.edges());
+                prop_assert_eq!(&fast.keys, &slow.keys);
+                prop_assert_eq!(&fast.offsets, &slow.offsets);
+                prop_assert_eq!(&fast.events, &slow.events);
+                prop_assert_eq!(&fast.slot_of, &slow.slot_of);
+                prop_assert_eq!(&fast.blooms, &slow.blooms);
+                for a in 0..=span {
+                    prop_assert_eq!(fast.bloom_of(a), slow.bloom_of(a));
+                    for b in 0..=span.min(40) {
+                        prop_assert_eq!(fast.slot_between(a, b), slow.slot_between(a, b));
+                    }
+                }
+                for slot in 0..slow.num_pairs() {
+                    let (lo, hi) = slow.key(slot);
+                    prop_assert_eq!(fast.slot_between(hi, lo), Some(slot as u32));
+                }
+            }
+        }
     }
 }
