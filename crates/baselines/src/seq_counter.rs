@@ -42,7 +42,8 @@ impl<const L: usize> SequenceCounter<L> {
         self.c2 = [[0; L]; L];
         let mut start = 0usize;
         for &(lc, tc) in events {
-            while events[start].1 < tc - delta {
+            let t_lo = tc.saturating_sub(delta);
+            while events[start].1 < t_lo {
                 self.evict(events[start].0 as usize);
                 start += 1;
             }
@@ -118,6 +119,11 @@ mod tests {
         let mut c: SequenceCounter<1> = SequenceCounter::default();
         c.count(&events, 1_000);
         assert_eq!(c.get(0, 0, 0), 120);
+        // δ = i64::MAX over negative timestamps: `t − δ` saturates at
+        // i64::MIN instead of wrapping and evicting past the end.
+        let mut c: SequenceCounter<1> = SequenceCounter::default();
+        c.count(&[(0, -100), (0, -50), (0, -10)], Timestamp::MAX);
+        assert_eq!(c.get(0, 0, 0), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!     [--max-edges N] [--delta N] [--json]
 //! ```
 
-use hare::{NeighborScratch, PairCounter, StarCounter, TriCounter};
+use hare::{CenterTally, NeighborScratch};
 use hare_bench::{emit_json, human_secs, Args, Workloads};
 use temporal_graph::stats::degree_histogram;
 
@@ -63,20 +63,22 @@ fn main() {
             continue;
         }
         let start = std::time::Instant::now();
-        let mut star = StarCounter::default();
-        let mut pair = PairCounter::default();
-        let mut tri = TriCounter::default();
+        // One masked kernel call per category: stars+pairs, then
+        // triangles.
+        let mut tally = CenterTally::default();
         for &u in &nodes {
-            hare::fast_star::count_node_star_pair(
+            let all = 0..g.node_events(u).len();
+            hare::fused::count_node::<true, false>(
                 &g,
                 u,
+                all.clone(),
                 w.delta,
                 &mut scratch,
-                &mut star,
-                &mut pair,
+                &mut tally,
             );
-            hare::fast_tri::count_node_tri(&g, u, w.delta, &mut tri);
+            hare::fused::count_node::<false, true>(&g, u, all, w.delta, &mut scratch, &mut tally);
         }
+        std::hint::black_box(&tally);
         let avg = start.elapsed().as_secs_f64() / nodes.len() as f64;
         let bin_total = avg * b.count as f64;
         println!(

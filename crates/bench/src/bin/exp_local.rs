@@ -1,13 +1,13 @@
 //! Per-node local-profile harness: time the fused single-scan
 //! attribution driver (`hare::NodeProfiles` over `fingerprint::
-//! profile_of`, one δ-window pass per center) against the pre-fusion
-//! per-kernel path (`profile_of_separate`: separate FAST-Star and
-//! FAST-Tri drives per node), and the parallel HARE driver across
-//! thread counts.
+//! profile_of`, one δ-window pass per center) against the two-pass
+//! path (`profile_of_separate`: a `STARS` pass and a `TRIS` pass of the
+//! masked kernel per node), and the parallel HARE driver across thread
+//! counts.
 //!
 //! The output schema (`hare-bench/local/v1`) mirrors the other exp_*
 //! snapshots. The binary also asserts the refactor's contracts — the
-//! fused path is bit-identical to the per-kernel path on every node,
+//! fused path is bit-identical to the two-pass path on every node,
 //! and the parallel driver is bit-identical across thread counts — so
 //! a CI run fails on correctness regressions, not just slowdowns.
 //!
@@ -52,17 +52,17 @@ fn main() {
     let g = spec.generate(scale);
 
     // Contract first: the fused single-scan attribution must equal the
-    // pre-fusion per-kernel attribution on every node, bit for bit.
+    // two-pass (STARS, then TRIS) attribution on every node, bit for bit.
     let mut scratch = NeighborScratch::new(g.num_nodes());
     for u in g.node_ids() {
         assert_eq!(
             hare::fingerprint::profile_of(&g, u, delta, &mut scratch),
             hare::fingerprint::profile_of_separate(&g, u, delta, &mut scratch),
-            "fused vs per-kernel profile diverged on node {u}"
+            "fused vs two-pass profile diverged on node {u}"
         );
     }
 
-    // Sequential timing: fused single-scan vs legacy per-kernel drive.
+    // Sequential timing: fused single scan vs two masked passes.
     let fused_s = mean_time(samples, || {
         let mut scratch = NeighborScratch::new(g.num_nodes());
         for u in g.node_ids() {
@@ -103,7 +103,7 @@ fn main() {
         reference.len()
     );
     println!(
-        "sequential: fused {}  per-kernel {}  ({:.2}x)",
+        "sequential: fused {}  two-pass {}  ({:.2}x)",
         hare_bench::human_secs(fused_s),
         hare_bench::human_secs(separate_s),
         separate_s / fused_s

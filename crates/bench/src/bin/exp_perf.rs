@@ -112,7 +112,7 @@ fn main() {
         1,
         samples,
         || {
-            std::hint::black_box(hare::fast_star::fast_star(&g, delta));
+            std::hint::black_box(hare::fused::count_graph::<true, false>(&g, delta));
         },
     ));
     rows.push(sample(
@@ -120,7 +120,7 @@ fn main() {
         1,
         samples,
         || {
-            std::hint::black_box(hare::fast_tri::fast_tri(&g, delta));
+            std::hint::black_box(hare::fused::count_graph::<false, true>(&g, delta));
         },
     ));
     rows.push(sample(

@@ -490,6 +490,37 @@ fn bad_timestamp_column_fails_with_a_message_not_a_panic() {
 }
 
 #[test]
+fn only_pairs_with_max_delta_on_negative_timestamps() {
+    // `t − δ` at t = −100 and δ = i64::MAX lies below i64::MIN: the
+    // pair window must saturate there, not wrap and run off the list.
+    let dir = temp_dir("neg_delta");
+    let path = dir.join("neg.txt");
+    std::fs::write(&path, "0 1 -100\n1 0 -50\n0 1 -10\n").unwrap();
+    let input = path.to_str().unwrap();
+    let delta = i64::MAX.to_string();
+    for only in ["pairs", "all"] {
+        let out = hare_count(&[
+            "--input", input, "--delta", &delta, "--only", only, "--json",
+        ]);
+        assert!(
+            out.status.success(),
+            "--only {only}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let v = serde_json::from_str(stdout_of(&out).trim()).unwrap();
+        assert_eq!(v["total"].as_u64(), Some(1), "--only {only}");
+        let m65 = v["counts"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|c| c["motif"].as_str() == Some("M65"))
+            .unwrap();
+        assert_eq!(m65["count"].as_u64(), Some(1), "--only {only}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn empty_input_file_counts_nothing() {
     let dir = temp_dir("empty");
     let path = dir.join("empty.txt");

@@ -1,16 +1,81 @@
 //! The compact counting structures of §IV: the quadruple counters
 //! `Star[·,·,·,·]` and `Tri[·,·,·,·]`, the triple counter `Pair[·,·,·]`,
-//! and the canonical 6×6 result grid they fold into.
+//! the [`CenterTally`] the FAST kernel fills, and the canonical 6×6
+//! result grid they fold into.
+//!
+//! The counters store their cells flat, in the order the kernel indexes
+//! them: `ty·8 + d1·4 + d2·2 + d3` for stars and triangles, `d1·4 +
+//! d2·2 + d3` for pairs (`Out = 0`, `In = 1`).
 
 use crate::motif::{pair_motif, star_motif, tri_motif, Motif, MotifCategory, StarType, TriType};
 use temporal_graph::Dir;
+
+/// Flat index of a `[type][d1][d2][d3]` cell.
+#[inline]
+fn quad(ty: usize, d1: Dir, d2: Dir, d3: Dir) -> usize {
+    (ty << 3) | triple(d1, d2, d3)
+}
+
+/// Flat index of a `[d1][d2][d3]` cell.
+#[inline]
+fn triple(d1: Dir, d2: Dir, d3: Dir) -> usize {
+    (d1.index() << 2) | (d2.index() << 1) | d3.index()
+}
+
+fn add_cells<const N: usize>(a: &mut [u64; N], b: &[u64; N]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+}
+
+/// The raw per-center output of the FAST kernel ([`crate::fused`]): the
+/// star, pair and triangle counters of whichever centers and first-edge
+/// ranges were scanned into it. Tallies of disjoint scans merge by
+/// addition, so one node, one HARE task, one sampled window or one
+/// whole graph all use the same type.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CenterTally {
+    /// Star cells (each instance at its unique center).
+    pub star: StarCounter,
+    /// Pair cells (each instance once from each endpoint).
+    pub pair: PairCounter,
+    /// Triangle cells (each instance once from each vertex).
+    pub tri: TriCounter,
+}
+
+impl CenterTally {
+    /// Element-wise accumulate another tally.
+    pub fn merge(&mut self, other: &CenterTally) {
+        self.star.merge(&other.star);
+        self.pair.merge(&other.pair);
+        self.tri.merge(&other.tri);
+    }
+
+    /// Fold a whole-graph tally into the canonical grid: star cells map
+    /// 1:1, pair mirror cells halve (each instance was seen from both
+    /// endpoints), triangle class cells third (seen from all three
+    /// vertices).
+    #[must_use]
+    pub fn into_counts(self) -> MotifCounts {
+        let mut matrix = MotifMatrix::default();
+        self.star.add_to_matrix(&mut matrix);
+        self.pair.add_to_matrix_center_based(&mut matrix);
+        self.tri.add_to_matrix(&mut matrix);
+        MotifCounts {
+            matrix,
+            star: self.star,
+            pair: self.pair,
+            tri: self.tri,
+        }
+    }
+}
 
 /// Quadruple counter for star temporal motifs:
 /// `Star[type][d1][d2][d3]` (§IV.A.2). 3×2×2×2 = 24 cells, one per
 /// non-isomorphic star motif.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StarCounter {
-    cells: [[[[u64; 2]; 2]; 2]; 3],
+    pub(crate) cells: [u64; 24],
 }
 
 impl StarCounter {
@@ -18,13 +83,13 @@ impl StarCounter {
     #[inline]
     #[must_use]
     pub fn get(&self, ty: StarType, d1: Dir, d2: Dir, d3: Dir) -> u64 {
-        self.cells[ty.index()][d1.index()][d2.index()][d3.index()]
+        self.cells[quad(ty.index(), d1, d2, d3)]
     }
 
     /// Add `n` to `Star[ty, d1, d2, d3]`.
     #[inline]
     pub fn add(&mut self, ty: StarType, d1: Dir, d2: Dir, d3: Dir, n: u64) {
-        self.cells[ty.index()][d1.index()][d2.index()][d3.index()] += n;
+        self.cells[quad(ty.index(), d1, d2, d3)] += n;
     }
 
     /// Subtract `n` from `Star[ty, d1, d2, d3]` (used by windowed counting
@@ -32,38 +97,19 @@ impl StarCounter {
     /// earlier, so the cell never goes negative).
     #[inline]
     pub fn sub(&mut self, ty: StarType, d1: Dir, d2: Dir, d3: Dir, n: u64) {
-        self.cells[ty.index()][d1.index()][d2.index()][d3.index()] -= n;
-    }
-
-    /// Fold a flat per-node accumulator into the counter. The flat index
-    /// is `ty·8 + d1·4 + d2·2 + d3` — the layout the data-oriented
-    /// kernels ([`crate::fused`], [`crate::fast_star`]) accumulate into
-    /// before touching the shared counter once per node.
-    #[inline]
-    pub fn add_flat(&mut self, flat: &[u64; 24]) {
-        for (i, &n) in flat.iter().enumerate() {
-            self.cells[i >> 3][(i >> 2) & 1][(i >> 1) & 1][i & 1] += n;
-        }
+        self.cells[quad(ty.index(), d1, d2, d3)] -= n;
     }
 
     /// Element-wise accumulate another counter (used to reduce per-thread
     /// partials in HARE).
     pub fn merge(&mut self, other: &StarCounter) {
-        for t in 0..3 {
-            for a in 0..2 {
-                for b in 0..2 {
-                    for c in 0..2 {
-                        self.cells[t][a][b][c] += other.cells[t][a][b][c];
-                    }
-                }
-            }
-        }
+        add_cells(&mut self.cells, &other.cells);
     }
 
     /// Sum over all 24 cells.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.iter().map(|(_, _, _, _, n)| n).sum()
+        self.cells.iter().sum()
     }
 
     /// Iterate `(type, d1, d2, d3, count)` over all cells.
@@ -92,7 +138,7 @@ impl StarCounter {
 /// 8 cells; isomorphic mirror cells fold onto the 4 pair motifs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PairCounter {
-    cells: [[[u64; 2]; 2]; 2],
+    pub(crate) cells: [u64; 8],
 }
 
 impl PairCounter {
@@ -100,13 +146,13 @@ impl PairCounter {
     #[inline]
     #[must_use]
     pub fn get(&self, d1: Dir, d2: Dir, d3: Dir) -> u64 {
-        self.cells[d1.index()][d2.index()][d3.index()]
+        self.cells[triple(d1, d2, d3)]
     }
 
     /// Add `n` to `Pair[d1, d2, d3]`.
     #[inline]
     pub fn add(&mut self, d1: Dir, d2: Dir, d3: Dir, n: u64) {
-        self.cells[d1.index()][d2.index()][d3.index()] += n;
+        self.cells[triple(d1, d2, d3)] += n;
     }
 
     /// Subtract `n` from `Pair[d1, d2, d3]` (used by windowed counting to
@@ -114,33 +160,18 @@ impl PairCounter {
     /// earlier, so the cell never goes negative).
     #[inline]
     pub fn sub(&mut self, d1: Dir, d2: Dir, d3: Dir, n: u64) {
-        self.cells[d1.index()][d2.index()][d3.index()] -= n;
-    }
-
-    /// Fold a flat per-node accumulator into the counter. The flat index
-    /// is `d1·4 + d2·2 + d3` (see [`StarCounter::add_flat`]).
-    #[inline]
-    pub fn add_flat(&mut self, flat: &[u64; 8]) {
-        for (i, &n) in flat.iter().enumerate() {
-            self.cells[i >> 2][(i >> 1) & 1][i & 1] += n;
-        }
+        self.cells[triple(d1, d2, d3)] -= n;
     }
 
     /// Element-wise accumulate another counter.
     pub fn merge(&mut self, other: &PairCounter) {
-        for a in 0..2 {
-            for b in 0..2 {
-                for c in 0..2 {
-                    self.cells[a][b][c] += other.cells[a][b][c];
-                }
-            }
-        }
+        add_cells(&mut self.cells, &other.cells);
     }
 
     /// Sum over all 8 cells.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.iter().map(|(_, _, _, n)| n).sum()
+        self.cells.iter().sum()
     }
 
     /// Iterate `(d1, d2, d3, count)` over all cells.
@@ -198,7 +229,7 @@ impl PairCounter {
 /// triangle motifs (Fig. 8).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TriCounter {
-    cells: [[[[u64; 2]; 2]; 2]; 3],
+    pub(crate) cells: [u64; 24],
 }
 
 impl TriCounter {
@@ -206,41 +237,24 @@ impl TriCounter {
     #[inline]
     #[must_use]
     pub fn get(&self, ty: TriType, di: Dir, dj: Dir, dk: Dir) -> u64 {
-        self.cells[ty.index()][di.index()][dj.index()][dk.index()]
+        self.cells[quad(ty.index(), di, dj, dk)]
     }
 
     /// Add `n` to `Tri[ty, di, dj, dk]`.
     #[inline]
     pub fn add(&mut self, ty: TriType, di: Dir, dj: Dir, dk: Dir, n: u64) {
-        self.cells[ty.index()][di.index()][dj.index()][dk.index()] += n;
-    }
-
-    /// Fold a flat per-node accumulator into the counter. The flat index
-    /// is `ty·8 + di·4 + dj·2 + dk` (see [`StarCounter::add_flat`]).
-    #[inline]
-    pub fn add_flat(&mut self, flat: &[u64; 24]) {
-        for (i, &n) in flat.iter().enumerate() {
-            self.cells[i >> 3][(i >> 2) & 1][(i >> 1) & 1][i & 1] += n;
-        }
+        self.cells[quad(ty.index(), di, dj, dk)] += n;
     }
 
     /// Element-wise accumulate another counter.
     pub fn merge(&mut self, other: &TriCounter) {
-        for t in 0..3 {
-            for a in 0..2 {
-                for b in 0..2 {
-                    for c in 0..2 {
-                        self.cells[t][a][b][c] += other.cells[t][a][b][c];
-                    }
-                }
-            }
-        }
+        add_cells(&mut self.cells, &other.cells);
     }
 
     /// Sum over all 24 cells.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.iter().map(|(_, _, _, _, n)| n).sum()
+        self.cells.iter().sum()
     }
 
     /// Iterate `(type, di, dj, dk, count)` over all cells.
@@ -391,21 +405,6 @@ pub struct MotifCounts {
 }
 
 impl MotifCounts {
-    /// Assemble from center-based counters (the FAST/HARE pipeline).
-    #[must_use]
-    pub fn from_center_counters(star: StarCounter, pair: PairCounter, tri: TriCounter) -> Self {
-        let mut matrix = MotifMatrix::default();
-        star.add_to_matrix(&mut matrix);
-        pair.add_to_matrix_center_based(&mut matrix);
-        tri.add_to_matrix(&mut matrix);
-        MotifCounts {
-            matrix,
-            star,
-            pair,
-            tri,
-        }
-    }
-
     /// Count of one motif.
     #[inline]
     #[must_use]
@@ -556,21 +555,36 @@ mod tests {
     }
 
     #[test]
+    fn flat_cells_follow_the_kernel_layout() {
+        let mut s = StarCounter::default();
+        s.add(StarType::III, In, Out, In, 1);
+        assert_eq!(s.cells[16 + 4 + 1], 1);
+        let mut p = PairCounter::default();
+        p.add(Out, In, In, 1);
+        assert_eq!(p.cells[2 + 1], 1);
+        let mut t = TriCounter::default();
+        t.add(TriType::II, Out, Out, In, 1);
+        assert_eq!(t.cells[8 + 1], 1);
+    }
+
+    #[test]
     fn motif_counts_assembly() {
-        let mut star = StarCounter::default();
-        star.add(StarType::I, Out, Out, Out, 2);
-        let mut pair = PairCounter::default();
-        pair.add(Out, Out, Out, 1);
-        pair.add(In, In, In, 1);
-        let mut tri = TriCounter::default();
+        // Two partial tallies (one pair endpoint each) merged, then folded.
+        let mut t = CenterTally::default();
+        t.star.add(StarType::I, Out, Out, Out, 2);
+        t.pair.add(Out, Out, Out, 1);
+        let mut other = CenterTally::default();
+        other.pair.add(In, In, In, 1);
         for (ty, di, dj, dk) in [
             (TriType::I, Out, Out, Out),
             (TriType::II, In, In, In),
             (TriType::III, Out, In, In),
         ] {
-            tri.add(ty, di, dj, dk, 1);
+            other.tri.add(ty, di, dj, dk, 1);
         }
-        let counts = MotifCounts::from_center_counters(star, pair, tri);
+        t.merge(&other);
+        assert_eq!(t.pair.total(), 2);
+        let counts = t.into_counts();
         assert_eq!(counts.get(m(1, 3)), 2); // star
         assert_eq!(counts.get(m(5, 5)), 1); // pair
         assert_eq!(counts.get(m(3, 5)), 1); // triangle (M35 class)

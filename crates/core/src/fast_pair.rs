@@ -30,8 +30,10 @@ pub fn count_pair_events(events: &[PairEvent], delta: Timestamp, pair: &mut Pair
     let mut start = 0usize;
 
     for ej in events {
-        // Evict edges that can no longer open a window containing `ej`.
-        while events[start].t < ej.t - delta {
+        // Evict edges that can no longer open a window containing `ej`
+        // (saturating: a negative timestamp minus a huge δ must not wrap).
+        let t_lo = ej.t.saturating_sub(delta);
+        while events[start].t < t_lo {
             let d = events[start].dir_from_lo.index();
             c1[d] -= 1;
             // The evictee is the oldest edge, hence the *first* element of
@@ -76,7 +78,7 @@ pub fn fast_pair(g: &TemporalGraph, delta: Timestamp) -> PairCounter {
 mod tests {
     use super::*;
     use crate::counters::MotifMatrix;
-    use crate::fast_star::fast_star;
+    use crate::fused::count_graph;
     use crate::motif::m;
     use temporal_graph::gen::{erdos_renyi_temporal, paper_fig1_toy};
     use temporal_graph::Dir::{In, Out};
@@ -100,7 +102,7 @@ mod tests {
             let g = erdos_renyi_temporal(10, 400, 300, seed);
             let delta = 60;
             let dedicated = fast_pair(&g, delta);
-            let (_, via_star) = fast_star(&g, delta);
+            let via_star = count_graph::<true, false>(&g, delta).pair;
             let mut mx_a = MotifMatrix::default();
             dedicated.add_to_matrix_pair_based(&mut mx_a);
             let mut mx_b = MotifMatrix::default();
@@ -162,6 +164,27 @@ mod tests {
         let mut pc = PairCounter::default();
         count_pair_events(&[], 10, &mut pc);
         assert_eq!(pc.total(), 0);
+    }
+
+    #[test]
+    fn extreme_delta_with_negative_timestamps_does_not_wrap() {
+        // `t − δ` at t = −100, δ = i64::MAX would wrap past i64::MIN.
+        let g = TemporalGraph::from_edges(vec![
+            TemporalEdge::new(0, 1, -100),
+            TemporalEdge::new(1, 0, -50),
+            TemporalEdge::new(0, 1, -10),
+        ]);
+        let pair = fast_pair(&g, i64::MAX);
+        assert_eq!(pair.get(Out, In, Out), 1);
+        assert_eq!(pair.total(), 1);
+        // A window reaching down to i64::MIN itself: span i64::MAX − 1.
+        let g = TemporalGraph::from_edges(vec![
+            TemporalEdge::new(0, 1, i64::MIN),
+            TemporalEdge::new(0, 1, i64::MIN + 5),
+            TemporalEdge::new(0, 1, -2),
+        ]);
+        assert_eq!(fast_pair(&g, i64::MAX).total(), 1);
+        assert_eq!(fast_pair(&g, i64::MAX - 2).total(), 0);
     }
 
     #[test]

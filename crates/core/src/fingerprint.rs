@@ -19,15 +19,15 @@
 //! `1×` (stars), `2×` (pairs) or `3×` (triangles) the global count —
 //! an invariant the tests pin down. These are exactly the per-center
 //! views the fused kernel accumulates, which is why attribution is a
-//! fold of its flat accumulators rather than a second algorithm: the
-//! star cells of `count_node_all_into(g, u, ..)` are the stars centered
+//! fold of its [`CenterTally`] rather than a second algorithm: the
+//! star cells of `fused::count_node(g, u, ..)` are the stars centered
 //! at `u`, the pair cells are `u`'s endpoint view, and the triangle
 //! cells are `u`'s per-center instance view.
 //!
-//! The pre-fusion per-kernel path (separate [`crate::fast_star`] and
-//! [`crate::fast_tri`] drives per node) is kept as
-//! [`profile_of_separate`] — the differential reference the
-//! `local_profiles` suite pins the fused path against, bit for bit.
+//! [`profile_of_separate`] computes the same profile from two masked
+//! passes per node — a `STARS` pass and a `TRIS` pass — the two-pass
+//! reference the `local_profiles` suite pins the fused path against,
+//! bit for bit.
 //!
 //! On top of the raw profiles sit the serving-facing analytics: a
 //! sparse whole-graph collection ([`NodeProfiles`]), top-k nodes per
@@ -37,9 +37,8 @@
 
 use rayon::prelude::*;
 
-use crate::counters::{MotifMatrix, PairCounter, StarCounter, TriCounter};
-use crate::fast_star::count_node_star_pair;
-use crate::fast_tri::count_node_tri;
+use crate::counters::{CenterTally, MotifMatrix};
+use crate::fused::count_node;
 use crate::motif::{Motif, MotifCategory};
 use crate::scratch::NeighborScratch;
 use temporal_graph::{NodeId, TemporalGraph, Timestamp};
@@ -117,28 +116,25 @@ impl NodeProfile {
     }
 }
 
-/// Fold one node's per-center counters into its attribution profile.
-/// Shared by the fused and the per-kernel path: bit-identity of the two
-/// paths reduces to bit-identity of the kernels (which `fused.rs` pins).
-pub(crate) fn fold_counters(
-    star: &StarCounter,
-    pair: &PairCounter,
-    tri: &TriCounter,
-) -> NodeProfile {
+/// Fold one node's per-center tally into its attribution profile.
+/// Shared by the fused and the two-pass path: bit-identity of the two
+/// paths reduces to bit-identity of the kernel's instantiations (which
+/// `fused.rs` pins).
+pub(crate) fn fold_tally(t: &CenterTally) -> NodeProfile {
     let mut profile = NodeProfile::default();
     let mut mx = MotifMatrix::default();
-    star.add_to_matrix(&mut mx);
+    t.star.add_to_matrix(&mut mx);
     profile.absorb(&mx);
 
     // Pairs: attribute this endpoint's view directly (no mirror halving —
     // the other endpoint gets its own attribution).
     let mut mx = MotifMatrix::default();
-    pair.add_to_matrix_pair_based(&mut mx);
+    t.pair.add_to_matrix_pair_based(&mut mx);
     profile.absorb(&mx);
 
     // Triangles: raw per-center attribution (no ÷3).
     let mut mx = MotifMatrix::default();
-    for (ty, di, dj, dk, n) in tri.iter() {
+    for (ty, di, dj, dk, n) in t.tri.iter() {
         mx.add(crate::motif::tri_motif(ty, di, dj, dk), n);
     }
     profile.absorb(&mx);
@@ -155,33 +151,14 @@ pub fn profile_of(
     delta: Timestamp,
     scratch: &mut NeighborScratch,
 ) -> NodeProfile {
-    let mut star_acc = [0u64; 24];
-    let mut pair_acc = [0u64; 8];
-    let mut tri_acc = [0u64; 24];
+    let mut t = CenterTally::default();
     let len = g.node_events(u).len();
-    if len >= 2 {
-        crate::fused::count_node_all_into(
-            g,
-            u,
-            0..len,
-            delta,
-            scratch,
-            &mut star_acc,
-            &mut pair_acc,
-            &mut tri_acc,
-        );
-    }
-    let mut star = StarCounter::default();
-    let mut pair = PairCounter::default();
-    let mut tri = TriCounter::default();
-    star.add_flat(&star_acc);
-    pair.add_flat(&pair_acc);
-    tri.add_flat(&tri_acc);
-    fold_counters(&star, &pair, &tri)
+    count_node::<true, true>(g, u, 0..len, delta, scratch, &mut t);
+    fold_tally(&t)
 }
 
-/// Compute one node's profile with the pre-fusion per-kernel drives
-/// (separate star/pair and triangle scans). Kept as the differential
+/// Compute one node's profile from two masked scans of `S_u`: a `STARS`
+/// pass (stars and pairs) and a `TRIS` pass (triangles). The two-pass
 /// reference for the fused path; `tests/local_profiles.rs` pins
 /// `profile_of == profile_of_separate` bit for bit on arbitrary graphs.
 #[must_use]
@@ -191,12 +168,11 @@ pub fn profile_of_separate(
     delta: Timestamp,
     scratch: &mut NeighborScratch,
 ) -> NodeProfile {
-    let mut star = StarCounter::default();
-    let mut pair = PairCounter::default();
-    let mut tri = TriCounter::default();
-    count_node_star_pair(g, u, delta, scratch, &mut star, &mut pair);
-    count_node_tri(g, u, delta, &mut tri);
-    fold_counters(&star, &pair, &tri)
+    let mut t = CenterTally::default();
+    let len = g.node_events(u).len();
+    count_node::<true, false>(g, u, 0..len, delta, scratch, &mut t);
+    count_node::<false, true>(g, u, 0..len, delta, scratch, &mut t);
+    fold_tally(&t)
 }
 
 /// Compute the motif profile of every node (dense). `num_threads = 0`

@@ -1,115 +1,100 @@
-//! The fused FAST kernel: star, pair **and** triangle counting in one
-//! window scan per center node.
+//! The FAST kernel: Algorithms 1 and 2 in one window scan per center
+//! node, generic over the motif categories it counts.
 //!
 //! Algorithms 1 and 2 enumerate exactly the same `(e_i, e_j)` pairs of
 //! `S_u` — a first edge and a later edge within δ — and differ only in
 //! what they do per pair: Algorithm 1 answers second-edge queries from
-//! the [`NeighborScratch`] counters, Algorithm 2 probes the pair edge
-//! list `E(v, w)`. Running them as two passes scans every node sequence
-//! (and re-derives every δ-window bound) twice. This kernel performs both
-//! in a single scan:
+//! the [`NeighborScratch`] counters (star and pair motifs), Algorithm 2
+//! probes the pair edge list `E(v, w)` (triangle motifs). One scan
+//! serves both:
 //!
 //! * one traversal of the SoA timestamp lane per first edge, sharing the
 //!   `t ≤ t_1 + δ` window bound and the scratch population between the
 //!   star/pair and triangle updates;
-//! * flat per-node accumulators (`[u64; 24]` star, `[u64; 8]` pair,
-//!   `[u64; 24]` triangle) with `(d1, d3)`-hoisted offsets instead of
-//!   per-step indexed counter calls, folded into the shared counters
-//!   once per call;
+//! * the [`CenterTally`]'s flat cells (`[u64; 24]` star, `[u64; 8]` pair,
+//!   `[u64; 24]` triangle) as accumulators, with `(d1, d3)`-hoisted
+//!   offsets instead of per-step indexed counter calls;
 //! * branch-free triangle type classification (two total-order
 //!   comparisons summed).
 //!
-//! Counter addition is commutative, so the fused kernel is bit-identical
-//! to running [`crate::fast_star`] and [`crate::fast_tri`] separately —
-//! asserted by the tests below and by the differential suites.
+//! The scan is generic over a compile-time category mask. `STARS`
+//! counts star and pair motifs, `TRIS` triangle motifs, and a false flag
+//! compiles its branch away: without `STARS` there is no scratch
+//! traffic, without `TRIS` no bloom test or pair-list probe. So
+//! `<true, false>` is FAST-Star, `<false, true>` is FAST-Tri and
+//! `<true, true>` fuses both. Counter addition is commutative, so the
+//! fused pass equals a `STARS` pass plus a `TRIS` pass cell for cell —
+//! asserted by the tests below and by the property suite.
+//!
+//! Star instances are counted once, at their unique center; pair
+//! instances once from each endpoint (halved at fold time by
+//! [`crate::PairCounter::add_to_matrix_center_based`]); triangle
+//! instances once from each vertex, landing in the three isomorphic
+//! cells of their class (Fig. 8, divided by 3 at fold time by
+//! [`crate::TriCounter::add_to_matrix`]). Triangle types compare the
+//! global `(t, edge_id)` total order, so timestamp ties resolve exactly
+//! as in the enumeration oracle; the δ windows use raw timestamps, as
+//! the paper states.
 //!
 //! hare-lint: no-alloc
 
-use crate::counters::{PairCounter, StarCounter, TriCounter};
+use crate::counters::CenterTally;
 use crate::scratch::NeighborScratch;
-use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
 
-/// Count star, pair and triangle motifs centered at `u` in one scan,
-/// restricted to first-edge positions `first_edge_range` within `S_u`
-/// (the full range fuses Algorithms 1 and 2; sub-ranges are HARE's
-/// intra-node parallel unit).
+/// Count the masked categories centered at `u` into `tally`, restricted
+/// to first-edge positions `first_edge_range` within `S_u`. The full
+/// range runs Algorithms 1 and/or 2 for `u`; sub-ranges are HARE's
+/// intra-node parallel unit, the sampling engines' windows and the
+/// out-of-core driver's chunks.
 ///
-/// `scratch` must cover the graph's node count; it is reset internally.
-#[allow(clippy::too_many_arguments)] // mirrors the two kernels it fuses
-pub fn count_node_all_range(
+/// `scratch` must cover the graph's node count; it is reset internally
+/// (and untouched when `STARS` is false).
+pub fn count_node<const STARS: bool, const TRIS: bool>(
     g: &TemporalGraph,
     u: NodeId,
     first_edge_range: std::ops::Range<usize>,
     delta: Timestamp,
     scratch: &mut NeighborScratch,
-    star: &mut StarCounter,
-    pair: &mut PairCounter,
-    tri: &mut TriCounter,
-) {
-    let mut star_acc = [0u64; 24];
-    let mut pair_acc = [0u64; 8];
-    let mut tri_acc = [0u64; 24];
-    count_node_all_into(
-        g,
-        u,
-        first_edge_range,
-        delta,
-        scratch,
-        &mut star_acc,
-        &mut pair_acc,
-        &mut tri_acc,
-    );
-    star.add_flat(&star_acc);
-    pair.add_flat(&pair_acc);
-    tri.add_flat(&tri_acc);
-}
-
-/// The fused scan proper, accumulating into caller-owned flat arrays so
-/// whole-graph drivers (and the sampling engine's per-window tasks) can
-/// fold into the shared counters once per run instead of once per node.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn count_node_all_into(
-    g: &TemporalGraph,
-    u: NodeId,
-    first_edge_range: std::ops::Range<usize>,
-    delta: Timestamp,
-    scratch: &mut NeighborScratch,
-    star_acc: &mut [u64; 24],
-    pair_acc: &mut [u64; 8],
-    tri_acc: &mut [u64; 24],
+    tally: &mut CenterTally,
 ) {
     // One layout dispatch per node; the generic scan monomorphises so the
     // raw path compiles to plain slice indexing and the compressed path
     // inlines the O(1) bit-unpack.
     let s = g.node_events(u);
     match s.ts_lane() {
-        TsLane::Raw(ts) => fused_scan(
-            g,
-            &s,
-            ts,
-            first_edge_range,
-            delta,
-            scratch,
-            star_acc,
-            pair_acc,
-            tri_acc,
-        ),
-        TsLane::Packed(p) => fused_scan(
-            g,
-            &s,
-            p,
-            first_edge_range,
-            delta,
-            scratch,
-            star_acc,
-            pair_acc,
-            tri_acc,
-        ),
+        TsLane::Raw(ts) => {
+            scan::<_, STARS, TRIS>(g, &s, ts, first_edge_range, delta, scratch, tally);
+        }
+        TsLane::Packed(p) => {
+            scan::<_, STARS, TRIS>(g, &s, p, first_edge_range, delta, scratch, tally);
+        }
     }
 }
 
-/// The fused scan proper, generic over the timestamp lane representation.
+/// Sequential FAST over the whole graph: one masked scan per node into
+/// one tally (the single-threaded hot path behind [`crate::count_motifs`]
+/// and [`crate::count_triangle_motifs`]).
+#[must_use]
+pub fn count_graph<const STARS: bool, const TRIS: bool>(
+    g: &TemporalGraph,
+    delta: Timestamp,
+) -> CenterTally {
+    let mut tally = CenterTally::default();
+    crate::scratch::with_thread_scratch(g.num_nodes(), |scratch| {
+        for u in g.node_ids() {
+            let len = g.node_events(u).len();
+            if len < 2 {
+                continue; // no (e1, e3) window can open
+            }
+            count_node::<STARS, TRIS>(g, u, 0..len, delta, scratch, &mut tally);
+        }
+    });
+    tally
+}
+
+/// The scan proper, generic over the timestamp lane representation and
+/// the category mask.
 ///
 /// The window upper bound `t_hi = t_1 + δ` is non-decreasing in `i`, so
 /// its end position `j_end` is maintained by a monotone two-pointer
@@ -117,23 +102,23 @@ pub(crate) fn count_node_all_into(
 /// run over `i+1..j_end` with a hoisted trip count, which keeps them
 /// branch-minimal and auto-vectorisation-friendly, and makes the window
 /// bound derivation O(2|E|) amortised per node instead of O(Σ window²).
-#[allow(clippy::too_many_arguments)]
-fn fused_scan<T: TsRead>(
+fn scan<T: TsRead, const STARS: bool, const TRIS: bool>(
     g: &TemporalGraph,
     s: &temporal_graph::NodeEvents<'_>,
     ts: T,
     first_edge_range: std::ops::Range<usize>,
     delta: Timestamp,
     scratch: &mut NeighborScratch,
-    star_acc: &mut [u64; 24],
-    pair_acc: &mut [u64; 8],
-    tri_acc: &mut [u64; 24],
+    tally: &mut CenterTally,
 ) {
     let packed = s.packed_lane();
     let eids = s.edge_lane();
     let pairs = g.pairs();
     let n_events = ts.len();
     debug_assert!(first_edge_range.end <= n_events);
+    let star_acc = &mut tally.star.cells;
+    let pair_acc = &mut tally.pair.cells;
+    let tri_acc = &mut tally.tri.cells;
 
     let mut j_end = first_edge_range.start;
     for i in first_edge_range {
@@ -153,15 +138,20 @@ fn fused_scan<T: TsRead>(
         let p1 = packed[i];
         let v = p1 >> 1;
         let d1 = (p1 & 1) as usize;
-        let b1 = d1 << 2; // d1·4, hoisted over the window
-                          // Edge ids are chronological ranks under the global (t, input
-                          // position) total order, so bare id compares replace (t, edge)
-                          // tuple compares everywhere below.
+        // d1·4, hoisted over the window.
+        let b1 = d1 << 2;
+        // Edge ids are chronological ranks under the global (t, input
+        // position) total order, so bare id compares replace (t, edge)
+        // tuple compares everywhere below.
         let e1_id = eids[i];
         // v's neighbour signature: one register test rejects the frequent
         // wedges with no closing edge before any hash probe.
-        let bloom_v = pairs.bloom_of(v);
-        scratch.reset();
+        let bloom_v = if TRIS { pairs.bloom_of(v) } else { 0 };
+        if STARS {
+            scratch.reset();
+        }
+        // Running totals of second-edge candidates per direction (the
+        // paper's #e_in / #e_out).
         let mut n = [0u64; 2];
         // v's in-window counts, tracked in registers: v is fixed for the
         // whole window, so events to v never touch the scratch array at
@@ -181,30 +171,34 @@ fn fused_scan<T: TsRead>(
             if w == v {
                 // Pair motifs + Star-II (second edge elsewhere). No
                 // triangle can span (u, v, v).
-                pair_acc[base] += cv[0];
-                pair_acc[base | 2] += cv[1];
-                star_acc[8 + base] += n[0] - cv[0];
-                star_acc[8 + (base | 2)] += n[1] - cv[1];
-                cv[d3] += 1;
+                if STARS {
+                    pair_acc[base] += cv[0];
+                    pair_acc[base | 2] += cv[1];
+                    star_acc[8 + base] += n[0] - cv[0];
+                    star_acc[8 + (base | 2)] += n[1] - cv[1];
+                    cv[d3] += 1;
+                }
             } else {
                 // Star-I (second edge at w) + Star-III (second edge at v).
-                let cw = scratch.get(w);
-                star_acc[base] += cw[0];
-                star_acc[base | 2] += cw[1];
-                star_acc[16 + base] += cv[0];
-                star_acc[16 + (base | 2)] += cv[1];
+                if STARS {
+                    let cw = scratch.get(w);
+                    star_acc[base] += cw[0];
+                    star_acc[base | 2] += cw[1];
+                    star_acc[16 + base] += cv[0];
+                    star_acc[16 + (base | 2)] += cv[1];
+                }
 
                 // Triangles: opposite edges from E(v, w) inside the
                 // [t_j − δ, t_i + δ] window (Algorithm 2's trick). The
                 // bloom test is an exact negative for unconnected pairs.
-                if temporal_graph::PairIndex::bloom_may_connect(bloom_v, w) {
+                if TRIS && temporal_graph::PairIndex::bloom_may_connect(bloom_v, w) {
                     if w != memo_w {
                         memo_w = w;
                         memo_evs = pairs.events_between(v, w);
                     }
                     let evs = memo_evs;
                     if !evs.is_empty() {
-                        let dk_flip = usize::from(v >= w);
+                        let dk_flip = usize::from(v >= w); // dirs stored relative to lo
                         let tbase = b1 | (d3 << 1); // di·4 + dj·2
                         let ej_id = eids[j];
                         let t_lo = ts.at(j).saturating_sub(delta);
@@ -214,106 +208,53 @@ fn fused_scan<T: TsRead>(
                                 break;
                             }
                             let dk = p.dir_from_lo.index() ^ dk_flip;
+                            // Type by position in the chronological total
+                            // order: before e_i → I (0), between → II (1),
+                            // after e_j → III (2).
                             let ty = usize::from(p.edge >= e1_id) + usize::from(p.edge >= ej_id);
                             tri_acc[(ty << 3) | tbase | dk] += 1;
                         }
                     }
                 }
 
-                scratch.bump(w, d3);
+                if STARS {
+                    // e3 becomes a second-edge candidate for later third
+                    // edges (events to v are covered by the register pair).
+                    scratch.bump(w, d3);
+                }
             }
 
-            n[d3] += 1;
+            if STARS {
+                n[d3] += 1;
+            }
         }
     }
-}
-
-/// Count star, pair and triangle motifs centered at `u` over the whole
-/// of `S_u` with the fused kernel.
-pub fn count_node_all(
-    g: &TemporalGraph,
-    u: NodeId,
-    delta: Timestamp,
-    scratch: &mut NeighborScratch,
-    star: &mut StarCounter,
-    pair: &mut PairCounter,
-    tri: &mut TriCounter,
-) {
-    let len = g.node_events(u).len();
-    count_node_all_range(g, u, 0..len, delta, scratch, star, pair, tri);
-}
-
-/// Sequential fused FAST over the whole graph: one scan per node filling
-/// all three counters (the single-threaded hot path behind
-/// [`crate::count_motifs`]). Flat accumulators live for the whole run
-/// and are folded into the counter structures exactly once.
-#[must_use]
-pub fn fused_all(g: &TemporalGraph, delta: Timestamp) -> (StarCounter, PairCounter, TriCounter) {
-    fused_all_probed(g, delta, &NoopProbe)
-}
-
-/// [`fused_all`] with a [`Probe`] observing its phase boundaries:
-/// [`Phase::Scan`] wraps the per-node window scans, [`Phase::Fold`]
-/// wraps the flat-accumulator fold. With [`NoopProbe`] this
-/// monomorphizes to exactly [`fused_all`] — counts are bit-identical
-/// across probe implementations by construction.
-#[must_use]
-pub fn fused_all_probed<P: Probe>(
-    g: &TemporalGraph,
-    delta: Timestamp,
-    probe: &P,
-) -> (StarCounter, PairCounter, TriCounter) {
-    let mut star_acc = [0u64; 24];
-    let mut pair_acc = [0u64; 8];
-    let mut tri_acc = [0u64; 24];
-    probe.span(Phase::Scan, || {
-        crate::scratch::with_thread_scratch(g.num_nodes(), |scratch| {
-            for u in g.node_ids() {
-                let len = g.node_events(u).len();
-                if len < 2 {
-                    continue; // no (e1, e3) window can open
-                }
-                count_node_all_into(
-                    g,
-                    u,
-                    0..len,
-                    delta,
-                    scratch,
-                    &mut star_acc,
-                    &mut pair_acc,
-                    &mut tri_acc,
-                );
-            }
-        });
-    });
-    probe.span(Phase::Fold, || {
-        let mut star = StarCounter::default();
-        let mut pair = PairCounter::default();
-        let mut tri = TriCounter::default();
-        star.add_flat(&star_acc);
-        pair.add_flat(&pair_acc);
-        tri.add_flat(&tri_acc);
-        (star, pair, tri)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast_star::fast_star;
-    use crate::fast_tri::fast_tri;
     use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, paper_fig1_toy, GenConfig};
+
+    /// The fused pass against a `STARS` pass and a `TRIS` pass: each
+    /// half fills only its own cells, and together they equal the fused
+    /// tally cell for cell.
+    fn assert_fused_equals_separate_passes(g: &TemporalGraph, delta: Timestamp, what: &str) {
+        let fused = count_graph::<true, true>(g, delta);
+        let stars = count_graph::<true, false>(g, delta);
+        let tris = count_graph::<false, true>(g, delta);
+        assert_eq!(stars.tri.total(), 0, "{what}");
+        assert_eq!(tris.star.total() + tris.pair.total(), 0, "{what}");
+        assert_eq!(fused.star, stars.star, "{what}");
+        assert_eq!(fused.pair, stars.pair, "{what}");
+        assert_eq!(fused.tri, tris.tri, "{what}");
+    }
 
     #[test]
     fn fused_equals_separate_passes_on_toy() {
         let g = paper_fig1_toy();
         for delta in [0, 5, 10, 50] {
-            let (star, pair) = fast_star(&g, delta);
-            let tri = fast_tri(&g, delta);
-            let (fstar, fpair, ftri) = fused_all(&g, delta);
-            assert_eq!(fstar, star, "delta={delta}");
-            assert_eq!(fpair, pair, "delta={delta}");
-            assert_eq!(ftri, tri, "delta={delta}");
+            assert_fused_equals_separate_passes(&g, delta, &format!("delta={delta}"));
         }
     }
 
@@ -321,13 +262,7 @@ mod tests {
     fn fused_equals_separate_passes_on_random_graphs() {
         for seed in 0..4 {
             let g = erdos_renyi_temporal(25, 600, 800, seed);
-            let delta = 150;
-            let (star, pair) = fast_star(&g, delta);
-            let tri = fast_tri(&g, delta);
-            let (fstar, fpair, ftri) = fused_all(&g, delta);
-            assert_eq!(fstar, star, "seed={seed}");
-            assert_eq!(fpair, pair, "seed={seed}");
-            assert_eq!(ftri, tri, "seed={seed}");
+            assert_fused_equals_separate_passes(&g, 150, &format!("seed={seed}"));
         }
     }
 
@@ -341,52 +276,33 @@ mod tests {
             ..GenConfig::default()
         }
         .generate();
-        let delta = 20_000;
-        let (star, pair) = fast_star(&g, delta);
-        let tri = fast_tri(&g, delta);
-        let (fstar, fpair, ftri) = fused_all(&g, delta);
-        assert_eq!(fstar, star);
-        assert_eq!(fpair, pair);
-        assert_eq!(ftri, tri);
+        assert_fused_equals_separate_passes(&g, 20_000, "skewed");
     }
 
     #[test]
     fn fused_range_split_equals_full_run() {
         let g = hub_burst(30, 1_500, 8_000, 9);
         let delta = 800;
-        let (full_star, full_pair, full_tri) = fused_all(&g, delta);
+        let full = count_graph::<true, true>(&g, delta);
 
         let mut scratch = NeighborScratch::new(g.num_nodes());
-        let mut star = StarCounter::default();
-        let mut pair = PairCounter::default();
-        let mut tri = TriCounter::default();
+        let mut split = CenterTally::default();
         for u in g.node_ids() {
             let len = g.node_events(u).len();
             let third = len / 3;
             for range in [0..third, third..len] {
-                count_node_all_range(
-                    &g,
-                    u,
-                    range,
-                    delta,
-                    &mut scratch,
-                    &mut star,
-                    &mut pair,
-                    &mut tri,
-                );
+                count_node::<true, true>(&g, u, range, delta, &mut scratch, &mut split);
             }
         }
-        assert_eq!(star, full_star);
-        assert_eq!(pair, full_pair);
-        assert_eq!(tri, full_tri);
+        assert_eq!(split, full);
     }
 
     #[test]
     fn fused_empty_and_tiny_graphs() {
         for edges in [vec![], vec![temporal_graph::TemporalEdge::new(0, 1, 1)]] {
-            let g = temporal_graph::TemporalGraph::from_edges(edges);
-            let (star, pair, tri) = fused_all(&g, 100);
-            assert_eq!(star.total() + pair.total() + tri.total(), 0);
+            let g = TemporalGraph::from_edges(edges);
+            let t = count_graph::<true, true>(&g, 100);
+            assert_eq!(t.star.total() + t.pair.total() + t.tri.total(), 0);
         }
     }
 }

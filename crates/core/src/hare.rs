@@ -23,15 +23,16 @@
 //!
 //! * tasks allocate **nothing** — each worker thread keeps one
 //!   [`crate::NeighborScratch`] in thread-local storage, grown on demand and
-//!   reused across tasks, runs and graphs; per-task counters are inline
-//!   arrays on the stack;
+//!   reused across tasks, runs and graphs; each task fills one inline
+//!   [`CenterTally`];
 //! * both node phases visit nodes in **degree-descending** order, so the
 //!   most expensive work is scheduled first and cannot straggle at the
 //!   end of the run (counter addition commutes, so ordering cannot change
 //!   results);
-//! * full 36-motif tasks run the **fused** star+pair+triangle kernel
-//!   ([`crate::fused::count_node_all_range`]) — one window scan per node
-//!   instead of two;
+//! * every task runs the masked FAST kernel ([`crate::fused::count_node`])
+//!   instantiated for the categories the query asks for: full 36-motif
+//!   runs fuse star+pair+triangle counting into one window scan per node,
+//!   `--only stars` / `--only triangles` compile the other half away;
 //! * requested thread counts are **clamped to the machine's available
 //!   parallelism** (oversubscribing cores only adds scheduling overhead),
 //!   and graphs below [`SEQ_FALLBACK_EVENTS`] total events skip the
@@ -42,11 +43,9 @@
 
 use rayon::prelude::*;
 
-use crate::counters::{MotifCounts, PairCounter, StarCounter, TriCounter};
+use crate::counters::{CenterTally, MotifCounts, PairCounter};
 use crate::fast_pair::count_pair_events;
-use crate::fast_star::count_node_star_pair_range;
-use crate::fast_tri::count_node_tri_range;
-use crate::fused::count_node_all_range;
+use crate::fused::count_node;
 use crate::scratch::with_thread_scratch as with_scratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{stats, NodeId, TemporalGraph, Timestamp};
@@ -220,10 +219,8 @@ impl Hare {
         delta: Timestamp,
         probe: &P,
     ) -> MotifCounts {
-        let (star, pair, tri) = probe.span(Phase::Scan, || self.run(g, delta, Work::All));
-        probe.span(Phase::Fold, || {
-            MotifCounts::from_center_counters(star, pair, tri)
-        })
+        let tally = probe.span(Phase::Scan, || self.run::<true, true>(g, delta));
+        probe.span(Phase::Fold, || tally.into_counts())
     }
 
     /// Count into the canonical 6×6 grid, optionally restricted to one
@@ -231,8 +228,8 @@ impl Hare {
     /// entry point behind every `--only` / `?only=` query shape, so the
     /// CLI and the HTTP service cannot drift apart: `Some(Pair)` runs
     /// FAST-Pair over pair slots, `Some(Star)` / `Some(Triangle)` run
-    /// the corresponding kernel per center node, `None` runs the fused
-    /// scan. Results are bit-identical across thread counts.
+    /// the kernel masked to that category per center node, `None` runs
+    /// the fused scan. Results are bit-identical across thread counts.
     #[must_use]
     pub fn count_matrix(
         &self,
@@ -266,43 +263,23 @@ impl Hare {
                 })
             }
             Some(MotifCategory::Triangle) => {
-                let tc = probe.span(Phase::Scan, || self.count_tri(g, delta));
+                let t = probe.span(Phase::Scan, || self.run::<false, true>(g, delta));
                 probe.span(Phase::Fold, || {
                     let mut mx = crate::MotifMatrix::default();
-                    tc.add_to_matrix(&mut mx);
+                    t.tri.add_to_matrix(&mut mx);
                     mx
                 })
             }
             Some(MotifCategory::Star) => {
-                let (sc, _) = probe.span(Phase::Scan, || self.count_star_pair(g, delta));
+                let t = probe.span(Phase::Scan, || self.run::<true, false>(g, delta));
                 probe.span(Phase::Fold, || {
                     let mut mx = crate::MotifMatrix::default();
-                    sc.add_to_matrix(&mut mx);
+                    t.star.add_to_matrix(&mut mx);
                     mx
                 })
             }
             None => self.count_all_probed(g, delta, probe).matrix,
         }
-    }
-
-    /// Count star and pair motifs only (parallel FAST-Star).
-    #[must_use]
-    pub fn count_star_pair(
-        &self,
-        g: &TemporalGraph,
-        delta: Timestamp,
-    ) -> (StarCounter, PairCounter) {
-        let (star, pair, _) = self.run(g, delta, Work::StarPair);
-        (star, pair)
-    }
-
-    /// Count triangle motifs only (parallel FAST-Tri). The counter holds
-    /// each instance three times; fold with
-    /// [`TriCounter::add_to_matrix`].
-    #[must_use]
-    pub fn count_tri(&self, g: &TemporalGraph, delta: Timestamp) -> TriCounter {
-        let (_, _, tri) = self.run(g, delta, Work::Tri);
-        tri
     }
 
     /// Count pair motifs only (parallel FAST-Pair over pair slots; each
@@ -340,12 +317,14 @@ impl Hare {
         })
     }
 
-    fn run(
+    /// The hierarchical schedule over the masked kernel: `STARS` /
+    /// `TRIS` pick the categories every task counts (see
+    /// [`crate::fused`]).
+    fn run<const STARS: bool, const TRIS: bool>(
         &self,
         g: &TemporalGraph,
         delta: Timestamp,
-        work: Work,
-    ) -> (StarCounter, PairCounter, TriCounter) {
+    ) -> CenterTally {
         let thrd = self.resolve_threshold(g);
         let mut light: Vec<NodeId> = Vec::new();
         let mut heavy: Vec<NodeId> = Vec::new();
@@ -363,15 +342,26 @@ impl Hare {
         light.sort_unstable_by_key(by_degree_desc);
         heavy.sort_unstable_by_key(by_degree_desc);
 
+        // One task: a first-edge range of `u`, counted into a tally.
+        let task = |tally: &mut CenterTally, u: NodeId, range: std::ops::Range<usize>| {
+            with_scratch(g.num_nodes(), |scratch| {
+                count_node::<STARS, TRIS>(g, u, range, delta, scratch, tally);
+            });
+        };
+        let merge = |mut a: CenterTally, b: CenterTally| {
+            a.merge(&b);
+            a
+        };
+
         // Adaptive fallback: below the work threshold the pool costs
-        // more than the count. Same kernels, same per-node full ranges —
+        // more than the count. Same kernel, same per-node full ranges —
         // counter addition commutes, so the fold is bit-identical.
         if self.run_sequential(g) {
-            let mut acc = Partial::new(work);
+            let mut acc = CenterTally::default();
             for &u in light.iter().chain(heavy.iter()) {
-                acc.count_node(g, u, 0..g.node_events(u).len(), delta);
+                task(&mut acc, u, 0..g.node_events(u).len());
             }
-            return (acc.star, acc.pair, acc.tri);
+            return acc;
         }
 
         let pool = self.pool();
@@ -381,13 +371,13 @@ impl Hare {
             let mut acc = light
                 .par_chunks(chunk)
                 .map(|nodes| {
-                    let mut partial = Partial::new(work);
+                    let mut partial = CenterTally::default();
                     for &u in nodes {
-                        partial.count_node(g, u, 0..g.node_events(u).len(), delta);
+                        task(&mut partial, u, 0..g.node_events(u).len());
                     }
                     partial
                 })
-                .reduce(|| Partial::new(work), Partial::merge);
+                .reduce(CenterTally::default, merge);
 
             // Phase 2: intra-node parallelism, one heavy node at a time.
             for &u in &heavy {
@@ -396,86 +386,16 @@ impl Hare {
                 let heavy_acc = ranges
                     .into_par_iter()
                     .map(|range| {
-                        let mut partial = Partial::new(work);
-                        partial.count_node(g, u, range, delta);
+                        let mut partial = CenterTally::default();
+                        task(&mut partial, u, range);
                         partial
                     })
-                    .reduce(|| Partial::new(work), Partial::merge);
-                acc = Partial::merge(acc, heavy_acc);
+                    .reduce(CenterTally::default, merge);
+                acc.merge(&heavy_acc);
             }
 
-            (acc.star, acc.pair, acc.tri)
+            acc
         })
-    }
-}
-
-/// Which counters a run must populate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Work {
-    All,
-    StarPair,
-    Tri,
-}
-
-/// Per-task accumulator: private inline counters (no heap allocation;
-/// scratch lives in thread-local storage).
-struct Partial {
-    star: StarCounter,
-    pair: PairCounter,
-    tri: TriCounter,
-    work: Work,
-}
-
-impl Partial {
-    fn new(work: Work) -> Partial {
-        Partial {
-            star: StarCounter::default(),
-            pair: PairCounter::default(),
-            tri: TriCounter::default(),
-            work,
-        }
-    }
-
-    fn count_node(
-        &mut self,
-        g: &TemporalGraph,
-        u: NodeId,
-        range: std::ops::Range<usize>,
-        delta: Timestamp,
-    ) {
-        match self.work {
-            Work::All => with_scratch(g.num_nodes(), |scratch| {
-                count_node_all_range(
-                    g,
-                    u,
-                    range,
-                    delta,
-                    scratch,
-                    &mut self.star,
-                    &mut self.pair,
-                    &mut self.tri,
-                );
-            }),
-            Work::StarPair => with_scratch(g.num_nodes(), |scratch| {
-                count_node_star_pair_range(
-                    g,
-                    u,
-                    range,
-                    delta,
-                    scratch,
-                    &mut self.star,
-                    &mut self.pair,
-                );
-            }),
-            Work::Tri => count_node_tri_range(g, u, range, delta, &mut self.tri),
-        }
-    }
-
-    fn merge(mut a: Partial, b: Partial) -> Partial {
-        a.star.merge(&b.star);
-        a.pair.merge(&b.pair);
-        a.tri.merge(&b.tri);
-        a
     }
 }
 
@@ -483,8 +403,7 @@ impl Partial {
 mod tests {
     use super::*;
     use crate::fast_pair::fast_pair;
-    use crate::fast_star::fast_star;
-    use crate::fast_tri::fast_tri;
+    use crate::fused::count_graph;
     use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, paper_fig1_toy, GenConfig};
 
     fn engines() -> Vec<Hare> {
@@ -508,18 +427,32 @@ mod tests {
         ]
     }
 
+    /// Sequential reference built from a `STARS` pass and a `TRIS` pass.
+    fn separate_passes(g: &TemporalGraph, delta: Timestamp) -> CenterTally {
+        let mut t = count_graph::<true, false>(g, delta);
+        t.merge(&count_graph::<false, true>(g, delta));
+        t
+    }
+
     #[test]
     fn all_configs_match_sequential_on_random_graph() {
         let g = erdos_renyi_temporal(30, 600, 500, 13);
         let delta = 80;
-        let (star_seq, pair_seq) = fast_star(&g, delta);
-        let tri_seq = fast_tri(&g, delta);
+        let stars = count_graph::<true, false>(&g, delta);
+        let tris = count_graph::<false, true>(&g, delta);
         for engine in engines() {
-            let (star, pair) = engine.count_star_pair(&g, delta);
-            assert_eq!(star, star_seq, "{:?}", engine.config());
-            assert_eq!(pair, pair_seq, "{:?}", engine.config());
-            let tri = engine.count_tri(&g, delta);
-            assert_eq!(tri, tri_seq, "{:?}", engine.config());
+            assert_eq!(
+                engine.run::<true, false>(&g, delta),
+                stars,
+                "{:?}",
+                engine.config()
+            );
+            assert_eq!(
+                engine.run::<false, true>(&g, delta),
+                tris,
+                "{:?}",
+                engine.config()
+            );
         }
     }
 
@@ -534,9 +467,7 @@ mod tests {
         }
         .generate();
         let delta = 50_000;
-        let (star, pair) = fast_star(&g, delta);
-        let tri = fast_tri(&g, delta);
-        let seq = MotifCounts::from_center_counters(star, pair, tri);
+        let seq = separate_passes(&g, delta).into_counts();
         for engine in engines() {
             let par = engine.count_all(&g, delta);
             assert_eq!(par.matrix, seq.matrix, "{:?}", engine.config());
@@ -545,20 +476,29 @@ mod tests {
 
     #[test]
     fn intra_node_path_exercised_by_hub_graph() {
-        let g = hub_burst(50, 3_000, 20_000, 5);
-        let delta = 2_000;
-        // Force the hub through the intra-node path.
-        let engine = Hare::new(HareConfig {
-            num_threads: 4,
-            degree_threshold: DegreeThreshold::Fixed(100),
-            min_task_events: 16,
-            ..HareConfig::default()
-        });
+        let g = hub_burst(50, 20_000, 200_000, 5);
+        let delta = 1_000;
+        // Large enough to reach the pool, and the hub is forced through
+        // the intra-node path in many small first-edge ranges.
+        assert!(2 * g.num_edges() >= SEQ_FALLBACK_EVENTS);
         assert!(g.degree(0) > 100, "hub must exceed threshold");
-        let (star, pair) = fast_star(&g, delta);
-        let tri = fast_tri(&g, delta);
-        let seq = MotifCounts::from_center_counters(star, pair, tri);
-        assert_eq!(engine.count_all(&g, delta).matrix, seq.matrix);
+        let seq = separate_passes(&g, delta);
+        for k in [1, 2, 4] {
+            let engine = Hare::new(HareConfig {
+                num_threads: k,
+                degree_threshold: DegreeThreshold::Fixed(100),
+                min_task_events: 16,
+                ..HareConfig::default()
+            });
+            assert_eq!(engine.run::<true, true>(&g, delta), seq, "k={k}");
+            let stars = engine.run::<true, false>(&g, delta);
+            assert_eq!(
+                (stars.star, stars.pair),
+                (seq.star.clone(), seq.pair.clone()),
+                "k={k}"
+            );
+            assert_eq!(engine.run::<false, true>(&g, delta).tri, seq.tri, "k={k}");
+        }
     }
 
     #[test]
@@ -643,6 +583,9 @@ mod tests {
         let engine = Hare::with_threads(2);
         assert_eq!(engine.count_all(&g, 10).total(), 0);
         assert_eq!(engine.count_pair(&g, 10).total(), 0);
-        assert_eq!(engine.count_tri(&g, 10).total(), 0);
+        use crate::MotifCategory::{Pair, Star, Triangle};
+        for only in [Star, Pair, Triangle] {
+            assert_eq!(engine.count_matrix(&g, 10, Some(only)).total(), 0);
+        }
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! ## Components
 //!
-//! * [`fast_star`](crate::fast_star::fast_star) — Algorithm 1: a single
-//!   center-node scan counting every star **and** pair motif, O(1) per
-//!   (first, third)-edge combination via per-neighbour counters.
-//! * [`fast_tri`](crate::fast_tri::fast_tri) — Algorithm 2: triangle
-//!   counting driven by the per-pair edge index, δ-windowed by binary
-//!   search.
+//! * [`fused`] — the FAST kernel: one δ-window scan per center node
+//!   running Algorithm 1 (every star **and** pair motif, O(1) per
+//!   (first, third)-edge combination via per-neighbour counters) and
+//!   Algorithm 2 (triangles via the per-pair edge index, δ-windowed by
+//!   binary search). A compile-time category mask picks stars, triangles
+//!   or both; every instantiation fills one [`CenterTally`].
 //! * [`fast_pair`](crate::fast_pair::fast_pair) — the cheap pair-only
 //!   variant (sliding-window DP, O(|E|)).
 //! * [`Hare`] — the hierarchical parallel framework (§IV.C): inter-node
@@ -75,8 +75,6 @@
 
 pub mod counters;
 pub mod fast_pair;
-pub mod fast_star;
-pub mod fast_tri;
 pub mod fingerprint;
 pub mod fused;
 pub mod hare;
@@ -89,7 +87,7 @@ pub mod scratch;
 pub mod stream_sample;
 pub mod windowed;
 
-pub use counters::{MotifCounts, MotifMatrix, PairCounter, StarCounter, TriCounter};
+pub use counters::{CenterTally, MotifCounts, MotifMatrix, PairCounter, StarCounter, TriCounter};
 pub use fingerprint::{
     node_profiles, rank_by_zscore, top_k_nodes, NodeProfile, NodeProfiles, ProfileDistribution,
 };
@@ -109,8 +107,8 @@ use temporal_graph::{TemporalGraph, Timestamp};
 
 /// Count all 36 motifs sequentially — the paper's single-threaded "FAST"
 /// configuration, implemented as one fused star+pair+triangle scan per
-/// node ([`fused::count_node_all_range`]). Use [`Hare::count_all`] for
-/// the parallel framework.
+/// node ([`fused::count_graph`]). Use [`Hare::count_all`] for the
+/// parallel framework.
 #[must_use]
 pub fn count_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifCounts {
     count_motifs_probed(g, delta, &NoopProbe)
@@ -126,10 +124,8 @@ pub fn count_motifs_probed<P: Probe>(
     delta: Timestamp,
     probe: &P,
 ) -> MotifCounts {
-    let (star, pair, tri) = fused::fused_all_probed(g, delta, probe);
-    probe.span(Phase::Fold, || {
-        MotifCounts::from_center_counters(star, pair, tri)
-    })
+    let tally = probe.span(Phase::Scan, || fused::count_graph::<true, true>(g, delta));
+    probe.span(Phase::Fold, || tally.into_counts())
 }
 
 /// Count only the four pair motifs sequentially (the paper's "FAST-Pair")
@@ -146,9 +142,10 @@ pub fn count_pair_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifMatrix {
 /// "FAST-Tri") and return their canonical grid.
 #[must_use]
 pub fn count_triangle_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifMatrix {
-    let tc = fast_tri::fast_tri(g, delta);
     let mut mx = MotifMatrix::default();
-    tc.add_to_matrix(&mut mx);
+    fused::count_graph::<false, true>(g, delta)
+        .tri
+        .add_to_matrix(&mut mx);
     mx
 }
 
@@ -183,3 +180,12 @@ mod tests {
         }
     }
 }
+
+// Algorithm 1 and Algorithm 2 cell checks, each on its own
+// instantiation of the masked kernel.
+#[cfg(test)]
+#[path = "kernel_tests/fast_star.rs"]
+mod fast_star;
+#[cfg(test)]
+#[path = "kernel_tests/fast_tri.rs"]
+mod fast_tri;

@@ -32,8 +32,9 @@
 
 use std::io;
 
-use crate::counters::{MotifCounts, PairCounter, StarCounter, TriCounter};
-use crate::fingerprint::{fold_counters, NodeProfile, NodeProfiles};
+use crate::counters::{CenterTally, MotifCounts};
+use crate::fingerprint::{fold_tally, NodeProfile, NodeProfiles};
+use crate::fused::count_node;
 use crate::scratch::NeighborScratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::ooc::LaneFile;
@@ -326,9 +327,7 @@ pub fn count_motifs_ooc_probed<P: Probe>(
     config: OocConfig,
     probe: &P,
 ) -> io::Result<(MotifCounts, OocStats)> {
-    let mut star_acc = [0u64; 24];
-    let mut pair_acc = [0u64; 8];
-    let mut tri_acc = [0u64; 24];
+    let mut tally = CenterTally::default();
     let mut scratch = NeighborScratch::new(src.num_nodes());
     let stats = drive_chunks(src, config, probe, |g, lo, hi| {
         for u in g.node_ids() {
@@ -339,27 +338,10 @@ pub fn count_motifs_ooc_probed<P: Probe>(
             if range.is_empty() {
                 continue;
             }
-            crate::fused::count_node_all_into(
-                g,
-                u,
-                range,
-                config.delta,
-                &mut scratch,
-                &mut star_acc,
-                &mut pair_acc,
-                &mut tri_acc,
-            );
+            count_node::<true, true>(g, u, range, config.delta, &mut scratch, &mut tally);
         }
     })?;
-    let counts = probe.span(Phase::Fold, || {
-        let mut star = StarCounter::default();
-        let mut pair = PairCounter::default();
-        let mut tri = TriCounter::default();
-        star.add_flat(&star_acc);
-        pair.add_flat(&pair_acc);
-        tri.add_flat(&tri_acc);
-        MotifCounts::from_center_counters(star, pair, tri)
-    });
+    let counts = probe.span(Phase::Fold, || tally.into_counts());
     Ok((counts, stats))
 }
 
@@ -384,26 +366,9 @@ pub fn node_profiles_ooc(
             if range.is_empty() {
                 continue;
             }
-            let mut star_acc = [0u64; 24];
-            let mut pair_acc = [0u64; 8];
-            let mut tri_acc = [0u64; 24];
-            crate::fused::count_node_all_into(
-                g,
-                u,
-                range,
-                config.delta,
-                &mut scratch,
-                &mut star_acc,
-                &mut pair_acc,
-                &mut tri_acc,
-            );
-            let mut star = StarCounter::default();
-            let mut pair = PairCounter::default();
-            let mut tri = TriCounter::default();
-            star.add_flat(&star_acc);
-            pair.add_flat(&pair_acc);
-            tri.add_flat(&tri_acc);
-            dense[u as usize].merge_from(&fold_counters(&star, &pair, &tri));
+            let mut t = CenterTally::default();
+            count_node::<true, true>(g, u, range, config.delta, &mut scratch, &mut t);
+            dense[u as usize].merge_from(&fold_tally(&t));
         }
     })?;
     let entries = dense

@@ -47,7 +47,8 @@
 
 use rayon::prelude::*;
 
-use crate::counters::{MotifCounts, MotifMatrix, PairCounter, StarCounter, TriCounter};
+use crate::counters::{CenterTally, MotifMatrix};
+use crate::fused::count_node;
 use crate::motif::{pair_motif, star_motif, tri_motif, Motif, StarType, TriType};
 use crate::scratch::with_thread_scratch;
 use hare_obs::{NoopProbe, Phase, Probe};
@@ -340,7 +341,7 @@ impl SampledCounter {
             if !t.touched {
                 continue; // dead window: every cell is zero
             }
-            total.merge(t);
+            total.tally.merge(&t.tally);
             let x = fold_fractional(t, &tables);
             for (s, v) in sum_sq.iter_mut().zip(x) {
                 *s += v * v;
@@ -364,18 +365,10 @@ impl SampledCounter {
             };
         }
 
-        // p = 1 kept every window, so the summed flats are exactly the
-        // counters of a full exact run — fold them through the same path
+        // p = 1 kept every window, so the summed tally is exactly the
+        // tally of a full exact run — fold it through the same path
         // `count_motifs` uses.
-        let exact = (p >= 1.0).then(|| {
-            let mut star = StarCounter::default();
-            let mut pair = PairCounter::default();
-            let mut tri = TriCounter::default();
-            star.add_flat(&total.star);
-            pair.add_flat(&total.pair);
-            tri.add_flat(&total.tri);
-            MotifCounts::from_center_counters(star, pair, tri).matrix
-        });
+        let exact = (p >= 1.0).then(|| total.tally.into_counts().matrix);
 
         SampledCounts {
             cells,
@@ -417,16 +410,7 @@ impl SampledCounter {
                 if slot != u32::MAX {
                     let t = &mut tallies[slot as usize];
                     t.touched = true;
-                    crate::fused::count_node_all_into(
-                        g,
-                        node,
-                        range,
-                        delta,
-                        scratch,
-                        &mut t.star,
-                        &mut t.pair,
-                        &mut t.tri,
-                    );
+                    count_node::<true, true>(g, node, range, delta, scratch, &mut t.tally);
                 }
             });
         });
@@ -460,16 +444,7 @@ impl SampledCounter {
                 });
                 let t = &mut tallies[slot as usize].1;
                 t.touched = true;
-                crate::fused::count_node_all_into(
-                    g,
-                    node,
-                    range,
-                    delta,
-                    scratch,
-                    &mut t.star,
-                    &mut t.pair,
-                    &mut t.tri,
-                );
+                count_node::<true, true>(g, node, range, delta, scratch, &mut t.tally);
             });
         });
         // Ascending window order, same as the other drivers.
@@ -487,32 +462,15 @@ impl SampledCounter {
     }
 }
 
-/// Raw fused-kernel output of one window: the flat accumulator layouts
-/// of [`crate::counters`] (`ty·8 + d1·4 + d2·2 + d3` star/tri, `d1·4 +
-/// d2·2 + d3` pair). Shared with the bounded-memory streaming estimator
-/// ([`crate::stream_sample`]), whose per-tick fold is the same math.
+/// Raw fused-kernel output of one window. Shared with the
+/// bounded-memory streaming estimator ([`crate::stream_sample`]), whose
+/// per-tick fold is the same math.
 #[derive(Default)]
 pub(crate) struct WindowTally {
-    pub(crate) star: [u64; 24],
-    pub(crate) pair: [u64; 8],
-    pub(crate) tri: [u64; 24],
+    pub(crate) tally: CenterTally,
     /// `false` means the window had no runs at all (bursty graphs leave
     /// most windows dead) — the fold skips it without reading the cells.
     pub(crate) touched: bool,
-}
-
-impl WindowTally {
-    pub(crate) fn merge(&mut self, other: &WindowTally) {
-        for (a, b) in self.star.iter_mut().zip(other.star) {
-            *a += b;
-        }
-        for (a, b) in self.pair.iter_mut().zip(other.pair) {
-            *a += b;
-        }
-        for (a, b) in self.tri.iter_mut().zip(other.tri) {
-            *a += b;
-        }
-    }
 }
 
 /// Run the exact fused kernel over window `k`'s node slices, borrowing
@@ -527,16 +485,7 @@ fn tally_window(
     with_thread_scratch(g.num_nodes(), |scratch| {
         for s in slices.slices_of(k) {
             tally.touched = true;
-            crate::fused::count_node_all_into(
-                g,
-                s.node,
-                s.range(),
-                delta,
-                scratch,
-                &mut tally.star,
-                &mut tally.pair,
-                &mut tally.tri,
-            );
+            count_node::<true, true>(g, s.node, s.range(), delta, scratch, &mut tally.tally);
         }
     });
     tally
@@ -585,7 +534,7 @@ impl FoldTables {
             tri: [0; 24],
         };
         for i in 0..24 {
-            // Flat layout `ty·8 + d1·4 + d2·2 + d3` (see `add_flat`).
+            // Flat layout `ty·8 + d1·4 + d2·2 + d3` (see `crate::counters`).
             let (ty, d1, d2, d3) = (i >> 3, (i >> 2) & 1, (i >> 1) & 1, i & 1);
             t.star[i] = midx(star_motif(StarType::ALL[ty], dir(d1), dir(d2), dir(d3)));
             t.tri[i] = midx(tri_motif(TriType::ALL[ty], dir(d1), dir(d2), dir(d3)));
@@ -605,24 +554,25 @@ impl FoldTables {
 /// per-center counts may split 2 + 1 across two windows, making thirds
 /// the honest per-window attribution).
 pub(crate) fn fold_fractional(t: &WindowTally, tables: &FoldTables) -> [f64; 36] {
+    let (star, pair, tri) = (&t.tally.star.cells, &t.tally.pair.cells, &t.tally.tri.cells);
     let mut out = [0.0f64; 36];
-    for (i, &n) in t.star.iter().enumerate() {
+    for (i, &n) in star.iter().enumerate() {
         out[tables.star[i]] += n as f64;
     }
     for i in 0..4 {
         // `i` has d1 = Out; `i ^ 0b111` is the all-flipped mirror cell.
         // Both hold the same value (debug-asserted), so the halved sum
         // is an exact integer.
-        let both = t.pair[i] + t.pair[i ^ 0b111];
+        let both = pair[i] + pair[i ^ 0b111];
         debug_assert_eq!(
-            t.pair[i],
-            t.pair[i ^ 0b111],
+            pair[i],
+            pair[i ^ 0b111],
             "pair mirror cells must balance within a window"
         );
         out[tables.pair[i]] += (both / 2) as f64;
     }
     let mut tri_sums = [0u64; 36];
-    for (i, &n) in t.tri.iter().enumerate() {
+    for (i, &n) in tri.iter().enumerate() {
         tri_sums[tables.tri[i]] += n;
     }
     for (o, s) in out.iter_mut().zip(tri_sums) {

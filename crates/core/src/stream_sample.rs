@@ -1073,15 +1073,13 @@ impl StreamingEstimator {
         with_thread_scratch(g.num_nodes(), |scratch| {
             for &(node, s, e) in &runs {
                 tally.touched = true;
-                crate::fused::count_node_all_into(
+                crate::fused::count_node::<true, true>(
                     &g,
                     node,
                     s as usize..e as usize,
                     delta,
                     scratch,
-                    &mut tally.star,
-                    &mut tally.pair,
-                    &mut tally.tri,
+                    &mut tally.tally,
                 );
             }
         });
@@ -1182,14 +1180,14 @@ impl StreamingEstimator {
             let tables = FoldTables::new();
             let mut exact_total = WindowTally::default();
             for t in &exact_tallies {
-                exact_total.merge(t);
+                exact_total.tally.merge(&t.tally);
             }
             let exact_base = fold_fractional(&exact_total, &tables);
             let mut total = WindowTally::default();
             let mut var = [0.0f64; 36];
             let coin_factor = (1.0 - p).max(0.0) / (p * p);
             for t in &coin_tallies {
-                total.merge(t);
+                total.tally.merge(&t.tally);
                 let x = fold_fractional(t, &tables);
                 for (s, v) in var.iter_mut().zip(x) {
                     *s += coin_factor * v * v;
@@ -1329,15 +1327,13 @@ impl StreamingEstimator {
             with_thread_scratch(g.num_nodes(), |scratch| {
                 for &(_, node, lo, hi) in &runs[s..e] {
                     tally.touched = true;
-                    crate::fused::count_node_all_into(
+                    crate::fused::count_node::<true, true>(
                         g,
                         node,
                         lo as usize..hi as usize,
                         delta,
                         scratch,
-                        &mut tally.star,
-                        &mut tally.pair,
-                        &mut tally.tri,
+                        &mut tally.tally,
                     );
                 }
             });
@@ -1741,15 +1737,13 @@ mod tests {
                 for &(kk, node, lo, hi) in &runs {
                     if kk == k {
                         tally.touched = true;
-                        crate::fused::count_node_all_into(
+                        crate::fused::count_node::<true, true>(
                             &g,
                             node,
                             lo as usize..hi as usize,
                             delta,
                             scratch,
-                            &mut tally.star,
-                            &mut tally.pair,
-                            &mut tally.tri,
+                            &mut tally.tally,
                         );
                     }
                 }

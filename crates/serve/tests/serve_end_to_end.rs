@@ -244,6 +244,53 @@ fn uploaded_dataset_matches_cli_input_file() {
 }
 
 #[test]
+fn max_delta_on_negative_timestamps_is_byte_identical_to_cli() {
+    // The pair window's lower bound `t − δ` saturates at i64::MIN: every
+    // category answers 200 with the CLI's bytes (one M65 instance).
+    let edges = "0 1 -100\n1 0 -50\n0 1 -10\n";
+    let dir = std::env::temp_dir().join(format!("hare_serve_e2e_neg_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("neg.txt");
+    std::fs::write(&path, edges).unwrap();
+
+    let server = ServeProc::spawn(&[]);
+    let body = serde_json::json!({"name": "neg", "edges": edges}).to_string();
+    let reg = server.post("/datasets", &body);
+    assert_eq!(reg.status, 201, "{}", reg.text());
+    let delta = i64::MAX.to_string();
+    for only in ["all", "pairs", "stars", "triangles"] {
+        let resp = server.get(&format!("/count?dataset=neg&delta={delta}&only={only}"));
+        assert_eq!(resp.status, 200, "only={only}: {}", resp.text());
+        let cli = hare_count(&[
+            "--input",
+            path.to_str().unwrap(),
+            "--delta",
+            &delta,
+            "--only",
+            only,
+            "--json",
+            "--no-timing",
+        ]);
+        assert_eq!(
+            resp.body, cli.stdout,
+            "only={only}: serve body != CLI stdout"
+        );
+        let want = if only == "all" || only == "pairs" {
+            1
+        } else {
+            0
+        };
+        assert_eq!(
+            resp.json().unwrap()["total"].as_u64(),
+            Some(want),
+            "only={only}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    server.shutdown_and_wait();
+}
+
+#[test]
 fn concurrent_clients_get_identical_bodies_and_cache_hits() {
     let server = ServeProc::spawn(&["--preload", "CollegeMsg:8", "--workers", "4"]);
     let target = "/count?dataset=CollegeMsg&delta=600";

@@ -3,8 +3,8 @@
 //! Pins the fused-attribution path (`hare::fingerprint::profile_of`,
 //! one δ-window scan per center via `fused.rs`) bit-identical to
 //!
-//! 1. the pre-fusion per-kernel path (`profile_of_separate`: separate
-//!    FAST-Star and FAST-Tri drives per node),
+//! 1. the two-pass path (`profile_of_separate`: a `STARS` pass and a
+//!    `TRIS` pass of the masked kernel per node),
 //! 2. brute-force attribution derived from `baselines/enumerate.rs`
 //!    (every instance visited once; stars attribute to their center,
 //!    pairs to both endpoints, triangles to all three vertices),
@@ -60,7 +60,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Tentpole differential #1: the fused single-scan attribution is
-    /// bit-identical to the pre-fusion per-kernel path on every node of
+    /// bit-identical to the two-pass (STARS, then TRIS) path on every node of
     /// every graph (self-loops and duplicate timestamps included in the
     /// raw stream; the builder's ingestion policy is part of the path).
     #[test]

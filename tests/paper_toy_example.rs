@@ -3,7 +3,7 @@
 //! δ = 10s).
 
 use hare::motif::m;
-use hare::{NeighborScratch, PairCounter, StarCounter, StarType, TriCounter, TriType};
+use hare::{CenterTally, NeighborScratch, StarType, TriType};
 use temporal_graph::gen::paper_fig1_toy;
 use temporal_graph::Dir::{In, Out};
 
@@ -36,9 +36,10 @@ fn section4a_walkthrough_of_center_va() {
     //   Star[II,o,o,o]   += 1   (e1=(8s,c,o), e3=(15s,c,o), e2=(11s,b,o))
     let g = paper_fig1_toy();
     let mut scratch = NeighborScratch::new(g.num_nodes());
-    let mut star = StarCounter::default();
-    let mut pair = PairCounter::default();
-    hare::fast_star::count_node_star_pair(&g, 0, 10, &mut scratch, &mut star, &mut pair);
+    let mut t = CenterTally::default();
+    let all = 0..g.node_events(0).len();
+    hare::fused::count_node::<true, false>(&g, 0, all, 10, &mut scratch, &mut t);
+    let (star, pair) = (t.star, t.pair);
     assert_eq!(star.get(StarType::III, Out, Out, In), 1);
     assert_eq!(star.get(StarType::III, Out, Out, Out), 1);
     assert_eq!(star.get(StarType::II, Out, In, Out), 1);
@@ -53,8 +54,11 @@ fn section4b_walkthrough_of_center_ve() {
     // Tri[III,o,o,o] and (typo-corrected per Fig. 8 + §III's M46 claim)
     // Tri[II,o,in,in].
     let g = paper_fig1_toy();
-    let mut tri = TriCounter::default();
-    hare::fast_tri::count_node_tri(&g, 4, 10, &mut tri);
+    let mut scratch = NeighborScratch::new(g.num_nodes());
+    let mut t = CenterTally::default();
+    let all = 0..g.node_events(4).len();
+    hare::fused::count_node::<false, true>(&g, 4, all, 10, &mut scratch, &mut t);
+    let tri = t.tri;
     assert_eq!(tri.get(TriType::III, Out, Out, Out), 1);
     assert_eq!(tri.get(TriType::II, Out, In, In), 1);
     assert_eq!(tri.total(), 2);
@@ -94,7 +98,7 @@ fn toy_delta_sensitivity() {
 #[test]
 fn toy_tri_counter_class_balance() {
     let g = paper_fig1_toy();
-    let tri = hare::fast_tri::fast_tri(&g, 10);
+    let tri = hare::fused::count_graph::<false, true>(&g, 10).tri;
     assert!(tri.class_cells_balanced());
     assert_eq!(tri.total() % 3, 0);
 }

@@ -126,22 +126,37 @@ proptest! {
         );
     }
 
-    /// Raw FAST-Tri counters: the three isomorphic cells of each class
-    /// agree, and the total is divisible by 3.
+    /// Raw FAST-Tri counters (the `TRIS` pass): the three isomorphic
+    /// cells of each class agree, and the total is divisible by 3.
     #[test]
     fn tri_counter_class_balance(g in graph_strategy(40), delta in 0i64..80) {
-        let tri = hare::fast_tri::fast_tri(&g, delta);
+        let tri = hare::fused::count_graph::<false, true>(&g, delta).tri;
         prop_assert!(tri.class_cells_balanced());
         prop_assert_eq!(tri.total() % 3, 0);
     }
 
-    /// Raw FAST-Star pair counters: mirror cells balance (each pair
-    /// instance is seen once from each endpoint).
+    /// Raw FAST-Star pair counters (the `STARS` pass): mirror cells
+    /// balance (each pair instance is seen once from each endpoint).
     #[test]
     fn pair_counter_mirror_balance(g in graph_strategy(40), delta in 0i64..80) {
-        let (_, pair) = hare::fast_star::fast_star(&g, delta);
+        let pair = hare::fused::count_graph::<true, false>(&g, delta).pair;
         prop_assert!(pair.mirror_cells_balanced());
         prop_assert_eq!(pair.total() % 2, 0);
+    }
+
+    /// The masked kernel's halves add up to the fused pass cell for cell:
+    /// a `STARS` pass fills exactly the star and pair cells, a `TRIS`
+    /// pass exactly the triangle cells, and nothing else.
+    #[test]
+    fn masked_passes_sum_to_fused(g in graph_strategy(40), delta in 0i64..80) {
+        let fused = hare::fused::count_graph::<true, true>(&g, delta);
+        let stars = hare::fused::count_graph::<true, false>(&g, delta);
+        let tris = hare::fused::count_graph::<false, true>(&g, delta);
+        prop_assert_eq!(stars.tri.total(), 0);
+        prop_assert_eq!(tris.star.total() + tris.pair.total(), 0);
+        let mut sum = stars;
+        sum.merge(&tris);
+        prop_assert_eq!(sum, fused);
     }
 
     /// Dedicated pair/triangle counters agree with the full pipeline.
