@@ -447,7 +447,7 @@ mod tests {
             let g = erdos_renyi_temporal(15, 250, 300, seed);
             let delta = 80;
             let (ex_star, ex_pair) = count_stars(&g, delta);
-            let fast = hare::fused::count_graph::<true, false>(&g, delta);
+            let fast = hare::fused::count_graph::<true, false, false>(&g, delta);
             assert_eq!(ex_star, fast.star, "stars, seed {seed}");
             assert_eq!(ex_pair, fast.pair, "pairs, seed {seed}");
         }

@@ -17,7 +17,7 @@ fn bench_scratch_strategy(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_star_scratch");
     group.sample_size(10);
     group.bench_function("stamped_array", |b| {
-        b.iter(|| black_box(hare::fused::count_graph::<true, false>(&g, delta)))
+        b.iter(|| black_box(hare::fused::count_graph::<true, false, false>(&g, delta)))
     });
     group.bench_function("hashmap", |b| {
         b.iter(|| black_box(fast_star_hashmap(&g, delta)))
@@ -32,7 +32,7 @@ fn bench_pair_window_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_tri_window");
     group.sample_size(10);
     group.bench_function("binary_search", |b| {
-        b.iter(|| black_box(hare::fused::count_graph::<false, true>(&g, delta)))
+        b.iter(|| black_box(hare::fused::count_graph::<false, true, false>(&g, delta)))
     });
     group.bench_function("linear_scan", |b| {
         b.iter(|| black_box(fast_tri_linear(&g, delta)))

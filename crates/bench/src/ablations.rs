@@ -144,7 +144,7 @@ mod tests {
         let g = erdos_renyi_temporal(30, 800, 2_000, 11);
         let delta = 300;
         let (star_a, pair_a) = fast_star_hashmap(&g, delta);
-        let b = hare::fused::count_graph::<true, false>(&g, delta);
+        let b = hare::fused::count_graph::<true, false, false>(&g, delta);
         assert_eq!(star_a, b.star);
         assert_eq!(pair_a, b.pair);
     }
@@ -161,7 +161,7 @@ mod tests {
         let delta = 5_000;
         assert_eq!(
             fast_tri_linear(&g, delta),
-            hare::fused::count_graph::<false, true>(&g, delta).tri
+            hare::fused::count_graph::<false, true, false>(&g, delta).tri
         );
     }
 

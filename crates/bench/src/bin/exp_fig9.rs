@@ -68,15 +68,24 @@ fn main() {
         let mut tally = CenterTally::default();
         for &u in &nodes {
             let all = 0..g.node_events(u).len();
-            hare::fused::count_node::<true, false>(
+            hare::fused::count_node::<true, false, false>(
                 &g,
                 u,
                 all.clone(),
                 w.delta,
+                &[],
                 &mut scratch,
                 &mut tally,
             );
-            hare::fused::count_node::<false, true>(&g, u, all, w.delta, &mut scratch, &mut tally);
+            hare::fused::count_node::<false, true, false>(
+                &g,
+                u,
+                all,
+                w.delta,
+                &[],
+                &mut scratch,
+                &mut tally,
+            );
         }
         std::hint::black_box(&tally);
         let avg = start.elapsed().as_secs_f64() / nodes.len() as f64;

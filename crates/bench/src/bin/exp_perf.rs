@@ -112,7 +112,7 @@ fn main() {
         1,
         samples,
         || {
-            std::hint::black_box(hare::fused::count_graph::<true, false>(&g, delta));
+            std::hint::black_box(hare::fused::count_graph::<true, false, true>(&g, delta));
         },
     ));
     rows.push(sample(
@@ -120,7 +120,7 @@ fn main() {
         1,
         samples,
         || {
-            std::hint::black_box(hare::fused::count_graph::<false, true>(&g, delta));
+            std::hint::black_box(hare::fused::count_graph::<false, true, true>(&g, delta));
         },
     ));
     rows.push(sample(

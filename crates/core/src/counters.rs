@@ -33,13 +33,20 @@ fn add_cells<const N: usize>(a: &mut [u64; N], b: &[u64; N]) {
 /// ranges were scanned into it. Tallies of disjoint scans merge by
 /// addition, so one node, one HARE task, one sampled window or one
 /// whole graph all use the same type.
+///
+/// The triangle cells follow the kernel's orientation flag: a
+/// three-view tally holds every instance once per vertex, an oriented
+/// tally once, at its lowest-rank vertex. Fold each with its own
+/// method ([`CenterTally::into_counts`] or
+/// [`CenterTally::into_counts_oriented`]); never merge the two kinds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CenterTally {
     /// Star cells (each instance at its unique center).
     pub star: StarCounter,
     /// Pair cells (each instance once from each endpoint).
     pub pair: PairCounter,
-    /// Triangle cells (each instance once from each vertex).
+    /// Triangle cells: three-view (once from each vertex) or oriented
+    /// (once, from the lowest-rank vertex), per the producing scan.
     pub tri: TriCounter,
 }
 
@@ -51,16 +58,30 @@ impl CenterTally {
         self.tri.merge(&other.tri);
     }
 
-    /// Fold a whole-graph tally into the canonical grid: star cells map
-    /// 1:1, pair mirror cells halve (each instance was seen from both
-    /// endpoints), triangle class cells third (seen from all three
-    /// vertices).
+    /// Fold a whole-graph **three-view** tally into the canonical grid:
+    /// star cells map 1:1, pair mirror cells halve (each instance was
+    /// seen from both endpoints), triangle class cells third (seen from
+    /// all three vertices).
     #[must_use]
     pub fn into_counts(self) -> MotifCounts {
         let mut matrix = MotifMatrix::default();
+        self.tri.add_to_matrix(&mut matrix);
+        self.finish(matrix)
+    }
+
+    /// Fold a whole-graph **oriented** tally into the canonical grid: as
+    /// [`CenterTally::into_counts`], except that triangle class cells
+    /// are summed (each instance was seen once).
+    #[must_use]
+    pub fn into_counts_oriented(self) -> MotifCounts {
+        let mut matrix = MotifMatrix::default();
+        self.tri.add_to_matrix_oriented(&mut matrix);
+        self.finish(matrix)
+    }
+
+    fn finish(self, mut matrix: MotifMatrix) -> MotifCounts {
         self.star.add_to_matrix(&mut matrix);
         self.pair.add_to_matrix_center_based(&mut matrix);
-        self.tri.add_to_matrix(&mut matrix);
         MotifCounts {
             matrix,
             star: self.star,
@@ -270,24 +291,44 @@ impl TriCounter {
         })
     }
 
-    /// Fold into the grid. FAST-Tri counts each triangle instance once per
-    /// vertex (3×), landing once in each of its class's three cells
-    /// (§IV.B.3) — so the per-class fold divides the cell sum by 3.
+    /// Fold a **three-view** counter into the grid. §IV.B's FAST-Tri
+    /// counts each triangle instance once per vertex (3×), landing once
+    /// in each of its class's three cells (Fig. 8) — so the per-class
+    /// fold divides the cell sum by 3.
     ///
     /// In debug builds, asserts the three cells of every class agree.
     pub fn add_to_matrix(&self, matrix: &mut MotifMatrix) {
         debug_assert!(self.class_cells_balanced(), "class cells out of balance");
-        let mut sums = MotifMatrix::default();
-        for (ty, di, dj, dk, n) in self.iter() {
-            sums.add(tri_motif(ty, di, dj, dk), n);
-        }
+        let sums = self.class_sums();
         for mo in Motif::all().filter(|mo| mo.category() == MotifCategory::Triangle) {
             matrix.add(mo, sums.get(mo) / 3);
         }
     }
 
-    /// Invariant of whole-graph FAST-Tri: the three isomorphic cells of
-    /// each class each count every instance exactly once, so they agree.
+    /// Fold an **oriented** counter into the grid. The oriented kernel
+    /// counts each instance once, from its lowest-rank vertex, so it
+    /// lands in exactly one of its class's three cells — which one
+    /// depends on the rank order — and the per-class fold sums them.
+    /// The class cells need not agree, so there is no balance check;
+    /// oriented tallies are checked by differential against the
+    /// oracles instead.
+    pub fn add_to_matrix_oriented(&self, matrix: &mut MotifMatrix) {
+        matrix.merge(&self.class_sums());
+    }
+
+    /// Per-class cell sums: the triangle motifs of the grid, each
+    /// holding the sum of its class's three cells.
+    fn class_sums(&self) -> MotifMatrix {
+        let mut sums = MotifMatrix::default();
+        for (ty, di, dj, dk, n) in self.iter() {
+            sums.add(tri_motif(ty, di, dj, dk), n);
+        }
+        sums
+    }
+
+    /// Invariant of whole-graph three-view FAST-Tri: the three
+    /// isomorphic cells of each class each count every instance exactly
+    /// once, so they agree. (Oriented tallies do not satisfy it.)
     #[must_use]
     pub fn class_cells_balanced(&self) -> bool {
         let mut per_class: std::collections::HashMap<Motif, Vec<u64>> = Default::default();
@@ -400,7 +441,11 @@ pub struct MotifCounts {
     pub star: StarCounter,
     /// Raw pair counter (attribution depends on the producing algorithm).
     pub pair: PairCounter,
-    /// Raw triangle counter (3× attribution).
+    /// Raw triangle counter, attributed as the producing driver's kernel
+    /// was oriented: the whole-graph drivers ([`crate::count_motifs`],
+    /// [`crate::Hare`], [`crate::count_motifs_ooc`]) count each instance
+    /// once, at its lowest-rank vertex; three-view folds such as the
+    /// exact `p = 1` sample hold each instance once per vertex.
     pub tri: TriCounter,
 }
 
@@ -509,6 +554,22 @@ mod tests {
         t.add_to_matrix(&mut mx);
         assert_eq!(mx.get(m(2, 5)), 1);
         assert_eq!(mx.total(), 1);
+    }
+
+    #[test]
+    fn tri_counter_oriented_fold_sums_class_cells() {
+        let mut t = TriCounter::default();
+        // Two M25 instances, each seen once but from different vertices,
+        // plus one M26 instance: class cells need not agree.
+        t.add(TriType::I, Out, In, Out, 1);
+        t.add(TriType::III, Out, In, Out, 1);
+        t.add(TriType::I, In, Out, In, 1);
+        let mut mx = MotifMatrix::default();
+        t.add_to_matrix_oriented(&mut mx);
+        assert_eq!(mx.get(m(2, 5)), 2);
+        assert_eq!(mx.get(m(2, 6)), 1);
+        assert_eq!(mx.category_total(MotifCategory::Triangle), 3);
+        assert_eq!(mx.total(), 3);
     }
 
     #[test]

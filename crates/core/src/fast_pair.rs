@@ -102,7 +102,7 @@ mod tests {
             let g = erdos_renyi_temporal(10, 400, 300, seed);
             let delta = 60;
             let dedicated = fast_pair(&g, delta);
-            let via_star = count_graph::<true, false>(&g, delta).pair;
+            let via_star = count_graph::<true, false, false>(&g, delta).pair;
             let mut mx_a = MotifMatrix::default();
             dedicated.add_to_matrix_pair_based(&mut mx_a);
             let mut mx_b = MotifMatrix::default();

@@ -153,7 +153,7 @@ pub fn profile_of(
 ) -> NodeProfile {
     let mut t = CenterTally::default();
     let len = g.node_events(u).len();
-    count_node::<true, true>(g, u, 0..len, delta, scratch, &mut t);
+    count_node::<true, true, false>(g, u, 0..len, delta, &[], scratch, &mut t);
     fold_tally(&t)
 }
 
@@ -170,8 +170,8 @@ pub fn profile_of_separate(
 ) -> NodeProfile {
     let mut t = CenterTally::default();
     let len = g.node_events(u).len();
-    count_node::<true, false>(g, u, 0..len, delta, scratch, &mut t);
-    count_node::<false, true>(g, u, 0..len, delta, scratch, &mut t);
+    count_node::<true, false, false>(g, u, 0..len, delta, &[], scratch, &mut t);
+    count_node::<false, true, false>(g, u, 0..len, delta, &[], scratch, &mut t);
     fold_tally(&t)
 }
 

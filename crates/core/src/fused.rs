@@ -28,13 +28,33 @@
 //!
 //! Star instances are counted once, at their unique center; pair
 //! instances once from each endpoint (halved at fold time by
-//! [`crate::PairCounter::add_to_matrix_center_based`]); triangle
-//! instances once from each vertex, landing in the three isomorphic
-//! cells of their class (Fig. 8, divided by 3 at fold time by
-//! [`crate::TriCounter::add_to_matrix`]). Triangle types compare the
-//! global `(t, edge_id)` total order, so timestamp ties resolve exactly
-//! as in the enumeration oracle; the δ windows use raw timestamps, as
-//! the paper states.
+//! [`crate::PairCounter::add_to_matrix_center_based`]). Triangle
+//! attribution is the third compile-time flag, `ORIENTED`:
+//!
+//! * **three-view** (`ORIENTED = false`, §IV.B as written): every
+//!   instance is counted from each of its three vertices and lands once
+//!   in each of its class's three isomorphic cells (Fig. 8), so the fold
+//!   divides the class sum by 3 ([`crate::TriCounter::add_to_matrix`]).
+//!   Per-vertex attribution ([`crate::NodeProfiles`]) and the sampling
+//!   estimators need this view.
+//! * **oriented** (`ORIENTED = true`, the whole-graph drivers): a
+//!   `rank` slice orders the nodes, and center `u` probes a first edge to
+//!   `v` only when `rank(v) > rank(u)` and a later edge to `w` only when
+//!   `rank(w) > rank(u)`. Each instance is then counted once, from its
+//!   lowest-rank vertex, in exactly one of its class's cells, and the
+//!   fold sums the class cells
+//!   ([`crate::TriCounter::add_to_matrix_oriented`]). Any total order is
+//!   exact; the drivers pass ascending `(degree, id)`
+//!   ([`temporal_graph::TemporalGraph::node_rank`]), the static-graph
+//!   degree-ordering trick, which moves the pair-list probes off the
+//!   hubs that own most δ-window pairs. A `TRIS`-only oriented pass
+//!   skips a first edge's whole window when `v` ranks below `u`.
+//!
+//! Orientation touches only the triangle half: star and pair cells are
+//! identical under both flags. Triangle types compare the global
+//! `(t, edge_id)` total order, so timestamp ties resolve exactly as in
+//! the enumeration oracle; the δ windows use raw timestamps, as the
+//! paper states.
 //!
 //! hare-lint: no-alloc
 
@@ -48,46 +68,61 @@ use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
 /// intra-node parallel unit, the sampling engines' windows and the
 /// out-of-core driver's chunks.
 ///
+/// With `ORIENTED`, `rank` must hold one distinct value per node of the
+/// graph's id space (any total order; triangles are counted at their
+/// lowest-rank vertex). Three-view callers pass `&[]`: the slice is not
+/// read.
+///
 /// `scratch` must cover the graph's node count; it is reset internally
 /// (and untouched when `STARS` is false).
-pub fn count_node<const STARS: bool, const TRIS: bool>(
+#[allow(clippy::too_many_arguments)]
+pub fn count_node<const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     g: &TemporalGraph,
     u: NodeId,
     first_edge_range: std::ops::Range<usize>,
     delta: Timestamp,
+    rank: &[u32],
     scratch: &mut NeighborScratch,
     tally: &mut CenterTally,
 ) {
+    debug_assert!(
+        !ORIENTED || rank.len() >= g.num_nodes(),
+        "rank must cover every node"
+    );
+    let rank_u = if ORIENTED { rank[u as usize] } else { 0 };
     // One layout dispatch per node; the generic scan monomorphises so the
     // raw path compiles to plain slice indexing and the compressed path
     // inlines the O(1) bit-unpack.
     let s = g.node_events(u);
+    let range = first_edge_range;
     match s.ts_lane() {
         TsLane::Raw(ts) => {
-            scan::<_, STARS, TRIS>(g, &s, ts, first_edge_range, delta, scratch, tally);
+            scan::<_, STARS, TRIS, ORIENTED>(g, &s, ts, range, delta, rank, rank_u, scratch, tally);
         }
         TsLane::Packed(p) => {
-            scan::<_, STARS, TRIS>(g, &s, p, first_edge_range, delta, scratch, tally);
+            scan::<_, STARS, TRIS, ORIENTED>(g, &s, p, range, delta, rank, rank_u, scratch, tally);
         }
     }
 }
 
 /// Sequential FAST over the whole graph: one masked scan per node into
 /// one tally (the single-threaded hot path behind [`crate::count_motifs`]
-/// and [`crate::count_triangle_motifs`]).
+/// and [`crate::count_triangle_motifs`]). `ORIENTED` passes use the
+/// graph's own [`TemporalGraph::node_rank`].
 #[must_use]
-pub fn count_graph<const STARS: bool, const TRIS: bool>(
+pub fn count_graph<const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     g: &TemporalGraph,
     delta: Timestamp,
 ) -> CenterTally {
     let mut tally = CenterTally::default();
+    let rank = g.node_rank();
     crate::scratch::with_thread_scratch(g.num_nodes(), |scratch| {
         for u in g.node_ids() {
             let len = g.node_events(u).len();
             if len < 2 {
                 continue; // no (e1, e3) window can open
             }
-            count_node::<STARS, TRIS>(g, u, 0..len, delta, scratch, &mut tally);
+            count_node::<STARS, TRIS, ORIENTED>(g, u, 0..len, delta, rank, scratch, &mut tally);
         }
     });
     tally
@@ -102,12 +137,15 @@ pub fn count_graph<const STARS: bool, const TRIS: bool>(
 /// run over `i+1..j_end` with a hoisted trip count, which keeps them
 /// branch-minimal and auto-vectorisation-friendly, and makes the window
 /// bound derivation O(2|E|) amortised per node instead of O(Σ window²).
-fn scan<T: TsRead, const STARS: bool, const TRIS: bool>(
+#[allow(clippy::too_many_arguments)]
+fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     g: &TemporalGraph,
     s: &temporal_graph::NodeEvents<'_>,
     ts: T,
     first_edge_range: std::ops::Range<usize>,
     delta: Timestamp,
+    rank: &[u32],
+    rank_u: u32,
     scratch: &mut NeighborScratch,
     tally: &mut CenterTally,
 ) {
@@ -137,6 +175,11 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool>(
         }
         let p1 = packed[i];
         let v = p1 >> 1;
+        // Oriented: only a higher-rank v can close a triangle owned by u.
+        let tri_first = TRIS && (!ORIENTED || rank[v as usize] > rank_u);
+        if !STARS && !tri_first {
+            continue;
+        }
         let d1 = (p1 & 1) as usize;
         // d1·4, hoisted over the window.
         let b1 = d1 << 2;
@@ -146,7 +189,7 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool>(
         let e1_id = eids[i];
         // v's neighbour signature: one register test rejects the frequent
         // wedges with no closing edge before any hash probe.
-        let bloom_v = if TRIS { pairs.bloom_of(v) } else { 0 };
+        let bloom_v = if tri_first { pairs.bloom_of(v) } else { 0 };
         if STARS {
             scratch.reset();
         }
@@ -190,8 +233,12 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool>(
 
                 // Triangles: opposite edges from E(v, w) inside the
                 // [t_j − δ, t_i + δ] window (Algorithm 2's trick). The
-                // bloom test is an exact negative for unconnected pairs.
-                if TRIS && temporal_graph::PairIndex::bloom_may_connect(bloom_v, w) {
+                // bloom test is an exact negative for unconnected pairs;
+                // oriented passes also leave lower-rank w to that vertex.
+                if tri_first
+                    && temporal_graph::PairIndex::bloom_may_connect(bloom_v, w)
+                    && (!ORIENTED || rank[w as usize] > rank_u)
+                {
                     if w != memo_w {
                         memo_w = w;
                         memo_evs = pairs.events_between(v, w);
@@ -234,20 +281,39 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::MotifMatrix;
     use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, paper_fig1_toy, GenConfig};
 
-    /// The fused pass against a `STARS` pass and a `TRIS` pass: each
-    /// half fills only its own cells, and together they equal the fused
-    /// tally cell for cell.
+    /// The fused pass against a `STARS` pass and a `TRIS` pass, in both
+    /// orientations: each half fills only its own cells, together they
+    /// equal the fused tally cell for cell, and orientation changes the
+    /// triangle cells but neither the star/pair cells nor the folded
+    /// triangle grid.
     fn assert_fused_equals_separate_passes(g: &TemporalGraph, delta: Timestamp, what: &str) {
-        let fused = count_graph::<true, true>(g, delta);
-        let stars = count_graph::<true, false>(g, delta);
-        let tris = count_graph::<false, true>(g, delta);
+        let fused = count_graph::<true, true, false>(g, delta);
+        let stars = count_graph::<true, false, false>(g, delta);
+        let tris = count_graph::<false, true, false>(g, delta);
         assert_eq!(stars.tri.total(), 0, "{what}");
         assert_eq!(tris.star.total() + tris.pair.total(), 0, "{what}");
         assert_eq!(fused.star, stars.star, "{what}");
         assert_eq!(fused.pair, stars.pair, "{what}");
         assert_eq!(fused.tri, tris.tri, "{what}");
+
+        let oriented = count_graph::<true, true, true>(g, delta);
+        let o_tris = count_graph::<false, true, true>(g, delta);
+        assert_eq!(count_graph::<true, false, true>(g, delta), stars, "{what}");
+        assert_eq!(o_tris.star.total() + o_tris.pair.total(), 0, "{what}");
+        assert_eq!(
+            (&oriented.star, &oriented.pair),
+            (&fused.star, &fused.pair),
+            "{what}"
+        );
+        assert_eq!(oriented.tri, o_tris.tri, "{what}");
+        assert_eq!(3 * oriented.tri.total(), fused.tri.total(), "{what}");
+        let (mut want, mut got) = (MotifMatrix::default(), MotifMatrix::default());
+        fused.tri.add_to_matrix(&mut want);
+        oriented.tri.add_to_matrix_oriented(&mut got);
+        assert_eq!(got, want, "{what}");
     }
 
     #[test]
@@ -283,26 +349,51 @@ mod tests {
     fn fused_range_split_equals_full_run() {
         let g = hub_burst(30, 1_500, 8_000, 9);
         let delta = 800;
-        let full = count_graph::<true, true>(&g, delta);
+        let full = count_graph::<true, true, false>(&g, delta);
+        let full_oriented = count_graph::<true, true, true>(&g, delta);
 
         let mut scratch = NeighborScratch::new(g.num_nodes());
         let mut split = CenterTally::default();
+        let mut split_oriented = CenterTally::default();
+        let rank = g.node_rank();
         for u in g.node_ids() {
             let len = g.node_events(u).len();
             let third = len / 3;
             for range in [0..third, third..len] {
-                count_node::<true, true>(&g, u, range, delta, &mut scratch, &mut split);
+                count_node::<true, true, false>(
+                    &g,
+                    u,
+                    range.clone(),
+                    delta,
+                    &[],
+                    &mut scratch,
+                    &mut split,
+                );
+                count_node::<true, true, true>(
+                    &g,
+                    u,
+                    range,
+                    delta,
+                    rank,
+                    &mut scratch,
+                    &mut split_oriented,
+                );
             }
         }
         assert_eq!(split, full);
+        assert_eq!(split_oriented, full_oriented);
     }
 
     #[test]
     fn fused_empty_and_tiny_graphs() {
         for edges in [vec![], vec![temporal_graph::TemporalEdge::new(0, 1, 1)]] {
             let g = TemporalGraph::from_edges(edges);
-            let t = count_graph::<true, true>(&g, 100);
-            assert_eq!(t.star.total() + t.pair.total() + t.tri.total(), 0);
+            for t in [
+                count_graph::<true, true, false>(&g, 100),
+                count_graph::<true, true, true>(&g, 100),
+            ] {
+                assert_eq!(t.star.total() + t.pair.total() + t.tri.total(), 0);
+            }
         }
     }
 }

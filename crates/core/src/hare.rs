@@ -25,14 +25,21 @@
 //!   [`crate::NeighborScratch`] in thread-local storage, grown on demand and
 //!   reused across tasks, runs and graphs; each task fills one inline
 //!   [`CenterTally`];
-//! * both node phases visit nodes in **degree-descending** order, so the
-//!   most expensive work is scheduled first and cannot straggle at the
-//!   end of the run (counter addition commutes, so ordering cannot change
-//!   results);
+//! * both strategies run as **one** parallel operation: the heavy nodes'
+//!   first-edge ranges come first, then the light-node chunks, all in
+//!   **degree-descending** order, so the most expensive work is
+//!   scheduled first and cannot straggle at the end of the run, and a
+//!   run pays for one round of worker threads however many hubs it has
+//!   (counter addition commutes, so ordering cannot change results);
+//! * the order and the `TopK` threshold are read off the graph's
+//!   build-time [`TemporalGraph::node_rank`] — no per-run sort;
 //! * every task runs the masked FAST kernel ([`crate::fused::count_node`])
 //!   instantiated for the categories the query asks for: full 36-motif
 //!   runs fuse star+pair+triangle counting into one window scan per node,
-//!   `--only stars` / `--only triangles` compile the other half away;
+//!   `--only stars` / `--only triangles` compile the other half away.
+//!   The kernel is oriented by the same rank, so each triangle instance
+//!   is counted once, at its lowest-rank vertex, and hubs — which rank
+//!   highest — shed nearly all of their triangle probes;
 //! * requested thread counts are **clamped to the machine's available
 //!   parallelism** (oversubscribing cores only adds scheduling overhead),
 //!   and graphs below [`SEQ_FALLBACK_EVENTS`] total events skip the
@@ -220,7 +227,7 @@ impl Hare {
         probe: &P,
     ) -> MotifCounts {
         let tally = probe.span(Phase::Scan, || self.run::<true, true>(g, delta));
-        probe.span(Phase::Fold, || tally.into_counts())
+        probe.span(Phase::Fold, || tally.into_counts_oriented())
     }
 
     /// Count into the canonical 6×6 grid, optionally restricted to one
@@ -266,7 +273,7 @@ impl Hare {
                 let t = probe.span(Phase::Scan, || self.run::<false, true>(g, delta));
                 probe.span(Phase::Fold, || {
                     let mut mx = crate::MotifMatrix::default();
-                    t.tri.add_to_matrix(&mut mx);
+                    t.tri.add_to_matrix_oriented(&mut mx);
                     mx
                 })
             }
@@ -319,38 +326,30 @@ impl Hare {
 
     /// The hierarchical schedule over the masked kernel: `STARS` /
     /// `TRIS` pick the categories every task counts (see
-    /// [`crate::fused`]).
+    /// [`crate::fused`]). Every task is oriented by the graph's
+    /// [`TemporalGraph::node_rank`], so the tally folds with
+    /// [`CenterTally::into_counts_oriented`].
     fn run<const STARS: bool, const TRIS: bool>(
         &self,
         g: &TemporalGraph,
         delta: Timestamp,
     ) -> CenterTally {
         let thrd = self.resolve_threshold(g);
-        let mut light: Vec<NodeId> = Vec::new();
-        let mut heavy: Vec<NodeId> = Vec::new();
+        let rank = g.node_rank();
+        // Hubs first: descending (degree, id) is the reverse of the
+        // build-time rank, so no sort is needed, and the heavy nodes
+        // (degree > thrd) are a prefix of it.
+        let mut nodes: Vec<NodeId> = vec![0; g.num_nodes()];
         for u in g.node_ids() {
-            if g.degree(u) > thrd {
-                heavy.push(u);
-            } else {
-                light.push(u);
-            }
+            nodes[g.num_nodes() - 1 - rank[u as usize] as usize] = u;
         }
-        // Schedule hubs first: degree-descending order front-loads the
-        // expensive nodes so stragglers cannot serialise the tail of the
-        // run. Node id breaks degree ties to keep the order deterministic.
-        let by_degree_desc = |&u: &NodeId| (std::cmp::Reverse(g.degree(u)), u);
-        light.sort_unstable_by_key(by_degree_desc);
-        heavy.sort_unstable_by_key(by_degree_desc);
+        let (heavy, light) = nodes.split_at(nodes.partition_point(|&u| g.degree(u) > thrd));
 
         // One task: a first-edge range of `u`, counted into a tally.
         let task = |tally: &mut CenterTally, u: NodeId, range: std::ops::Range<usize>| {
             with_scratch(g.num_nodes(), |scratch| {
-                count_node::<STARS, TRIS>(g, u, range, delta, scratch, tally);
+                count_node::<STARS, TRIS, true>(g, u, range, delta, rank, scratch, tally);
             });
-        };
-        let merge = |mut a: CenterTally, b: CenterTally| {
-            a.merge(&b);
-            a
         };
 
         // Adaptive fallback: below the work threshold the pool costs
@@ -358,45 +357,57 @@ impl Hare {
         // counter addition commutes, so the fold is bit-identical.
         if self.run_sequential(g) {
             let mut acc = CenterTally::default();
-            for &u in light.iter().chain(heavy.iter()) {
-                task(&mut acc, u, 0..g.node_events(u).len());
+            for &u in &nodes {
+                task(&mut acc, u, 0..g.degree(u));
             }
             return acc;
         }
 
-        let pool = self.pool();
-        pool.install(|| {
-            // Phase 1: inter-node parallelism over the light nodes.
-            let chunk = self.inter_chunk(light.len().max(1));
-            let mut acc = light
-                .par_chunks(chunk)
-                .map(|nodes| {
+        // One parallel op: every heavy node's first-edge ranges
+        // (intra-node parallelism), then the light nodes in chunks
+        // (inter-node parallelism). Listing the hub ranges first
+        // front-loads the expensive work, and a single op pays for one
+        // round of worker threads instead of one per heavy node.
+        let mut tasks: Vec<Task<'_>> = heavy
+            .iter()
+            .flat_map(|&u| {
+                self.intra_ranges(g.degree(u))
+                    .into_iter()
+                    .map(move |range| Task::Range(u, range))
+            })
+            .collect();
+        if !light.is_empty() {
+            tasks.extend(light.chunks(self.inter_chunk(light.len())).map(Task::Nodes));
+        }
+        self.pool().install(|| {
+            tasks
+                .into_par_iter()
+                .map(|t| {
                     let mut partial = CenterTally::default();
-                    for &u in nodes {
-                        task(&mut partial, u, 0..g.node_events(u).len());
+                    match t {
+                        Task::Range(u, range) => task(&mut partial, u, range),
+                        Task::Nodes(nodes) => {
+                            for &u in nodes {
+                                task(&mut partial, u, 0..g.degree(u));
+                            }
+                        }
                     }
                     partial
                 })
-                .reduce(CenterTally::default, merge);
-
-            // Phase 2: intra-node parallelism, one heavy node at a time.
-            for &u in &heavy {
-                let len = g.node_events(u).len();
-                let ranges = self.intra_ranges(len);
-                let heavy_acc = ranges
-                    .into_par_iter()
-                    .map(|range| {
-                        let mut partial = CenterTally::default();
-                        task(&mut partial, u, range);
-                        partial
-                    })
-                    .reduce(CenterTally::default, merge);
-                acc.merge(&heavy_acc);
-            }
-
-            acc
+                .reduce(CenterTally::default, |mut a, b| {
+                    a.merge(&b);
+                    a
+                })
         })
     }
+}
+
+/// One unit of HARE's parallel op.
+enum Task<'a> {
+    /// A first-edge range of one heavy node.
+    Range(NodeId, std::ops::Range<usize>),
+    /// A chunk of light nodes, each over its full range.
+    Nodes(&'a [NodeId]),
 }
 
 #[cfg(test)]
@@ -429,8 +440,8 @@ mod tests {
 
     /// Sequential reference built from a `STARS` pass and a `TRIS` pass.
     fn separate_passes(g: &TemporalGraph, delta: Timestamp) -> CenterTally {
-        let mut t = count_graph::<true, false>(g, delta);
-        t.merge(&count_graph::<false, true>(g, delta));
+        let mut t = count_graph::<true, false, true>(g, delta);
+        t.merge(&count_graph::<false, true, true>(g, delta));
         t
     }
 
@@ -438,8 +449,8 @@ mod tests {
     fn all_configs_match_sequential_on_random_graph() {
         let g = erdos_renyi_temporal(30, 600, 500, 13);
         let delta = 80;
-        let stars = count_graph::<true, false>(&g, delta);
-        let tris = count_graph::<false, true>(&g, delta);
+        let stars = count_graph::<true, false, true>(&g, delta);
+        let tris = count_graph::<false, true, true>(&g, delta);
         for engine in engines() {
             assert_eq!(
                 engine.run::<true, false>(&g, delta),
@@ -467,7 +478,7 @@ mod tests {
         }
         .generate();
         let delta = 50_000;
-        let seq = separate_passes(&g, delta).into_counts();
+        let seq = separate_passes(&g, delta).into_counts_oriented();
         for engine in engines() {
             let par = engine.count_all(&g, delta);
             assert_eq!(par.matrix, seq.matrix, "{:?}", engine.config());

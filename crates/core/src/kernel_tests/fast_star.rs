@@ -13,7 +13,7 @@ mod tests {
 
     /// Stars and pairs of the whole graph.
     fn stars(g: &TemporalGraph, delta: Timestamp) -> CenterTally {
-        count_graph::<true, false>(g, delta)
+        count_graph::<true, false, false>(g, delta)
     }
 
     /// Stars and pairs centered at `u`.
@@ -21,7 +21,7 @@ mod tests {
         let mut scratch = NeighborScratch::new(g.num_nodes());
         let mut tally = CenterTally::default();
         let len = g.node_events(u).len();
-        count_node::<true, false>(g, u, 0..len, delta, &mut scratch, &mut tally);
+        count_node::<true, false, false>(g, u, 0..len, delta, &[], &mut scratch, &mut tally);
         tally
     }
 
@@ -123,7 +123,15 @@ mod tests {
             let len = g.node_events(u).len();
             let mid = len / 2;
             for range in [0..mid, mid..len] {
-                count_node::<true, false>(&g, u, range, delta, &mut scratch, &mut split);
+                count_node::<true, false, false>(
+                    &g,
+                    u,
+                    range,
+                    delta,
+                    &[],
+                    &mut scratch,
+                    &mut split,
+                );
             }
         }
         assert_eq!(split, full);

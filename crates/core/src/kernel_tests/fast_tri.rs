@@ -14,7 +14,7 @@ mod tests {
 
     /// Triangles of the whole graph (each instance once per vertex).
     fn tris(g: &TemporalGraph, delta: Timestamp) -> TriCounter {
-        let t = count_graph::<false, true>(g, delta);
+        let t = count_graph::<false, true, false>(g, delta);
         assert_eq!(
             t.star.total() + t.pair.total(),
             0,
@@ -28,7 +28,7 @@ mod tests {
         let mut scratch = NeighborScratch::new(g.num_nodes());
         let mut tally = CenterTally::default();
         let len = g.node_events(u).len();
-        count_node::<false, true>(g, u, 0..len, delta, &mut scratch, &mut tally);
+        count_node::<false, true, false>(g, u, 0..len, delta, &[], &mut scratch, &mut tally);
         tally.tri
     }
 
@@ -165,7 +165,15 @@ mod tests {
             let len = g.node_events(u).len();
             let third = len / 3;
             for range in [0..third, third..len] {
-                count_node::<false, true>(&g, u, range, delta, &mut scratch, &mut split);
+                count_node::<false, true, false>(
+                    &g,
+                    u,
+                    range,
+                    delta,
+                    &[],
+                    &mut scratch,
+                    &mut split,
+                );
             }
         }
         assert_eq!(split.tri, full);

@@ -15,7 +15,10 @@
 //!   (first, third)-edge combination via per-neighbour counters) and
 //!   Algorithm 2 (triangles via the per-pair edge index, δ-windowed by
 //!   binary search). A compile-time category mask picks stars, triangles
-//!   or both; every instantiation fills one [`CenterTally`].
+//!   or both, and an orientation flag counts each triangle once (at its
+//!   lowest-rank vertex, for whole-graph counts) or from all three
+//!   vertices (for per-vertex attribution); every instantiation fills
+//!   one [`CenterTally`].
 //! * [`fast_pair`](crate::fast_pair::fast_pair) — the cheap pair-only
 //!   variant (sliding-window DP, O(|E|)).
 //! * [`Hare`] — the hierarchical parallel framework (§IV.C): inter-node
@@ -107,8 +110,9 @@ use temporal_graph::{TemporalGraph, Timestamp};
 
 /// Count all 36 motifs sequentially — the paper's single-threaded "FAST"
 /// configuration, implemented as one fused star+pair+triangle scan per
-/// node ([`fused::count_graph`]). Use [`Hare::count_all`] for the
-/// parallel framework.
+/// node ([`fused::count_graph`]), oriented so each triangle instance is
+/// counted once, at its lowest-rank vertex. Use [`Hare::count_all`] for
+/// the parallel framework.
 #[must_use]
 pub fn count_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifCounts {
     count_motifs_probed(g, delta, &NoopProbe)
@@ -124,8 +128,10 @@ pub fn count_motifs_probed<P: Probe>(
     delta: Timestamp,
     probe: &P,
 ) -> MotifCounts {
-    let tally = probe.span(Phase::Scan, || fused::count_graph::<true, true>(g, delta));
-    probe.span(Phase::Fold, || tally.into_counts())
+    let tally = probe.span(Phase::Scan, || {
+        fused::count_graph::<true, true, true>(g, delta)
+    });
+    probe.span(Phase::Fold, || tally.into_counts_oriented())
 }
 
 /// Count only the four pair motifs sequentially (the paper's "FAST-Pair")
@@ -139,13 +145,13 @@ pub fn count_pair_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifMatrix {
 }
 
 /// Count only the eight triangle motifs sequentially (the paper's
-/// "FAST-Tri") and return their canonical grid.
+/// "FAST-Tri", oriented) and return their canonical grid.
 #[must_use]
 pub fn count_triangle_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifMatrix {
     let mut mx = MotifMatrix::default();
-    fused::count_graph::<false, true>(g, delta)
+    fused::count_graph::<false, true, true>(g, delta)
         .tri
-        .add_to_matrix(&mut mx);
+        .add_to_matrix_oriented(&mut mx);
     mx
 }
 

@@ -17,6 +17,13 @@
 //!    so every `(e_1, …)` contribution group is counted exactly once,
 //!    with timestamp ties never straddling a cut.
 //!
+//! Whole-graph counts run the oriented kernel under the source's
+//! **global** node rank ([`EdgeSource::node_rank`]), never a chunk
+//! graph's own: a chunk sees only local degrees, and a rank that
+//! changed from chunk to chunk could count an instance at two vertices
+//! (or none). Node profiles keep the three-view kernel, which needs no
+//! rank.
+//!
 //! Counter addition is commutative, so the chunked accumulation is
 //! **bit-identical** to the in-RAM [`crate::count_motifs`] /
 //! [`NodeProfiles::compute`] — pinned by the tests below and the
@@ -30,6 +37,7 @@
 //! per-node scratch and (for profiles) the dense profile accumulator
 //! remain O(|V|) resident, like every other driver in the crate.
 
+use std::borrow::Cow;
 use std::io;
 
 use crate::counters::{CenterTally, MotifCounts};
@@ -38,7 +46,7 @@ use crate::fused::count_node;
 use crate::scratch::NeighborScratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::ooc::LaneFile;
-use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
+use temporal_graph::{stats, LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
 
 /// Resident lane bytes per temporal edge in a raw-layout chunk graph:
 /// every edge spawns two events, each holding an 8-byte timestamp, a
@@ -61,6 +69,11 @@ pub trait EdgeSource {
     fn count_until(&self, t: Timestamp) -> io::Result<u64>;
     /// All edges with timestamp in `[lo, hi)`, in stream order.
     fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>>;
+    /// One distinct rank per node id (a permutation of
+    /// `0..num_nodes()`), fixed for the whole stream. The oriented
+    /// triangle count is exact under any total order; ascending
+    /// `(degree, id)` over the whole stream makes it cheapest.
+    fn node_rank(&self) -> Cow<'_, [u32]>;
 }
 
 /// An in-RAM chronological edge slice as an [`EdgeSource`] — the
@@ -70,30 +83,45 @@ pub trait EdgeSource {
 pub struct InMemorySource {
     num_nodes: usize,
     edges: Vec<TemporalEdge>,
+    node_rank: Box<[u32]>,
 }
 
 impl InMemorySource {
-    /// Wrap a chronologically sorted, self-loop-free edge list.
+    /// Wrap a chronologically sorted, self-loop-free edge list. The node
+    /// rank is derived from the edges' degrees, so it equals the rank of
+    /// the graph built from the same edges.
     ///
     /// # Panics
-    /// Panics if the edges are not sorted by timestamp.
+    /// Panics if the edges are not sorted by timestamp or reference a
+    /// node `>= num_nodes`.
     #[must_use]
     pub fn new(num_nodes: usize, edges: Vec<TemporalEdge>) -> InMemorySource {
         assert!(
             edges.windows(2).all(|w| w[0].t <= w[1].t),
             "edges must be sorted by timestamp"
         );
-        InMemorySource { num_nodes, edges }
+        let mut degree = vec![0usize; num_nodes];
+        for e in &edges {
+            degree[e.src as usize] += 1;
+            degree[e.dst as usize] += 1;
+        }
+        let node_rank = stats::degree_rank(num_nodes, |u| degree[u]);
+        InMemorySource {
+            num_nodes,
+            edges,
+            node_rank,
+        }
     }
 
     /// View an already-built graph's edge stream (shares its total
-    /// order, so out-of-core results are bit-identical to counting `g`
-    /// directly).
+    /// order and node rank, so out-of-core results are bit-identical to
+    /// counting `g` directly, raw cells included).
     #[must_use]
     pub fn from_graph(g: &TemporalGraph) -> InMemorySource {
         InMemorySource {
             num_nodes: g.num_nodes(),
             edges: g.edges().to_vec(),
+            node_rank: g.node_rank().into(),
         }
     }
 }
@@ -126,6 +154,10 @@ impl EdgeSource for InMemorySource {
         let a = self.edges.partition_point(|e| e.t < lo);
         let b = self.edges.partition_point(|e| e.t < hi);
         Ok(self.edges[a..b].to_vec())
+    }
+
+    fn node_rank(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(&self.node_rank)
     }
 }
 
@@ -175,6 +207,13 @@ impl EdgeSource for LaneFileSource {
 
     fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>> {
         self.file.load_range(lo, hi)
+    }
+
+    /// Id order: exact like any total order. A `HARELG01` file does not
+    /// store degrees, and deriving them would cost a full pass over the
+    /// file.
+    fn node_rank(&self) -> Cow<'_, [u32]> {
+        Cow::Owned((0..self.num_nodes() as u32).collect())
     }
 }
 
@@ -307,9 +346,11 @@ fn owned_range(
     ts.partition_point(|t| t < lo)..ts.partition_point(|t| t < hi)
 }
 
-/// Exact whole-graph motif counts computed out of core. Bit-identical
-/// to [`crate::count_motifs`] over the same edge stream, for any budget
-/// and either lane layout.
+/// Exact whole-graph motif counts computed out of core, oriented by
+/// [`EdgeSource::node_rank`]. The grid is bit-identical to
+/// [`crate::count_motifs`] over the same edge stream, for any budget and
+/// either lane layout; the raw triangle cells are too whenever the
+/// source's rank equals the graph's (as for [`InMemorySource`]).
 pub fn count_motifs_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
@@ -329,6 +370,7 @@ pub fn count_motifs_ooc_probed<P: Probe>(
 ) -> io::Result<(MotifCounts, OocStats)> {
     let mut tally = CenterTally::default();
     let mut scratch = NeighborScratch::new(src.num_nodes());
+    let rank = src.node_rank();
     let stats = drive_chunks(src, config, probe, |g, lo, hi| {
         for u in g.node_ids() {
             if g.node_events(u).len() < 2 {
@@ -338,10 +380,11 @@ pub fn count_motifs_ooc_probed<P: Probe>(
             if range.is_empty() {
                 continue;
             }
-            count_node::<true, true>(g, u, range, config.delta, &mut scratch, &mut tally);
+            let delta = config.delta;
+            count_node::<true, true, true>(g, u, range, delta, &rank, &mut scratch, &mut tally);
         }
     })?;
-    let counts = probe.span(Phase::Fold, || tally.into_counts());
+    let counts = probe.span(Phase::Fold, || tally.into_counts_oriented());
     Ok((counts, stats))
 }
 
@@ -367,7 +410,7 @@ pub fn node_profiles_ooc(
                 continue;
             }
             let mut t = CenterTally::default();
-            count_node::<true, true>(g, u, range, config.delta, &mut scratch, &mut t);
+            count_node::<true, true, false>(g, u, range, config.delta, &[], &mut scratch, &mut t);
             dense[u as usize].merge_from(&fold_tally(&t));
         }
     })?;
@@ -458,6 +501,45 @@ mod tests {
         assert!(stats.chunks > 1);
         assert_eq!(stats.forced_cuts, 0);
         assert!(stats.peak_resident_lane_bytes <= budget);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Chunk graphs hold only local degrees; the driver must orient
+    /// every chunk by the source's global rank. On a hub graph under
+    /// tight budgets, a derived in-memory rank reproduces the in-RAM raw
+    /// cells, and a lane file's id order reproduces the grid.
+    #[test]
+    fn chunks_are_oriented_by_the_source_rank() {
+        let g = hub_burst(40, 6_000, 30_000, 12);
+        let delta = 1_500;
+        let want = crate::count_motifs(&g, delta);
+        let derived = InMemorySource::new(g.num_nodes(), g.edges().to_vec());
+        assert_eq!(&*derived.node_rank(), g.node_rank());
+        let mut path = std::env::temp_dir();
+        path.push(format!("hare-ooc-rank-{}.hlg", std::process::id()));
+        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
+        let lane = LaneFileSource::open(&path).unwrap();
+        let identity: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        assert_eq!(&*lane.node_rank(), &identity[..]);
+        for budget in budgets_for(&g) {
+            for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                let mut config = OocConfig::new(delta, budget);
+                config.lane_layout = layout;
+                let (got, stats) = count_motifs_ooc(&derived, config).unwrap();
+                assert_eq!(got, want, "budget={budget} layout={layout}");
+                let (got, _) = count_motifs_ooc(&lane, config).unwrap();
+                assert_eq!(got.matrix, want.matrix, "budget={budget} layout={layout}");
+                assert_eq!(got.star, want.star, "budget={budget} layout={layout}");
+                assert_eq!(
+                    got.tri.total(),
+                    want.tri.total(),
+                    "budget={budget} layout={layout}"
+                );
+                if budget < g.num_edges() * LANE_BYTES_PER_EDGE {
+                    assert!(stats.chunks > 1, "budget={budget}");
+                }
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

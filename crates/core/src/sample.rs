@@ -410,7 +410,15 @@ impl SampledCounter {
                 if slot != u32::MAX {
                     let t = &mut tallies[slot as usize];
                     t.touched = true;
-                    count_node::<true, true>(g, node, range, delta, scratch, &mut t.tally);
+                    count_node::<true, true, false>(
+                        g,
+                        node,
+                        range,
+                        delta,
+                        &[],
+                        scratch,
+                        &mut t.tally,
+                    );
                 }
             });
         });
@@ -444,7 +452,7 @@ impl SampledCounter {
                 });
                 let t = &mut tallies[slot as usize].1;
                 t.touched = true;
-                count_node::<true, true>(g, node, range, delta, scratch, &mut t.tally);
+                count_node::<true, true, false>(g, node, range, delta, &[], scratch, &mut t.tally);
             });
         });
         // Ascending window order, same as the other drivers.
@@ -485,7 +493,15 @@ fn tally_window(
     with_thread_scratch(g.num_nodes(), |scratch| {
         for s in slices.slices_of(k) {
             tally.touched = true;
-            count_node::<true, true>(g, s.node, s.range(), delta, scratch, &mut tally.tally);
+            count_node::<true, true, false>(
+                g,
+                s.node,
+                s.range(),
+                delta,
+                &[],
+                scratch,
+                &mut tally.tally,
+            );
         }
     });
     tally

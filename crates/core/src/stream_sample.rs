@@ -1073,11 +1073,12 @@ impl StreamingEstimator {
         with_thread_scratch(g.num_nodes(), |scratch| {
             for &(node, s, e) in &runs {
                 tally.touched = true;
-                crate::fused::count_node::<true, true>(
+                crate::fused::count_node::<true, true, false>(
                     &g,
                     node,
                     s as usize..e as usize,
                     delta,
+                    &[],
                     scratch,
                     &mut tally.tally,
                 );
@@ -1327,11 +1328,12 @@ impl StreamingEstimator {
             with_thread_scratch(g.num_nodes(), |scratch| {
                 for &(_, node, lo, hi) in &runs[s..e] {
                     tally.touched = true;
-                    crate::fused::count_node::<true, true>(
+                    crate::fused::count_node::<true, true, false>(
                         g,
                         node,
                         lo as usize..hi as usize,
                         delta,
+                        &[],
                         scratch,
                         &mut tally.tally,
                     );
@@ -1737,11 +1739,12 @@ mod tests {
                 for &(kk, node, lo, hi) in &runs {
                     if kk == k {
                         tally.touched = true;
-                        crate::fused::count_node::<true, true>(
+                        crate::fused::count_node::<true, true, false>(
                             &g,
                             node,
                             lo as usize..hi as usize,
                             delta,
+                            &[],
                             scratch,
                             &mut tally.tally,
                         );

@@ -38,6 +38,14 @@
 //! length `2·|E|`. [`NodeEvents`] is the borrowed view tying the lanes
 //! of one node together; [`Event`] is the materialised
 //! array-of-structs form for call sites that are not hot.
+//!
+//! # Node rank
+//!
+//! Beside the lanes the graph keeps one `u32` per node: its position in
+//! ascending `(degree, id)` order ([`TemporalGraph::node_rank`]). The
+//! whole-graph triangle count visits each instance only from its
+//! lowest-rank vertex, and HARE reads its hubs-first schedule and its
+//! `TopK` threshold off the same array.
 
 use crate::lanes::{LaneLayout, PackedTs, TsLane};
 use crate::types::{Dir, EdgeId, NodeId, TemporalEdge, Timestamp};
@@ -565,6 +573,7 @@ pub struct TemporalGraph {
     ev_ts: TsStore,
     ev_packed: Box<[u32]>,
     ev_edge: Box<[EdgeId]>,
+    node_rank: Box<[u32]>,
     pairs: PairIndex,
 }
 
@@ -616,6 +625,8 @@ impl TemporalGraph {
             counts[i] += counts[i - 1];
         }
         let node_offsets = counts.clone().into_boxed_slice();
+        let node_rank =
+            crate::stats::degree_rank(num_nodes, |u| node_offsets[u + 1] - node_offsets[u]);
 
         let n_events = edges.len() * 2;
         let mut ev_ts = vec![0 as Timestamp; n_events];
@@ -656,6 +667,7 @@ impl TemporalGraph {
             ev_ts: TsStore::Raw(ev_ts.into_boxed_slice()),
             ev_packed: ev_packed.into_boxed_slice(),
             ev_edge: ev_edge.into_boxed_slice(),
+            node_rank,
             pairs,
         }
     }
@@ -779,6 +791,17 @@ impl TemporalGraph {
     #[must_use]
     pub fn degree(&self, u: NodeId) -> usize {
         self.node_offsets[u as usize + 1] - self.node_offsets[u as usize]
+    }
+
+    /// Each node's position in ascending `(degree, id)` order: a
+    /// permutation of `0..num_nodes`, so `node_rank()[u] == num_nodes - 1`
+    /// for the highest-degree node. Built once by a counting sort over
+    /// the degrees (see [`crate::stats::degree_rank`]); unaffected by
+    /// [`TemporalGraph::into_lane_layout`].
+    #[inline]
+    #[must_use]
+    pub fn node_rank(&self) -> &[u32] {
+        &self.node_rank
     }
 
     /// The pair index over `E(v, w)` lists.

@@ -138,22 +138,34 @@ impl LaneFileWriter {
 
     /// Append one edge.
     ///
-    /// # Panics
-    /// Panics if the edge is a self-loop, references a node outside the
-    /// declared id space, or goes backwards in time.
+    /// # Errors
+    /// Returns [`io::ErrorKind::InvalidInput`] if the edge is a
+    /// self-loop, references a node outside the declared id space, or
+    /// goes backwards in time (checked on every push, block starts
+    /// included); nothing is written for a rejected edge. Write failures
+    /// surface as the underlying I/O error.
     pub fn push(&mut self, e: TemporalEdge) -> io::Result<()> {
-        assert!(!e.is_self_loop(), "self-loop {e} not allowed");
-        assert!(
-            u64::from(e.src) < self.num_nodes && u64::from(e.dst) < self.num_nodes,
-            "edge {e} references a node >= num_nodes ({})",
-            self.num_nodes
-        );
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if e.is_self_loop() {
+            return invalid(format!("self-loop {e} not allowed"));
+        }
+        if u64::from(e.src) >= self.num_nodes || u64::from(e.dst) >= self.num_nodes {
+            return invalid(format!(
+                "edge {e} references a node >= num_nodes ({})",
+                self.num_nodes
+            ));
+        }
+        if self.num_edges > 0 && e.t < self.prev_t {
+            return invalid(format!(
+                "edges must be pushed in time order: t={} after t={}",
+                e.t, self.prev_t
+            ));
+        }
         let mut scratch = Vec::with_capacity(16);
         if self.block_fill == 0 {
             self.index.push((self.bytes_written, e.t, self.num_edges));
             write_varint(&mut scratch, zigzag(e.t))?;
         } else {
-            assert!(e.t >= self.prev_t, "edges must be pushed in time order");
             write_varint(&mut scratch, (e.t - self.prev_t) as u64)?;
         }
         write_varint(&mut scratch, u64::from(e.src))?;
@@ -468,11 +480,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "time order")]
     fn writer_rejects_unsorted_pushes() {
         let path = temp_path("unsorted");
         let mut w = LaneFileWriter::create(&path, 4).unwrap();
         w.push(TemporalEdge::new(0, 1, 10)).unwrap();
-        let _ = w.push(TemporalEdge::new(1, 2, 5));
+        let err = w.push(TemporalEdge::new(1, 2, 5)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("time order"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn writer_rejects_invalid_edges_without_writing_them() {
+        let path = temp_path("invalid");
+        let mut w = LaneFileWriter::create(&path, 4).unwrap();
+        for bad in [TemporalEdge::new(2, 2, 1), TemporalEdge::new(0, 4, 1)] {
+            let err = w.push(bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+        }
+        w.push(TemporalEdge::new(0, 1, 1)).unwrap();
+        w.finish().unwrap();
+        let lf = LaneFile::open(&path).unwrap();
+        assert_eq!(lf.num_edges(), 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A backwards edge at a block start used to slip past the order
+    /// check: the index stays monotone, so the file opened fine and
+    /// `count_until` answered from the wrong block.
+    #[test]
+    fn writer_checks_time_order_at_block_starts() {
+        let path = temp_path("block-start");
+        let mut w = LaneFileWriter::create(&path, 4).unwrap();
+        w.push(TemporalEdge::new(0, 1, 0)).unwrap();
+        for _ in 0..BLOCK_EDGES - 1 {
+            w.push(TemporalEdge::new(1, 2, 100)).unwrap();
+        }
+        let err = w.push(TemporalEdge::new(2, 3, 50)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        w.finish().unwrap();
+        let lf = LaneFile::open(&path).unwrap();
+        assert_eq!(lf.num_edges(), BLOCK_EDGES as u64);
+        assert_eq!(lf.count_until(60).unwrap(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 }

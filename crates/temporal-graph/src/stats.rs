@@ -106,14 +106,55 @@ pub fn top_k_degrees(g: &TemporalGraph, k: usize) -> Vec<usize> {
 }
 
 /// The paper's default for HARE's degree threshold `thrd`: "the minimum
-/// value of degrees of top 20 nodes" (§V.F). Returns `usize::MAX` for an
-/// empty graph (so no node is ever classified heavy).
+/// value of degrees of top 20 nodes" (§V.F), i.e. the degree of the
+/// node at rank `|V| − top_k` of [`TemporalGraph::node_rank`] (the
+/// lowest-degree node when `top_k ≥ |V|`). Returns `usize::MAX` for an
+/// empty graph or `top_k = 0` (so no node is ever classified heavy).
 #[must_use]
 pub fn default_degree_threshold(g: &TemporalGraph, top_k: usize) -> usize {
-    top_k_degrees(g, top_k)
-        .last()
-        .copied()
-        .unwrap_or(usize::MAX)
+    if top_k == 0 || g.num_nodes() == 0 {
+        return usize::MAX;
+    }
+    let target = g.num_nodes().saturating_sub(top_k) as u32;
+    let u = g
+        .node_rank()
+        .iter()
+        .position(|&r| r == target)
+        .expect("node ranks are a permutation of the node ids");
+    g.degree(u as crate::types::NodeId)
+}
+
+/// Rank nodes by ascending `(degree, id)`: `rank[u]` is `u`'s position
+/// in that order, so ranks are a permutation of `0..num_nodes`. A
+/// counting sort over the degrees — O(|V| + max degree), no comparison
+/// sort. [`TemporalGraph::node_rank`] is this over `|S_u|`; out-of-core
+/// sources apply it to the degrees of their whole edge stream.
+///
+/// # Panics
+/// Panics if `num_nodes` exceeds the `u32` id space.
+#[must_use]
+pub fn degree_rank(num_nodes: usize, degree: impl Fn(usize) -> usize) -> Box<[u32]> {
+    assert!(
+        u32::try_from(num_nodes).is_ok(),
+        "node count exceeds the u32 rank space"
+    );
+    let max_degree = (0..num_nodes).map(&degree).max().unwrap_or(0);
+    // next[d] = first rank of the degree-d bucket, advanced as ids fill it
+    // in ascending order (the id tie-break).
+    let mut next = vec![0u32; max_degree + 2];
+    for u in 0..num_nodes {
+        next[degree(u) + 1] += 1;
+    }
+    for d in 1..next.len() {
+        next[d] += next[d - 1];
+    }
+    let mut rank = vec![0u32; num_nodes].into_boxed_slice();
+    for (u, r) in rank.iter_mut().enumerate() {
+        let slot = &mut next[degree(u)];
+        *r = *slot;
+        *slot += 1;
+    }
+    rank
 }
 
 /// Average number of events within a `delta` window starting at each event
@@ -209,8 +250,44 @@ mod tests {
         assert_eq!(top_k_degrees(&g, 3), vec![10, 1, 1]);
         assert_eq!(default_degree_threshold(&g, 3), 1);
         assert_eq!(default_degree_threshold(&g, 1), 10);
+        assert_eq!(default_degree_threshold(&g, 11), 1);
+        assert_eq!(default_degree_threshold(&g, 50), 1);
+        assert_eq!(default_degree_threshold(&g, 0), usize::MAX);
         let empty = TemporalGraph::from_edges(vec![]);
         assert_eq!(default_degree_threshold(&empty, 20), usize::MAX);
+    }
+
+    #[test]
+    fn degree_rank_orders_by_degree_then_id() {
+        let degrees = [3usize, 0, 5, 3, 1, 0];
+        let rank = degree_rank(degrees.len(), |u| degrees[u]);
+        // Ascending (degree, id): 1, 5, 4, 0, 3, 2.
+        assert_eq!(&*rank, &[3, 0, 5, 4, 2, 1]);
+        assert!(degree_rank(0, |_| 0).is_empty());
+    }
+
+    #[test]
+    fn graph_rank_matches_a_comparison_sort_and_survives_relayout() {
+        let g = crate::gen::hub_burst(40, 600, 3_000, 4);
+        let mut order: Vec<u32> = g.node_ids().collect();
+        order.sort_by_key(|&u| (g.degree(u), u));
+        let mut want = vec![0u32; g.num_nodes()];
+        for (r, &u) in order.iter().enumerate() {
+            want[u as usize] = r as u32;
+        }
+        assert_eq!(g.node_rank(), &want[..]);
+        for k in [1, 5, 20, 40, 100] {
+            let mut top: Vec<usize> = g.node_ids().map(|u| g.degree(u)).collect();
+            top.sort_unstable_by(|a, b| b.cmp(a));
+            top.truncate(k);
+            assert_eq!(
+                default_degree_threshold(&g, k),
+                *top.last().unwrap(),
+                "k={k}"
+            );
+        }
+        let packed = g.clone().into_lane_layout(crate::LaneLayout::Compressed);
+        assert_eq!(packed.node_rank(), g.node_rank());
     }
 
     #[test]

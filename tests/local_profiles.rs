@@ -101,6 +101,28 @@ proptest! {
         }
     }
 
+    /// Three-view against oriented: profiles attribute each triangle to
+    /// all three vertices, the whole-graph count once, at its lowest-rank
+    /// vertex — so triangle participation sums to exactly 3× the oriented
+    /// global count, and the raw oriented cells hold a third of the
+    /// three-view cells.
+    #[test]
+    fn triangle_participation_is_three_times_the_oriented_count(g in arb::graph(8, 40, 60), delta in 0i64..80) {
+        let profiles = hare::NodeProfiles::compute(&g, delta, 2);
+        let participation: u64 = profiles
+            .iter()
+            .flat_map(|(_, p)| p.iter())
+            .filter(|(m, _)| m.category() == MotifCategory::Triangle)
+            .map(|(_, n)| n)
+            .sum();
+        let oriented = hare::count_motifs(&g, delta);
+        prop_assert_eq!(
+            participation,
+            3 * oriented.matrix.category_total(MotifCategory::Triangle)
+        );
+        prop_assert_eq!(participation, 3 * oriented.tri.total());
+    }
+
     /// Node-permutation equivariance: relabelling nodes by an arbitrary
     /// permutation permutes the profile table and changes nothing else.
     #[test]
@@ -189,6 +211,28 @@ proptest! {
 /// The Fig. 1 toy, end to end: the single M65 pair instance at δ=10 is
 /// attributed to v_d (3) and v_e (4) and to nobody else, and the paper's
 /// named M63 star instance sits on its center v_a (0).
+/// The same three-view invariant on a hub-skewed graph at pool scale,
+/// where the hub ranks highest and so owns none of the oriented
+/// triangles, yet is credited with every one it closes in the profiles.
+#[test]
+fn hub_triangle_participation_is_three_times_the_oriented_count() {
+    let g = temporal_graph::gen::hub_burst(40, 20_000, 200_000, 3);
+    let delta = 2_000;
+    let profiles = hare::NodeProfiles::compute(&g, delta, 2);
+    let tri_of = |p: &hare::NodeProfile| -> u64 {
+        p.iter()
+            .filter(|(m, _)| m.category() == MotifCategory::Triangle)
+            .map(|(_, n)| n)
+            .sum()
+    };
+    let participation: u64 = profiles.iter().map(|(_, p)| tri_of(p)).sum();
+    let oriented = hare::Hare::with_threads(2).count_all(&g, delta);
+    let global = oriented.matrix.category_total(MotifCategory::Triangle);
+    assert!(global > 0, "the hub graph must hold triangles");
+    assert_eq!(participation, 3 * global);
+    assert_eq!(oriented.tri.total(), global);
+}
+
 #[test]
 fn fig1_toy_attribution_is_exact() {
     let g = paper_fig1_toy();

@@ -38,7 +38,7 @@ fn section4a_walkthrough_of_center_va() {
     let mut scratch = NeighborScratch::new(g.num_nodes());
     let mut t = CenterTally::default();
     let all = 0..g.node_events(0).len();
-    hare::fused::count_node::<true, false>(&g, 0, all, 10, &mut scratch, &mut t);
+    hare::fused::count_node::<true, false, false>(&g, 0, all, 10, &[], &mut scratch, &mut t);
     let (star, pair) = (t.star, t.pair);
     assert_eq!(star.get(StarType::III, Out, Out, In), 1);
     assert_eq!(star.get(StarType::III, Out, Out, Out), 1);
@@ -57,7 +57,7 @@ fn section4b_walkthrough_of_center_ve() {
     let mut scratch = NeighborScratch::new(g.num_nodes());
     let mut t = CenterTally::default();
     let all = 0..g.node_events(4).len();
-    hare::fused::count_node::<false, true>(&g, 4, all, 10, &mut scratch, &mut t);
+    hare::fused::count_node::<false, true, false>(&g, 4, all, 10, &[], &mut scratch, &mut t);
     let tri = t.tri;
     assert_eq!(tri.get(TriType::III, Out, Out, Out), 1);
     assert_eq!(tri.get(TriType::II, Out, In, In), 1);
@@ -98,7 +98,7 @@ fn toy_delta_sensitivity() {
 #[test]
 fn toy_tri_counter_class_balance() {
     let g = paper_fig1_toy();
-    let tri = hare::fused::count_graph::<false, true>(&g, 10).tri;
+    let tri = hare::fused::count_graph::<false, true, false>(&g, 10).tri;
     assert!(tri.class_cells_balanced());
     assert_eq!(tri.total() % 3, 0);
 }

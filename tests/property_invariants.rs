@@ -4,7 +4,46 @@
 use proptest::prelude::*;
 
 use hare::motif::{Motif, MotifCategory};
+use hare::{CenterTally, MotifCounts, NeighborScratch};
 use temporal_graph::{GraphBuilder, TemporalGraph, Timestamp};
+
+/// Whole-graph oriented count under an explicit node rank.
+fn count_with_rank(g: &TemporalGraph, delta: Timestamp, rank: &[u32]) -> MotifCounts {
+    let mut scratch = NeighborScratch::new(g.num_nodes());
+    let mut tally = CenterTally::default();
+    for u in g.node_ids() {
+        let len = g.node_events(u).len();
+        hare::fused::count_node::<true, true, true>(
+            g,
+            u,
+            0..len,
+            delta,
+            rank,
+            &mut scratch,
+            &mut tally,
+        );
+    }
+    tally.into_counts_oriented()
+}
+
+/// A pseudo-random permutation of `0..n` (Fisher–Yates over a
+/// splitmix64 stream).
+fn permutation(n: usize, seed: u64) -> Vec<u32> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        perm.swap(i, j);
+    }
+    perm
+}
 
 /// Arbitrary small temporal multigraph: up to `max_edges` edges over up
 /// to 8 nodes with timestamps in a narrow range (dense ties on purpose).
@@ -112,6 +151,27 @@ proptest! {
         );
     }
 
+    /// The oriented kernel is exact under any total order of the nodes:
+    /// identity, the build-time degree rank, reversed ids and random
+    /// permutations all give the same grid, with the same star and pair
+    /// cells and a third of the three-view triangle cells.
+    #[test]
+    fn any_total_order_gives_the_same_matrix(g in graph_strategy(40), delta in 0i64..80, seed in 0u64..u64::MAX) {
+        let n = g.num_nodes();
+        let want = hare_baselines::enumerate_all(&g, delta);
+        let three_view = hare::fused::count_graph::<true, true, false>(&g, delta);
+        let identity: Vec<u32> = (0..n as u32).collect();
+        let reversed: Vec<u32> = (0..n as u32).rev().collect();
+        for rank in [identity, g.node_rank().to_vec(), reversed, permutation(n, seed), permutation(n, !seed)] {
+            let got = count_with_rank(&g, delta, &rank);
+            prop_assert_eq!(got.matrix, want);
+            prop_assert_eq!(&got.star, &three_view.star);
+            prop_assert_eq!(&got.pair, &three_view.pair);
+            prop_assert_eq!(3 * got.tri.total(), three_view.tri.total());
+        }
+        prop_assert_eq!(count_with_rank(&g, delta, g.node_rank()), hare::count_motifs(&g, delta));
+    }
+
     /// Shifting all timestamps by a constant changes nothing.
     #[test]
     fn time_shift_invariance(g in graph_strategy(30), delta in 0i64..60, shift in -1000i64..1000) {
@@ -130,7 +190,7 @@ proptest! {
     /// cells of each class agree, and the total is divisible by 3.
     #[test]
     fn tri_counter_class_balance(g in graph_strategy(40), delta in 0i64..80) {
-        let tri = hare::fused::count_graph::<false, true>(&g, delta).tri;
+        let tri = hare::fused::count_graph::<false, true, false>(&g, delta).tri;
         prop_assert!(tri.class_cells_balanced());
         prop_assert_eq!(tri.total() % 3, 0);
     }
@@ -139,7 +199,7 @@ proptest! {
     /// balance (each pair instance is seen once from each endpoint).
     #[test]
     fn pair_counter_mirror_balance(g in graph_strategy(40), delta in 0i64..80) {
-        let pair = hare::fused::count_graph::<true, false>(&g, delta).pair;
+        let pair = hare::fused::count_graph::<true, false, false>(&g, delta).pair;
         prop_assert!(pair.mirror_cells_balanced());
         prop_assert_eq!(pair.total() % 2, 0);
     }
@@ -149,9 +209,9 @@ proptest! {
     /// pass exactly the triangle cells, and nothing else.
     #[test]
     fn masked_passes_sum_to_fused(g in graph_strategy(40), delta in 0i64..80) {
-        let fused = hare::fused::count_graph::<true, true>(&g, delta);
-        let stars = hare::fused::count_graph::<true, false>(&g, delta);
-        let tris = hare::fused::count_graph::<false, true>(&g, delta);
+        let fused = hare::fused::count_graph::<true, true, false>(&g, delta);
+        let stars = hare::fused::count_graph::<true, false, false>(&g, delta);
+        let tris = hare::fused::count_graph::<false, true, false>(&g, delta);
         prop_assert_eq!(stars.tri.total(), 0);
         prop_assert_eq!(tris.star.total() + tris.pair.total(), 0);
         let mut sum = stars;
