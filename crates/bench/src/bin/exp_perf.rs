@@ -275,7 +275,17 @@ fn main() {
         budget_bytes: budget,
         lane_layout: temporal_graph::LaneLayout::Raw,
     };
-    let (ooc_counts, ooc_stats) = hare::count_motifs_ooc(&src, cfg).expect("ooc count");
+    // Chunk workers share the budget (each chunk is planned against
+    // budget / W), so the row runs on a fixed two-worker pool: its chunk
+    // plan, peak and zero-forced-cut assert stay the same on any runner
+    // with at least two cores.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("thread pool");
+    let (ooc_counts, ooc_stats) = pool
+        .install(|| hare::count_motifs_ooc(&src, cfg))
+        .expect("ooc count");
     assert_eq!(
         ooc_counts.matrix, syn_reference.matrix,
         "out-of-core counts disagree with in-RAM FAST"
@@ -291,7 +301,10 @@ fn main() {
         1,
         samples,
         || {
-            std::hint::black_box(hare::count_motifs_ooc(&src, cfg).expect("ooc count"));
+            std::hint::black_box(
+                pool.install(|| hare::count_motifs_ooc(&src, cfg))
+                    .expect("ooc count"),
+            );
         },
     );
     let ooc_doc = json!({

@@ -65,7 +65,8 @@
 //!   must stay within 10% of the `threads = 1` row — oversubscribed
 //!   configs never regress below sequential (asserted in-binary).
 //! * `ooc` — the out-of-core row: the same synthetic graph written to a
-//!   `HARELG01` lane file and streamed under `budget_bytes`. In-binary
+//!   `HARELG01` lane file and streamed under `budget_bytes` on a
+//!   two-worker pool (the workers share the budget). In-binary
 //!   asserts pin `forced_cuts == 0`, `peak_resident_lane_bytes <=
 //!   budget_bytes`, and bit-identical counts to in-RAM FAST.
 //! * `quick` — `true` when run with `--quick` (CI perf-smoke: 3 samples,

@@ -15,11 +15,11 @@ use std::process::ExitCode;
 
 use hare::query::{Answer, Outcome, Param, Plan, PlanError, Session, SessionEngine, SessionSpec};
 use hare::stream_sample::StreamSampleConfig;
-use hare::{MotifCategory, NoopProbe, WallClockProbe};
-use temporal_graph::io::{load_edges, load_graph, LoadOptions};
+use hare::{InMemorySource, MotifCategory, NoopProbe, Probe, WallClockProbe};
+use temporal_graph::io::{chronological_edges, load_edges, load_graph, LoadOptions};
 use temporal_graph::stats::GraphStats;
 use temporal_graph::util::FxHashMap;
-use temporal_graph::{NodeId, Timestamp};
+use temporal_graph::{NodeId, TemporalGraph, Timestamp};
 
 const USAGE: &str = "\
 hare-count: exact δ-temporal motif counting (FAST/HARE, ICDE 2022)
@@ -42,9 +42,11 @@ OPTIONS:
                         raw). compressed bit-packs per-node timestamp
                         deltas; counts are bit-identical either way
     --chunk-budget B    out-of-core exact counting: stream delta-haloed
-                        time chunks through the fused kernel, keeping
-                        the resident lane arenas under B bytes per
-                        chunk. Bit-identical to in-RAM counting. Exact
+                        time chunks through the fused kernel, one chunk
+                        per --threads worker at a time, keeping their
+                        resident lane arenas under B bytes together.
+                        With --input, no whole graph is built.
+                        Bit-identical to in-RAM counting. Exact
                         all-motif mode only (no --only/--window/
                         --approx/--stats/--nodes)
     --profile           print a per-phase kernel timing table (scan /
@@ -378,10 +380,8 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
 fn load_stream(o: &Opts) -> Result<Vec<(NodeId, NodeId, Timestamp)>, String> {
     match (&o.input, &o.dataset) {
         (Some(path), None) => {
-            let opts = LoadOptions {
-                timestamp_column: o.timestamp_col,
-            };
-            let raw = load_edges(path, &opts).map_err(|e| format!("loading {path}: {e}"))?;
+            let raw =
+                load_edges(path, &load_options(o)).map_err(|e| format!("loading {path}: {e}"))?;
             let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
             let mut intern = |x: u64| -> NodeId {
                 let next = remap.len() as NodeId;
@@ -678,16 +678,11 @@ fn print_profile(u: NodeId, p: &hare::NodeProfile) {
     println!("node {u:>8} | total {:>8} | {}", p.total(), cells.join(" "));
 }
 
-fn run(o: &Opts) -> Result<(), String> {
-    if o.window.is_some() {
-        return run_stream(o);
-    }
+/// The graph `--input` or `--dataset` names, in the `--lanes` layout.
+fn load_input_graph(o: &Opts) -> Result<TemporalGraph, String> {
     let graph = match (&o.input, &o.dataset) {
         (Some(path), None) => {
-            let opts = LoadOptions {
-                timestamp_column: o.timestamp_col,
-            };
-            load_graph(path, &opts).map_err(|e| format!("loading {path}: {e}"))?
+            load_graph(path, &load_options(o)).map_err(|e| format!("loading {path}: {e}"))?
         }
         (None, Some(name)) => hare_datasets::by_name(name)
             .ok_or_else(|| {
@@ -697,10 +692,56 @@ fn run(o: &Opts) -> Result<(), String> {
             .generate(o.scale),
         _ => return Err("one of --input or --dataset is required".into()),
     };
-    let graph = graph.into_lane_layout(parse_lanes(&o.lanes)?);
+    Ok(graph.into_lane_layout(parse_lanes(&o.lanes)?))
+}
 
+fn load_options(o: &Opts) -> LoadOptions {
+    LoadOptions {
+        timestamp_column: o.timestamp_col,
+    }
+}
+
+/// What a batch query runs on: a whole graph, or — for an out-of-core
+/// count of an `--input` file — the file's chronological edge list, from
+/// which no whole graph is ever built.
+enum Input {
+    Graph(TemporalGraph),
+    Edges(InMemorySource<'static>),
+}
+
+impl Input {
+    fn load(o: &Opts, plan: &Plan) -> Result<Input, String> {
+        match (&o.input, plan) {
+            (Some(path), Plan::Chunked { .. }) => {
+                let raw = load_edges(path, &load_options(o))
+                    .map_err(|e| format!("loading {path}: {e}"))?;
+                let (num_nodes, edges) = chronological_edges(raw);
+                Ok(Input::Edges(InMemorySource::new(num_nodes, edges)))
+            }
+            _ => load_input_graph(o).map(Input::Graph),
+        }
+    }
+
+    fn execute<P: Probe>(
+        &self,
+        plan: &Plan,
+        delta: Timestamp,
+        threads: usize,
+        probe: &P,
+    ) -> Result<Answer, PlanError> {
+        match self {
+            Input::Graph(g) => plan.execute(g, delta, threads, probe),
+            Input::Edges(src) => plan.execute_chunked(src, delta, threads, probe),
+        }
+    }
+}
+
+fn run(o: &Opts) -> Result<(), String> {
+    if o.window.is_some() {
+        return run_stream(o);
+    }
     if o.stats {
-        let stats = GraphStats::compute(&graph);
+        let stats = GraphStats::compute(&load_input_graph(o)?);
         if o.json {
             print!(
                 "{}",
@@ -720,6 +761,7 @@ fn run(o: &Opts) -> Result<(), String> {
     }
 
     let plan = batch_plan(o)?;
+    let input = Input::load(o, &plan)?;
     let delta = o.delta.ok_or("--delta is required (seconds)")?;
     let start = std::time::Instant::now();
     // `--profile` threads a wall-clock probe through the kernel's phase
@@ -727,8 +769,8 @@ fn run(o: &Opts) -> Result<(), String> {
     // therefore stdout — is bit-identical to the unprofiled run.
     let probe = o.profile.then(WallClockProbe::new);
     let answer = match &probe {
-        Some(p) => plan.execute(&graph, delta, o.threads, p),
-        None => plan.execute(&graph, delta, o.threads, &NoopProbe),
+        Some(p) => input.execute(&plan, delta, o.threads, p),
+        None => input.execute(&plan, delta, o.threads, &NoopProbe),
     }
     .map_err(|e| plan_error(&e))?;
     let secs = start.elapsed().as_secs_f64();

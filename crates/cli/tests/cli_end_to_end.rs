@@ -285,6 +285,91 @@ fn lanes_and_chunk_budget_bodies_are_byte_identical() {
     }
 }
 
+/// `--chunk-budget` on an `--input` file counts straight from the
+/// parsed, remapped and time-sorted edge list, never building the whole
+/// graph. On a file with comments, self-loops, sparse 64-bit ids,
+/// timestamp ties, negative times and out-of-order lines, its output
+/// must be the in-RAM count's bytes for every thread count, lane layout
+/// and budget — from one chunk down to forced cuts.
+#[test]
+fn chunked_input_route_matches_in_ram_on_a_messy_snap_file() {
+    let dir = temp_dir("chunked_input");
+    let path = dir.join("messy.txt");
+    let ids: [u64; 9] = [
+        7,
+        u64::MAX,
+        1 << 40,
+        9_000_000_000_000_000_000,
+        42,
+        3,
+        u64::MAX - 1,
+        1 << 63,
+        123_456_789_012,
+    ];
+    let mut text = String::from("# src dst t\n% sparse ids, ties, self-loops\n");
+    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+    for i in 0..600u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let src = ids[(x % 9) as usize];
+        // Every 23rd line is a self-loop; the rest pick a second id.
+        let dst = if i % 23 == 0 {
+            src
+        } else {
+            ids[((x >> 8) % 9) as usize]
+        };
+        // Times drawn from 120 values straddling zero: out of order,
+        // with many ties.
+        let t = 60 * ((x >> 20) % 120) as i64 - 3_600;
+        text.push_str(&format!("{src} {dst} {t}\n"));
+    }
+    std::fs::write(&path, text).unwrap();
+    let file = path.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--input", file, "--delta", "600", "--no-timing"];
+        args.extend(extra);
+        let out = hare_count(&args);
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    for json in [&["--json"][..], &[]] {
+        let want = run(&[json, &["--threads", "1"]].concat());
+        if !json.is_empty() {
+            let v: serde_json::Value =
+                serde_json::from_str(std::str::from_utf8(&want).unwrap()).unwrap();
+            assert_eq!(v["nodes"].as_u64(), Some(9), "self-loops take no id");
+            assert!(v["total"].as_u64().unwrap() > 0, "nothing counted");
+        }
+        for threads in ["1", "2"] {
+            assert_eq!(run(&[json, &["--threads", threads]].concat()), want);
+            for lanes in ["raw", "compressed"] {
+                // One chunk, a handful of chunks, and forced cuts.
+                for budget in ["1000000000", "4096", "1"] {
+                    let flags = [
+                        json,
+                        &[
+                            "--threads",
+                            threads,
+                            "--lanes",
+                            lanes,
+                            "--chunk-budget",
+                            budget,
+                        ],
+                    ]
+                    .concat();
+                    assert_eq!(run(&flags), want, "{flags:?} drifted from the in-RAM count");
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn golden_fig1_nodes_jsonl_is_byte_identical() {
     // Per-node mode: one JSON line per participating node, in ascending

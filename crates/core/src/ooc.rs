@@ -1,21 +1,25 @@
 //! Out-of-core counting: exact motif counts and node profiles for
 //! graphs whose event lanes do not fit in RAM.
 //!
-//! The driver never materialises the whole graph. It plans timestamp
-//! cuts against an [`EdgeSource`]'s time index, then for each chunk
-//! `[lo, hi)`:
+//! The driver never materialises the whole graph. It plans every
+//! timestamp cut up front against an [`EdgeSource`]'s time index, then
+//! runs each chunk `[lo, hi)` as one task of a single parallel op:
 //!
-//! 1. loads the δ-**haloed** edge range `[lo − δ, hi + δ)` — the halo is
+//! 1. load the δ-**haloed** edge range `[lo − δ, hi + δ)` — the halo is
 //!    two-sided because the fused kernel's triangle probe reads pair
 //!    events in `[t_j − δ, t_1 + δ]`, which for a first edge at
 //!    `t_1 ∈ [lo, hi)` can reach δ before the chunk and δ after it;
-//! 2. builds an ordinary in-RAM [`TemporalGraph`] over the halo (local
+//! 2. build an ordinary in-RAM [`TemporalGraph`] over the halo (local
 //!    edge ids are order-isomorphic to the global chronological ranks,
 //!    so the kernel's bare-id triangle classification is preserved);
-//! 3. runs the fused kernel with first-edge positions restricted to
+//! 3. run the fused kernel with first-edge positions restricted to
 //!    `t_1 ∈ [lo, hi)` — chunks partition the timestamp axis half-open,
 //!    so every `(e_1, …)` contribution group is counted exactly once,
 //!    with timestamp ties never straddling a cut.
+//!
+//! Each task merges its chunk's tally (or per-node profiles) into one
+//! shared accumulator as soon as the chunk is scanned, so no chunk's
+//! result outlives its task.
 //!
 //! Whole-graph counts run the oriented kernel under the source's
 //! **global** node rank ([`EdgeSource::node_rank`]), never a chunk
@@ -24,26 +28,35 @@
 //! (or none). Node profiles keep the three-view kernel, which needs no
 //! rank.
 //!
-//! Counter addition is commutative, so the chunked accumulation is
+//! Every counter cell is a `u64` sum and integer addition commutes, so
+//! the merge order does not matter and the chunked accumulation is
 //! **bit-identical** to the in-RAM [`crate::count_motifs`] /
-//! [`NodeProfiles::compute`] — pinned by the tests below and the
-//! `lane_ooc_equivalence` differential suite.
+//! [`NodeProfiles::compute`] for every worker count — pinned by the
+//! tests below and the `lane_ooc_equivalence` differential suite.
 //!
-//! Chunk sizing: a binary search over the cut timestamp finds the
-//! largest `hi` whose haloed edge count keeps the resident lane arenas
-//! (at [`LANE_BYTES_PER_EDGE`] per edge) within the caller's byte
-//! budget, degrading to minimum progress (`hi = lo + 1`) when even one
-//! time unit exceeds it. Budgets only bound the *lane arenas*; the
-//! per-node scratch and (for profiles) the dense profile accumulator
-//! remain O(|V|) resident, like every other driver in the crate.
+//! Workers and budget: a run uses `W` workers, the installed rayon
+//! pool's thread count clamped to the machine's available parallelism
+//! (like [`crate::Hare::effective_threads`]), and runs its chunks on a
+//! pool of exactly `W` threads, so at most `W` chunk graphs are resident
+//! at once. The cuts are planned against `budget / W`: a
+//! binary search over the cut timestamp finds the largest `hi` whose
+//! haloed edge count keeps one chunk's lane arenas (at
+//! [`LANE_BYTES_PER_EDGE`] per edge) within that share, degrading to
+//! minimum progress (`hi = lo + 1`) when even one time unit exceeds it.
+//! Budgets only bound the *lane arenas*; the per-worker scratch and
+//! (for profiles) the dense profile accumulator remain O(|V|) resident,
+//! like every other driver in the crate.
 
 use std::borrow::Cow;
 use std::io;
+use std::sync::Mutex;
+
+use rayon::prelude::*;
 
 use crate::counters::{CenterTally, MotifCounts};
 use crate::fingerprint::{fold_tally, NodeProfile, NodeProfiles};
 use crate::fused::count_node;
-use crate::scratch::NeighborScratch;
+use crate::scratch::{with_thread_scratch, NeighborScratch};
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::ooc::LaneFile;
 use temporal_graph::{stats, LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
@@ -55,8 +68,9 @@ pub const LANE_BYTES_PER_EDGE: usize = 2 * (8 + 4 + 4);
 
 /// A chronological edge stream the out-of-core driver can plan cuts
 /// against and load time ranges from. Implementations must present the
-/// same `(t, position)` total order everywhere.
-pub trait EdgeSource {
+/// same `(t, position)` total order everywhere. Chunks load
+/// concurrently, hence `Sync`.
+pub trait EdgeSource: Sync {
     /// Node id space (`max id + 1`) of the stream.
     fn num_nodes(&self) -> usize;
     /// Total number of edges.
@@ -78,16 +92,18 @@ pub trait EdgeSource {
 
 /// An in-RAM chronological edge slice as an [`EdgeSource`] — the
 /// differential reference for the file-backed source, and the path the
-/// CLI uses to honour `--chunk-budget` on datasets it already loaded.
+/// CLI takes to honour `--chunk-budget`: straight from a parsed edge
+/// list ([`InMemorySource::new`]), or borrowing a graph it already
+/// holds ([`InMemorySource::from_graph`]).
 #[derive(Debug, Clone)]
-pub struct InMemorySource {
+pub struct InMemorySource<'a> {
     num_nodes: usize,
-    edges: Vec<TemporalEdge>,
-    node_rank: Box<[u32]>,
+    edges: Cow<'a, [TemporalEdge]>,
+    node_rank: Cow<'a, [u32]>,
 }
 
-impl InMemorySource {
-    /// Wrap a chronologically sorted, self-loop-free edge list. The node
+impl InMemorySource<'static> {
+    /// Own a chronologically sorted, self-loop-free edge list. The node
     /// rank is derived from the edges' degrees, so it equals the rank of
     /// the graph built from the same edges.
     ///
@@ -95,7 +111,7 @@ impl InMemorySource {
     /// Panics if the edges are not sorted by timestamp or reference a
     /// node `>= num_nodes`.
     #[must_use]
-    pub fn new(num_nodes: usize, edges: Vec<TemporalEdge>) -> InMemorySource {
+    pub fn new(num_nodes: usize, edges: Vec<TemporalEdge>) -> InMemorySource<'static> {
         assert!(
             edges.windows(2).all(|w| w[0].t <= w[1].t),
             "edges must be sorted by timestamp"
@@ -108,25 +124,27 @@ impl InMemorySource {
         let node_rank = stats::degree_rank(num_nodes, |u| degree[u]);
         InMemorySource {
             num_nodes,
-            edges,
-            node_rank,
-        }
-    }
-
-    /// View an already-built graph's edge stream (shares its total
-    /// order and node rank, so out-of-core results are bit-identical to
-    /// counting `g` directly, raw cells included).
-    #[must_use]
-    pub fn from_graph(g: &TemporalGraph) -> InMemorySource {
-        InMemorySource {
-            num_nodes: g.num_nodes(),
-            edges: g.edges().to_vec(),
-            node_rank: g.node_rank().into(),
+            edges: Cow::Owned(edges),
+            node_rank: Cow::Owned(node_rank.into_vec()),
         }
     }
 }
 
-impl EdgeSource for InMemorySource {
+impl<'a> InMemorySource<'a> {
+    /// Borrow an already-built graph's edge stream and node rank (shares
+    /// its total order and rank, so out-of-core results are
+    /// bit-identical to counting `g` directly, raw cells included).
+    #[must_use]
+    pub fn from_graph(g: &'a TemporalGraph) -> InMemorySource<'a> {
+        InMemorySource {
+            num_nodes: g.num_nodes(),
+            edges: Cow::Borrowed(g.edges()),
+            node_rank: Cow::Borrowed(g.node_rank()),
+        }
+    }
+}
+
+impl EdgeSource for InMemorySource<'_> {
     fn num_nodes(&self) -> usize {
         self.num_nodes
     }
@@ -222,9 +240,11 @@ impl EdgeSource for LaneFileSource {
 pub struct OocConfig {
     /// Motif window δ.
     pub delta: Timestamp,
-    /// Upper bound on the resident lane arenas of any one chunk graph,
-    /// in bytes ([`LANE_BYTES_PER_EDGE`] per haloed edge under the raw
-    /// layout; the compressed layout typically lands well under it).
+    /// Upper bound on the lane arenas of the chunk graphs resident at
+    /// once, in bytes ([`LANE_BYTES_PER_EDGE`] per haloed edge under the
+    /// raw layout; the compressed layout typically lands well under
+    /// it). The run's `W` workers share it: each chunk is planned
+    /// against `budget_bytes / W`.
     pub budget_bytes: usize,
     /// Timestamp-lane layout of the chunk graphs.
     pub lane_layout: LaneLayout,
@@ -247,14 +267,18 @@ impl OocConfig {
 pub struct OocStats {
     /// Number of chunk graphs built and scanned.
     pub chunks: usize,
-    /// Largest resident lane arena across all chunks, in bytes.
+    /// The sum of the `W` largest chunk lane arenas, in bytes, for a run
+    /// on `W` workers: a bound on the lanes resident at any one moment,
+    /// however the chunks land on the workers. Deterministic at a fixed
+    /// `W`.
     pub peak_resident_lane_bytes: usize,
     /// The budget the run was planned against.
     pub budget_bytes: usize,
     /// Cuts where even the minimum-progress chunk (`hi = lo + 1`) plus
-    /// its δ-halo exceeded the budget and the driver proceeded anyway
-    /// (exactness is never traded for the budget). Zero means the peak
-    /// stayed under budget by construction.
+    /// its δ-halo exceeded the per-worker share of the budget and the
+    /// driver proceeded anyway (exactness is never traded for the
+    /// budget). Zero means the peak stayed under budget by construction
+    /// (raw layout).
     pub forced_cuts: usize,
 }
 
@@ -280,10 +304,11 @@ fn plan_cut(
     if !fits(src.count_until(a.saturating_add(delta))? - base) {
         return Ok((a, true));
     }
-    // Largest feasible hi in [a, b); i128 midpoints avoid overflow on
-    // full-span timestamp ranges.
+    // Largest feasible hi in [a, b). The ceiling midpoint lies in
+    // (a, b]; i128 avoids overflow on full-span timestamp ranges, and
+    // `div_euclid` rounds down for negative sums too.
     while a < b {
-        let mid = ((i128::from(a) + i128::from(b) + 1) / 2) as Timestamp;
+        let mid = (i128::from(a) + i128::from(b) + 1).div_euclid(2) as Timestamp;
         if fits(src.count_until(mid.saturating_add(delta))? - base) {
             a = mid;
         } else {
@@ -293,46 +318,117 @@ fn plan_cut(
     Ok((a, false))
 }
 
-/// Drive `per_chunk` over the planned chunk graphs. `per_chunk` gets the
-/// chunk graph plus the `[lo, hi)` first-edge time range it owns.
-fn drive_chunks<P: Probe>(
+/// The earliest edge timestamp `>= t`, for `t <= max_t`: the smallest
+/// `s` with an edge in `[t, s]`.
+fn next_time(src: &impl EdgeSource, t: Timestamp, max_t: Timestamp) -> io::Result<Timestamp> {
+    let before = src.count_until(t)?;
+    let (mut a, mut b) = (t, max_t);
+    while a < b {
+        // Floor midpoint in [a, b), negative timestamps included:
+        // truncating division would round a negative sum up to `b`.
+        let mid = (i128::from(a) + i128::from(b)).div_euclid(2) as Timestamp;
+        if src.count_until(mid.saturating_add(1))? > before {
+            b = mid;
+        } else {
+            a = mid + 1;
+        }
+    }
+    Ok(a)
+}
+
+/// Every cut `[lo, hi)` of the stream, in time order, each planned
+/// against `budget_bytes`, and the number of forced ones. After a forced
+/// cut the next chunk starts at the next edge's timestamp: the stretch
+/// in between owns no first edge, so skipping it keeps every edge in
+/// exactly one chunk, and a forced run costs one chunk per distinct
+/// timestamp rather than one per time unit.
+fn plan_cuts(
     src: &impl EdgeSource,
-    config: OocConfig,
-    probe: &P,
-    mut per_chunk: impl FnMut(&TemporalGraph, Timestamp, Timestamp),
-) -> io::Result<OocStats> {
-    let mut stats = OocStats {
-        chunks: 0,
-        peak_resident_lane_bytes: 0,
-        budget_bytes: config.budget_bytes,
-        forced_cuts: 0,
-    };
+    delta: Timestamp,
+    budget_bytes: usize,
+) -> io::Result<(Vec<(Timestamp, Timestamp)>, usize)> {
+    let mut cuts = Vec::new();
+    let mut forced_cuts = 0;
     let (Some(min_t), Some(max_t)) = (src.min_time(), src.max_time()) else {
-        return Ok(stats);
+        return Ok((cuts, forced_cuts));
     };
     let mut lo = min_t;
     loop {
-        let (hi, forced) = plan_cut(src, lo, max_t, config.delta, config.budget_bytes)?;
-        stats.forced_cuts += usize::from(forced);
-        let g = probe.span(Phase::ChunkLoad, || -> io::Result<TemporalGraph> {
-            let halo = src.load_range(
-                lo.saturating_sub(config.delta),
-                hi.saturating_add(config.delta),
-            )?;
-            Ok(
-                TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
-                    .into_lane_layout(config.lane_layout),
-            )
-        })?;
-        stats.chunks += 1;
-        stats.peak_resident_lane_bytes =
-            stats.peak_resident_lane_bytes.max(g.resident_lane_bytes());
-        probe.span(Phase::Scan, || per_chunk(&g, lo, hi));
+        let (hi, forced) = plan_cut(src, lo, max_t, delta, budget_bytes)?;
+        forced_cuts += usize::from(forced);
+        cuts.push((lo, hi));
         if hi > max_t {
-            return Ok(stats);
+            return Ok((cuts, forced_cuts));
         }
-        lo = hi;
+        lo = if forced {
+            next_time(src, hi, max_t)?
+        } else {
+            hi
+        };
     }
+}
+
+/// The worker count `W` for `threads` requested workers (0 = all
+/// cores), clamped to the machine's available parallelism as in
+/// [`crate::Hare::effective_threads`].
+pub(crate) fn chunk_workers(threads: usize) -> usize {
+    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    if threads == 0 {
+        avail
+    } else {
+        threads.min(avail)
+    }
+}
+
+/// Plan every chunk against `budget / workers`, then load, build and
+/// `scan` each one as one task of a single parallel op on a pool of
+/// exactly `workers` threads. `scan` gets the chunk graph plus the
+/// `[lo, hi)` first-edge time range it owns, and merges what it finds
+/// into the caller's accumulator before the task ends.
+///
+/// The probe stays on the calling thread: [`Phase::ChunkLoad`] brackets
+/// the cut planning and [`Phase::Scan`] the parallel section (every
+/// chunk's load, build, scan and merge).
+fn drive_chunks<P: Probe>(
+    src: &impl EdgeSource,
+    config: OocConfig,
+    workers: usize,
+    probe: &P,
+    scan: impl Fn(&TemporalGraph, Timestamp, Timestamp) + Sync,
+) -> io::Result<OocStats> {
+    let (cuts, forced_cuts) = probe.span(Phase::ChunkLoad, || {
+        plan_cuts(src, config.delta, config.budget_bytes / workers)
+    })?;
+    // Exactly W threads, so at most W chunk graphs are ever resident,
+    // whatever pool the caller runs on.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(workers)
+        .build()
+        .expect("failed to build rayon thread pool");
+    let arenas: Vec<io::Result<usize>> = probe.span(Phase::Scan, || {
+        pool.install(|| {
+            cuts.into_par_iter()
+                .map(|(lo, hi)| {
+                    let halo = src.load_range(
+                        lo.saturating_sub(config.delta),
+                        hi.saturating_add(config.delta),
+                    )?;
+                    let g = TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
+                        .into_lane_layout(config.lane_layout);
+                    scan(&g, lo, hi);
+                    Ok(g.resident_lane_bytes())
+                })
+                .collect()
+        })
+    });
+    let mut arenas = arenas.into_iter().collect::<io::Result<Vec<usize>>>()?;
+    arenas.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(OocStats {
+        chunks: arenas.len(),
+        peak_resident_lane_bytes: arenas.iter().take(workers).sum(),
+        budget_bytes: config.budget_bytes,
+        forced_cuts,
+    })
 }
 
 /// Per-node first-edge position range owned by chunk `[lo, hi)`.
@@ -346,11 +442,35 @@ fn owned_range(
     ts.partition_point(|t| t < lo)..ts.partition_point(|t| t < hi)
 }
 
+/// Run `visit` on every node of chunk `g` that owns a first edge in
+/// `[lo, hi)`, with that position range and the worker's scratch.
+fn for_owned_nodes(
+    g: &TemporalGraph,
+    lo: Timestamp,
+    hi: Timestamp,
+    mut visit: impl FnMut(temporal_graph::NodeId, std::ops::Range<usize>, &mut NeighborScratch),
+) {
+    with_thread_scratch(g.num_nodes(), |scratch| {
+        for u in g.node_ids() {
+            if g.node_events(u).len() < 2 {
+                continue;
+            }
+            let range = owned_range(g, u, lo, hi);
+            if !range.is_empty() {
+                visit(u, range, scratch);
+            }
+        }
+    });
+}
+
 /// Exact whole-graph motif counts computed out of core, oriented by
 /// [`EdgeSource::node_rank`]. The grid is bit-identical to
-/// [`crate::count_motifs`] over the same edge stream, for any budget and
-/// either lane layout; the raw triangle cells are too whenever the
-/// source's rank equals the graph's (as for [`InMemorySource`]).
+/// [`crate::count_motifs`] over the same edge stream, for any budget,
+/// worker count and either lane layout; the raw triangle cells are too
+/// whenever the source's rank equals the graph's (as for
+/// [`InMemorySource`]). Chunks run on as many workers as the installed
+/// rayon pool has threads (see the module docs for how they share the
+/// budget).
 pub fn count_motifs_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
@@ -359,62 +479,68 @@ pub fn count_motifs_ooc(
 }
 
 /// [`count_motifs_ooc`] with a [`Probe`] observing the phase
-/// boundaries: [`Phase::ChunkLoad`] wraps each chunk's load + arena
-/// build, [`Phase::Scan`] wraps its kernel pass, [`Phase::Fold`] wraps
-/// the final counter fold. Counts and stats are bit-identical across
-/// probe implementations.
+/// boundaries from the calling thread: [`Phase::ChunkLoad`] wraps the
+/// cut planning, [`Phase::Scan`] the parallel section in which every
+/// chunk is loaded, built, scanned and merged into the shared tally,
+/// [`Phase::Fold`] the conversion of that tally into the grid. Counts
+/// and stats are bit-identical across probe implementations.
 pub fn count_motifs_ooc_probed<P: Probe>(
     src: &impl EdgeSource,
     config: OocConfig,
     probe: &P,
 ) -> io::Result<(MotifCounts, OocStats)> {
-    let mut tally = CenterTally::default();
-    let mut scratch = NeighborScratch::new(src.num_nodes());
+    count_motifs_ooc_on(src, config, rayon::current_num_threads(), probe)
+}
+
+/// [`count_motifs_ooc_probed`] on `threads` workers (0 = all cores)
+/// instead of the installed pool's.
+pub(crate) fn count_motifs_ooc_on<P: Probe>(
+    src: &impl EdgeSource,
+    config: OocConfig,
+    threads: usize,
+    probe: &P,
+) -> io::Result<(MotifCounts, OocStats)> {
     let rank = src.node_rank();
-    let stats = drive_chunks(src, config, probe, |g, lo, hi| {
-        for u in g.node_ids() {
-            if g.node_events(u).len() < 2 {
-                continue;
-            }
-            let range = owned_range(g, u, lo, hi);
-            if range.is_empty() {
-                continue;
-            }
-            let delta = config.delta;
-            count_node::<true, true, true>(g, u, range, delta, &rank, &mut scratch, &mut tally);
-        }
+    let total = Mutex::new(CenterTally::default());
+    let stats = drive_chunks(src, config, chunk_workers(threads), probe, |g, lo, hi| {
+        let mut tally = CenterTally::default();
+        for_owned_nodes(g, lo, hi, |u, range, scratch| {
+            count_node::<true, true, true>(g, u, range, config.delta, &rank, scratch, &mut tally);
+        });
+        total.lock().expect("tally lock poisoned").merge(&tally);
     })?;
-    let counts = probe.span(Phase::Fold, || tally.into_counts_oriented());
+    let total = total.into_inner().expect("tally lock poisoned");
+    let counts = probe.span(Phase::Fold, || total.into_counts_oriented());
     Ok((counts, stats))
 }
 
 /// Sparse per-node motif profiles computed out of core. Bit-identical
-/// to [`NodeProfiles::compute`] over the same edge stream. Keeps a dense
-/// 288-byte accumulator per node resident (the node space must fit in
-/// RAM — the same assumption every scratch-based kernel makes); only
-/// the *edge* lanes are budget-bounded.
+/// to [`NodeProfiles::compute`] over the same edge stream, for any
+/// budget and worker count. Keeps a dense 288-byte accumulator per node
+/// resident (the node space must fit in RAM — the same assumption every
+/// scratch-based kernel makes), into which each node's chunk profile is
+/// merged as soon as it is counted; only the *edge* lanes are
+/// budget-bounded.
 pub fn node_profiles_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
 ) -> io::Result<(NodeProfiles, OocStats)> {
     let num_nodes = src.num_nodes();
-    let mut dense: Vec<NodeProfile> = vec![NodeProfile::default(); num_nodes];
-    let mut scratch = NeighborScratch::new(num_nodes);
-    let stats = drive_chunks(src, config, &NoopProbe, |g, lo, hi| {
-        for u in g.node_ids() {
-            if g.node_events(u).len() < 2 {
-                continue;
-            }
-            let range = owned_range(g, u, lo, hi);
-            if range.is_empty() {
-                continue;
-            }
+    let dense = Mutex::new(vec![NodeProfile::default(); num_nodes]);
+    let workers = chunk_workers(rayon::current_num_threads());
+    let stats = drive_chunks(src, config, workers, &NoopProbe, |g, lo, hi| {
+        for_owned_nodes(g, lo, hi, |u, range, scratch| {
             let mut t = CenterTally::default();
-            count_node::<true, true, false>(g, u, range, config.delta, &[], &mut scratch, &mut t);
-            dense[u as usize].merge_from(&fold_tally(&t));
-        }
+            count_node::<true, true, false>(g, u, range, config.delta, &[], scratch, &mut t);
+            let profile = fold_tally(&t);
+            if !profile.is_empty() {
+                dense.lock().expect("profile lock poisoned")[u as usize].merge_from(&profile);
+            }
+        });
     })?;
     let entries = dense
+        .into_inner()
+        .expect("profile lock poisoned")
         .into_iter()
         .enumerate()
         .filter(|(_, p)| !p.is_empty())
@@ -429,9 +555,67 @@ mod tests {
     use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, paper_fig1_toy, GenConfig};
     use temporal_graph::ooc::write_lane_file;
 
-    fn budgets_for(g: &TemporalGraph) -> [usize; 3] {
+    /// Per-worker budget shares: a seventh (tight enough to force cuts
+    /// where δ-halos are wide), a half, and twice the graph's lanes (one
+    /// chunk). `degenerate_budget_still_terminates_and_is_exact` forces
+    /// every cut.
+    fn shares_for(g: &TemporalGraph) -> [usize; 3] {
         let full = g.num_edges() * LANE_BYTES_PER_EDGE;
         [full / 7 + 1, full / 2 + 1, 2 * full + 1]
+    }
+
+    /// Installed pool sizes the driver is run under.
+    const POOLS: [usize; 4] = [1, 2, 3, 4];
+
+    /// Run `f` under an installed pool of `threads`, passing it the
+    /// worker count `W` the driver will use there.
+    fn on_pool<R>(threads: usize, f: impl FnOnce(usize) -> R) -> R {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| f(chunk_workers(rayon::current_num_threads())))
+    }
+
+    /// Count under every pool size, budget (`W` × each share) and lane
+    /// layout, checking the grid — raw triangle cells too when the
+    /// source ranks nodes like `g` — and the budget obligations. Each
+    /// run is repeated: its stats must not change at a fixed `W`.
+    fn check_counts(src: &impl EdgeSource, g: &TemporalGraph, delta: Timestamp) {
+        let want = crate::count_motifs(g, delta);
+        for threads in POOLS {
+            on_pool(threads, |w| {
+                for share in shares_for(g) {
+                    for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                        let budget = share * w;
+                        let ctx = format!("pool={threads} W={w} budget={budget} layout={layout}");
+                        let mut config = OocConfig::new(delta, budget);
+                        config.lane_layout = layout;
+                        let (got, stats) = count_motifs_ooc(src, config).unwrap();
+                        assert_eq!(got.matrix, want.matrix, "{ctx}");
+                        assert_eq!(got.star, want.star, "{ctx}");
+                        if *src.node_rank() == *g.node_rank() {
+                            assert_eq!(got.tri, want.tri, "{ctx}");
+                        } else {
+                            assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
+                        }
+                        assert!(stats.chunks >= 1, "{ctx}");
+                        assert_eq!(stats.budget_bytes, budget, "{ctx}");
+                        if layout == LaneLayout::Raw && stats.forced_cuts == 0 {
+                            // Unforced raw chunks keep the W largest
+                            // arenas under budget by construction.
+                            assert!(
+                                stats.peak_resident_lane_bytes <= budget,
+                                "{ctx}: peak {} > budget",
+                                stats.peak_resident_lane_bytes
+                            );
+                        }
+                        let (_, again) = count_motifs_ooc(src, config).unwrap();
+                        assert_eq!(again, stats, "{ctx}");
+                    }
+                }
+            });
+        }
     }
 
     #[test]
@@ -441,29 +625,64 @@ mod tests {
             (erdos_renyi_temporal(25, 600, 800, 3), 150),
             (hub_burst(30, 1_500, 8_000, 9), 800),
         ] {
-            let want = crate::count_motifs(&g, delta);
-            let src = InMemorySource::from_graph(&g);
-            for budget in budgets_for(&g) {
-                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                    let mut config = OocConfig::new(delta, budget);
-                    config.lane_layout = layout;
-                    let (got, stats) = count_motifs_ooc(&src, config).unwrap();
-                    assert_eq!(got.matrix, want.matrix, "budget={budget} layout={layout}");
-                    assert_eq!(got.star, want.star, "budget={budget} layout={layout}");
-                    assert_eq!(got.tri, want.tri, "budget={budget} layout={layout}");
-                    assert!(stats.chunks >= 1);
-                    if layout == LaneLayout::Raw && stats.forced_cuts == 0 {
-                        // Unforced raw chunks keep the arenas under
-                        // budget by construction.
-                        assert!(
-                            stats.peak_resident_lane_bytes <= budget,
-                            "peak {} > budget {budget}",
-                            stats.peak_resident_lane_bytes
-                        );
-                    }
-                }
-            }
+            check_counts(&InMemorySource::from_graph(&g), &g, delta);
         }
+    }
+
+    /// Borrowing a graph copies neither its edges nor its rank.
+    #[test]
+    fn from_graph_borrows_the_edges_and_rank() {
+        let g = erdos_renyi_temporal(25, 600, 800, 3);
+        let src = InMemorySource::from_graph(&g);
+        assert!(matches!(src.edges, Cow::Borrowed(e) if std::ptr::eq(e, g.edges())));
+        assert!(matches!(src.node_rank, Cow::Borrowed(r) if std::ptr::eq(r, g.node_rank())));
+        let owned = InMemorySource::new(g.num_nodes(), g.edges().to_vec());
+        assert!(matches!(owned.edges, Cow::Owned(_)));
+        assert_eq!(&*owned.node_rank(), g.node_rank());
+    }
+
+    /// The budget is shared by the `W` workers: cuts are planned against
+    /// `budget / W`, and the peak is the sum of the `W` largest chunk
+    /// arenas, recomputed here from the plan.
+    #[test]
+    fn workers_share_the_budget_and_the_peak_sums_the_largest_arenas() {
+        let g = erdos_renyi_temporal(30, 2_000, 20_000, 8);
+        let delta = 100;
+        let src = InMemorySource::from_graph(&g);
+        let budget = g.num_edges() * LANE_BYTES_PER_EDGE / 3;
+        let mut chunks_at = Vec::new();
+        for threads in POOLS {
+            let (stats, w) = on_pool(threads, |w| {
+                (
+                    count_motifs_ooc(&src, OocConfig::new(delta, budget))
+                        .unwrap()
+                        .1,
+                    w,
+                )
+            });
+            let (cuts, forced) = plan_cuts(&src, delta, budget / w).unwrap();
+            assert_eq!((stats.chunks, stats.forced_cuts), (cuts.len(), forced));
+            let mut arenas: Vec<usize> = cuts
+                .iter()
+                .map(|&(lo, hi)| {
+                    let halo = src.load_range(lo - delta, hi + delta).unwrap();
+                    TemporalGraph::from_chronological_edges(g.num_nodes(), halo)
+                        .resident_lane_bytes()
+                })
+                .collect();
+            arenas.sort_unstable_by(|a, b| b.cmp(a));
+            let top_w: usize = arenas.iter().take(w).sum();
+            assert_eq!(stats.peak_resident_lane_bytes, top_w, "pool={threads}");
+            assert_eq!(forced, 0, "pool={threads}");
+            assert!(top_w <= budget, "pool={threads}");
+            chunks_at.push((w, stats.chunks));
+        }
+        // More workers, smaller shares, at least as many chunks.
+        chunks_at.sort_unstable();
+        assert!(
+            chunks_at.windows(2).all(|p| p[0].1 <= p[1].1),
+            "{chunks_at:?}"
+        );
     }
 
     #[test]
@@ -495,12 +714,18 @@ mod tests {
         write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
         let src = LaneFileSource::open(&path).unwrap();
         assert_eq!(src.num_edges(), g.num_edges() as u64);
-        let budget = g.num_edges() * LANE_BYTES_PER_EDGE / 2 + 1;
-        let (got, stats) = count_motifs_ooc(&src, OocConfig::new(delta, budget)).unwrap();
-        assert_eq!(got.matrix, want.matrix);
-        assert!(stats.chunks > 1);
-        assert_eq!(stats.forced_cuts, 0);
-        assert!(stats.peak_resident_lane_bytes <= budget);
+        for threads in POOLS {
+            on_pool(threads, |w| {
+                // Each worker's share is half the graph's lanes.
+                let budget = (g.num_edges() * LANE_BYTES_PER_EDGE / 2 + 1) * w;
+                let (got, stats) = count_motifs_ooc(&src, OocConfig::new(delta, budget)).unwrap();
+                assert_eq!(got.matrix, want.matrix, "pool={threads}");
+                assert!(stats.chunks > 1, "pool={threads}");
+                assert_eq!(stats.forced_cuts, 0, "pool={threads}");
+                assert!(stats.peak_resident_lane_bytes <= budget, "pool={threads}");
+            });
+        }
+        check_counts(&src, &g, delta);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -521,24 +746,26 @@ mod tests {
         let lane = LaneFileSource::open(&path).unwrap();
         let identity: Vec<u32> = (0..g.num_nodes() as u32).collect();
         assert_eq!(&*lane.node_rank(), &identity[..]);
-        for budget in budgets_for(&g) {
-            for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                let mut config = OocConfig::new(delta, budget);
-                config.lane_layout = layout;
-                let (got, stats) = count_motifs_ooc(&derived, config).unwrap();
-                assert_eq!(got, want, "budget={budget} layout={layout}");
-                let (got, _) = count_motifs_ooc(&lane, config).unwrap();
-                assert_eq!(got.matrix, want.matrix, "budget={budget} layout={layout}");
-                assert_eq!(got.star, want.star, "budget={budget} layout={layout}");
-                assert_eq!(
-                    got.tri.total(),
-                    want.tri.total(),
-                    "budget={budget} layout={layout}"
-                );
-                if budget < g.num_edges() * LANE_BYTES_PER_EDGE {
-                    assert!(stats.chunks > 1, "budget={budget}");
+        for threads in POOLS {
+            on_pool(threads, |w| {
+                for share in &shares_for(&g) {
+                    let budget = share * w;
+                    for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                        let ctx = format!("pool={threads} budget={budget} layout={layout}");
+                        let mut config = OocConfig::new(delta, budget);
+                        config.lane_layout = layout;
+                        let (got, stats) = count_motifs_ooc(&derived, config).unwrap();
+                        assert_eq!(got, want, "{ctx}");
+                        let (got, _) = count_motifs_ooc(&lane, config).unwrap();
+                        assert_eq!(got.matrix, want.matrix, "{ctx}");
+                        assert_eq!(got.star, want.star, "{ctx}");
+                        assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
+                        if *share < g.num_edges() * LANE_BYTES_PER_EDGE {
+                            assert!(stats.chunks > 1, "{ctx}");
+                        }
+                    }
                 }
-            }
+            });
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -549,10 +776,27 @@ mod tests {
         let delta = 400;
         let want = NodeProfiles::compute(&g, delta, 1);
         let src = InMemorySource::from_graph(&g);
-        for budget in budgets_for(&g) {
-            let (got, _) = node_profiles_ooc(&src, OocConfig::new(delta, budget)).unwrap();
-            assert_eq!(got, want, "budget={budget}");
+        let mut path = std::env::temp_dir();
+        path.push(format!("hare-ooc-profiles-{}.hlg", std::process::id()));
+        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
+        let lane = LaneFileSource::open(&path).unwrap();
+        for threads in POOLS {
+            on_pool(threads, |w| {
+                for share in shares_for(&g) {
+                    for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                        let ctx = format!("pool={threads} share={share} layout={layout}");
+                        let mut config = OocConfig::new(delta, share * w);
+                        config.lane_layout = layout;
+                        let (got, stats) = node_profiles_ooc(&src, config).unwrap();
+                        assert_eq!(got, want, "{ctx}");
+                        let (got, lane_stats) = node_profiles_ooc(&lane, config).unwrap();
+                        assert_eq!(got, want, "{ctx}");
+                        assert_eq!(lane_stats, stats, "{ctx}");
+                    }
+                }
+            });
         }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -572,14 +816,78 @@ mod tests {
 
     #[test]
     fn degenerate_budget_still_terminates_and_is_exact() {
-        let g = erdos_renyi_temporal(10, 150, 80, 1);
+        let base = erdos_renyi_temporal(10, 150, 80, 1);
         let delta = 15;
-        let want = crate::count_motifs(&g, delta);
-        let src = InMemorySource::from_graph(&g);
-        // A budget below one edge forces minimum-progress cuts everywhere.
-        let (got, stats) = count_motifs_ooc(&src, OocConfig::new(delta, 1)).unwrap();
-        assert_eq!(got.matrix, want.matrix);
-        assert!(stats.chunks > 10);
+        // Times in 0..80, shifted to straddle zero and to lie wholly
+        // below it: the cut searches must round their midpoints down
+        // for negative timestamps too.
+        for offset in [0, -40, -1_000] {
+            let shifted = base
+                .edges()
+                .iter()
+                .map(|e| TemporalEdge::new(e.src, e.dst, e.t + offset))
+                .collect();
+            let g = TemporalGraph::from_chronological_edges(base.num_nodes(), shifted);
+            check_forced_cuts(&g, delta, &format!("offset={offset}"));
+        }
+        // Adjacent negative timestamps right after a forced cut.
+        for times in [[-3, -2, -1], [-2, -1, 0]] {
+            let edges = [(0, 1), (1, 2), (2, 0)]
+                .iter()
+                .zip(times)
+                .map(|(&(s, d), t)| TemporalEdge::new(s, d, t))
+                .collect();
+            let g = TemporalGraph::from_chronological_edges(3, edges);
+            check_forced_cuts(&g, 0, &format!("times={times:?}"));
+        }
+    }
+
+    /// A budget below one edge forces minimum-progress cuts everywhere:
+    /// counts and profiles stay exact on every pool, layout and source,
+    /// with one chunk per distinct timestamp.
+    fn check_forced_cuts(g: &TemporalGraph, delta: Timestamp, ctx: &str) {
+        let want = crate::count_motifs(g, delta);
+        let src = InMemorySource::from_graph(g);
+        let mut times: Vec<Timestamp> = g.edges().iter().map(|e| e.t).collect();
+        times.dedup();
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "hare-ooc-degenerate-{}-{}.hlg",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
+        let lane = LaneFileSource::open(&path).unwrap();
+        let profiles = NodeProfiles::compute(g, delta, 1);
+        for threads in POOLS {
+            on_pool(threads, |_| {
+                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                    let ctx = format!("{ctx} pool={threads} layout={layout}");
+                    let mut config = OocConfig::new(delta, 1);
+                    config.lane_layout = layout;
+                    for (got, stats) in [
+                        count_motifs_ooc(&src, config).unwrap(),
+                        count_motifs_ooc(&lane, config).unwrap(),
+                    ] {
+                        assert_eq!(got.matrix, want.matrix, "{ctx}");
+                        assert_eq!(stats.chunks, times.len(), "{ctx}");
+                        assert!(stats.forced_cuts > 0, "{ctx}");
+                    }
+                    assert_eq!(
+                        node_profiles_ooc(&src, config).unwrap().0,
+                        profiles,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        node_profiles_ooc(&lane, config).unwrap().0,
+                        profiles,
+                        "{ctx}"
+                    );
+                }
+            });
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::fingerprint::{
     rank_by_zscore, top_k_nodes, NodeProfile, NodeProfiles, ProfileDistribution,
 };
 use crate::hare::{Hare, HareConfig};
-use crate::ooc::{count_motifs_ooc_probed, InMemorySource, OocConfig};
+use crate::ooc::{count_motifs_ooc_on, EdgeSource, InMemorySource, OocConfig};
 use crate::report;
 use crate::sample::{SampleConfig, SampledCounter, SampledCounts};
 use crate::stream_sample::{StreamSampleConfig, StreamingEstimator};
@@ -276,19 +276,8 @@ impl Plan {
                 });
                 Outcome::Counts(hare.count_matrix_probed(g, delta, only, probe))
             }
-            Plan::Chunked {
-                budget_bytes,
-                lane_layout,
-            } => {
-                let cfg = OocConfig {
-                    delta,
-                    budget_bytes,
-                    lane_layout,
-                };
-                let (counts, _) =
-                    count_motifs_ooc_probed(&InMemorySource::from_graph(g), cfg, probe)
-                        .map_err(|e| PlanError::Source(e.to_string()))?;
-                Outcome::Counts(counts.matrix)
+            Plan::Chunked { .. } => {
+                return self.execute_chunked(&InMemorySource::from_graph(g), delta, threads, probe);
             }
             Plan::Approx {
                 prob,
@@ -345,6 +334,50 @@ impl Plan {
             num_nodes: g.num_nodes(),
             num_edges: g.num_edges(),
             outcome,
+        })
+    }
+
+    /// Validate, then run a [`Plan::Chunked`] plan straight off an edge
+    /// source, its chunks spread over `threads` workers (0 = all cores).
+    /// No whole graph is built; [`Plan::execute`] takes this route too,
+    /// through a source that borrows its graph. The answer is
+    /// bit-identical to [`Plan::Exact`] on the graph built from the same
+    /// edges, for every probe, thread count, budget and lane layout.
+    ///
+    /// # Errors
+    /// [`PlanError::Invalid`] from [`Plan::validate`], or naming
+    /// [`Param::ChunkBudget`] for a plan that is not [`Plan::Chunked`];
+    /// [`PlanError::Source`] if the source fails.
+    pub fn execute_chunked<P: Probe>(
+        &self,
+        src: &impl EdgeSource,
+        delta: Timestamp,
+        threads: usize,
+        probe: &P,
+    ) -> Result<Answer, PlanError> {
+        self.validate(delta)?;
+        let Plan::Chunked {
+            budget_bytes,
+            lane_layout,
+        } = *self
+        else {
+            return Err(PlanError::Invalid {
+                param: Param::ChunkBudget,
+                reason: "is required to count straight from an edge source".into(),
+            });
+        };
+        let cfg = OocConfig {
+            delta,
+            budget_bytes,
+            lane_layout,
+        };
+        let (counts, _) = count_motifs_ooc_on(src, cfg, threads, probe)
+            .map_err(|e| PlanError::Source(e.to_string()))?;
+        Ok(Answer {
+            delta,
+            num_nodes: src.num_nodes(),
+            num_edges: src.num_edges() as usize,
+            outcome: Outcome::Counts(counts.matrix),
         })
     }
 }
@@ -838,6 +871,21 @@ mod tests {
             exact.outcome,
             Outcome::Counts(crate::count_motifs(&g, 10).matrix)
         );
+        // Straight from an owned edge list, on one and two workers.
+        let src = InMemorySource::new(g.num_nodes(), g.edges().to_vec());
+        let plan = Plan::Chunked {
+            budget_bytes: 64,
+            lane_layout: LaneLayout::Raw,
+        };
+        for threads in [1, 2] {
+            let answer = plan.execute_chunked(&src, 10, threads, &NoopProbe).unwrap();
+            assert_eq!(answer, exact, "threads={threads}");
+        }
+        // Only a chunked plan runs off an edge source.
+        let e = Plan::Exact { only: None }
+            .execute_chunked(&src, 10, 1, &NoopProbe)
+            .unwrap_err();
+        assert_eq!(invalid_param(e), Param::ChunkBudget);
     }
 
     #[test]

@@ -21,7 +21,9 @@ pub enum Phase {
     Scan,
     /// Folding per-node/per-window accumulators into final counters.
     Fold,
-    /// Loading + arena-building one out-of-core chunk (`hare::ooc`).
+    /// Out-of-core chunk loading (`hare::ooc`): planning the chunk cuts
+    /// against the source's time index; the chunks' loads and arena
+    /// builds run inside the parallel [`Phase::Scan`].
     ChunkLoad,
     /// Budget-pressure eviction work (`hare::stream_sample`).
     Evict,

@@ -32,7 +32,6 @@ pub struct GraphBuilder {
     dropped_self_loops: usize,
     compact: bool,
     layout: LaneLayout,
-    threads: usize,
 }
 
 impl GraphBuilder {
@@ -67,17 +66,6 @@ impl GraphBuilder {
     #[must_use]
     pub fn lane_layout(mut self, layout: LaneLayout) -> GraphBuilder {
         self.layout = layout;
-        self
-    }
-
-    /// Build the event lanes with up to `threads` worker threads
-    /// (per-shard lane fills over disjoint node ranges, merged in node
-    /// order). `0` or `1` builds sequentially. The result is
-    /// bit-identical to the sequential build; the chronological sort
-    /// itself stays sequential (it is stable and allocation-bound).
-    #[must_use]
-    pub fn build_threads(mut self, threads: usize) -> GraphBuilder {
-        self.threads = threads;
         self
     }
 
@@ -127,7 +115,6 @@ impl GraphBuilder {
             mut edges,
             compact,
             layout,
-            threads,
             ..
         } = self;
 
@@ -149,8 +136,7 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0);
 
-        TemporalGraph::from_sorted_edges_with_threads(num_nodes, edges, threads.max(1))
-            .into_lane_layout(layout)
+        TemporalGraph::from_sorted_edges(num_nodes, edges).into_lane_layout(layout)
     }
 }
 
@@ -228,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_layout_and_threads_do_not_change_content() {
+    fn lane_layout_does_not_change_content() {
         let edges: Vec<TemporalEdge> = (0..300)
             .map(|i| TemporalEdge::new(i % 17, (i * 5 + 2) % 17, (i as i64 * 11) % 200))
             .collect();
@@ -238,19 +224,11 @@ mod tests {
             b.build()
         };
         for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-            for threads in [1, 4] {
-                let mut b = GraphBuilder::new()
-                    .lane_layout(layout)
-                    .build_threads(threads);
-                b.extend(edges.clone());
-                let g = b.build();
-                assert_eq!(g.lane_layout(), layout);
-                assert_eq!(
-                    g.fingerprint(),
-                    base.fingerprint(),
-                    "layout={layout} threads={threads}"
-                );
-            }
+            let mut b = GraphBuilder::new().lane_layout(layout);
+            b.extend(edges.clone());
+            let g = b.build();
+            assert_eq!(g.lane_layout(), layout);
+            assert_eq!(g.fingerprint(), base.fingerprint(), "layout={layout}");
         }
     }
 }

@@ -591,19 +591,6 @@ impl TemporalGraph {
     /// `(t, original position)` and free of self-loops, and every endpoint
     /// must be `< num_nodes`.
     pub(crate) fn from_sorted_edges(num_nodes: usize, edges: Vec<TemporalEdge>) -> TemporalGraph {
-        TemporalGraph::from_sorted_edges_with_threads(num_nodes, edges, 1)
-    }
-
-    /// Like [`TemporalGraph::from_sorted_edges`], building the event
-    /// lanes with up to `threads` worker threads (per-shard lane fills
-    /// over disjoint node ranges, merged in node order — each event slot
-    /// is computed from the same edge either way, so the result is
-    /// bit-identical to the sequential build).
-    pub(crate) fn from_sorted_edges_with_threads(
-        num_nodes: usize,
-        edges: Vec<TemporalEdge>,
-        threads: usize,
-    ) -> TemporalGraph {
         assert!(
             edges.len() <= u32::MAX as usize,
             "edge count exceeds u32 id space"
@@ -632,30 +619,19 @@ impl TemporalGraph {
         let mut ev_ts = vec![0 as Timestamp; n_events];
         let mut ev_packed = vec![0u32; n_events];
         let mut ev_edge = vec![0 as EdgeId; n_events];
-        if threads > 1 && num_nodes > 1 {
-            fill_lanes_parallel(
-                &edges,
-                &node_offsets,
-                threads,
-                &mut ev_ts,
-                &mut ev_packed,
-                &mut ev_edge,
-            );
-        } else {
-            let mut cursors = counts;
-            for (id, e) in edges.iter().enumerate() {
-                let id = id as EdgeId;
-                let s = &mut cursors[e.src as usize];
-                ev_ts[*s] = e.t;
-                ev_packed[*s] = (e.dst << 1) | Dir::Out as u32;
-                ev_edge[*s] = id;
-                *s += 1;
-                let d = &mut cursors[e.dst as usize];
-                ev_ts[*d] = e.t;
-                ev_packed[*d] = (e.src << 1) | Dir::In as u32;
-                ev_edge[*d] = id;
-                *d += 1;
-            }
+        let mut cursors = counts;
+        for (id, e) in edges.iter().enumerate() {
+            let id = id as EdgeId;
+            let s = &mut cursors[e.src as usize];
+            ev_ts[*s] = e.t;
+            ev_packed[*s] = (e.dst << 1) | Dir::Out as u32;
+            ev_edge[*s] = id;
+            *s += 1;
+            let d = &mut cursors[e.dst as usize];
+            ev_ts[*d] = e.t;
+            ev_packed[*d] = (e.src << 1) | Dir::In as u32;
+            ev_edge[*d] = id;
+            *d += 1;
         }
 
         let pairs = PairIndex::build(num_nodes, &edges);
@@ -882,79 +858,6 @@ impl TemporalGraph {
         }
         h
     }
-}
-
-/// Parallel lane fill: shard the node-id space into contiguous ranges of
-/// roughly equal event mass, then let one thread per shard scan the full
-/// edge list (read-only) and write only its own disjoint arena region.
-/// Every event slot receives exactly the value the sequential fill would
-/// write (the slot position depends only on `node_offsets` and the
-/// edge's rank among its node's events, both of which are fixed before
-/// the fill), so the build is bit-identical to sequential.
-fn fill_lanes_parallel(
-    edges: &[TemporalEdge],
-    node_offsets: &[usize],
-    threads: usize,
-    ev_ts: &mut [Timestamp],
-    ev_packed: &mut [u32],
-    ev_edge: &mut [EdgeId],
-) {
-    let num_nodes = node_offsets.len() - 1;
-    let n_events = ev_ts.len();
-    // Shard boundaries on node ids, balanced by event count.
-    let shards = threads.min(num_nodes).max(1);
-    let mut bounds = Vec::with_capacity(shards + 1);
-    bounds.push(0usize);
-    for s in 1..shards {
-        let target = n_events * s / shards;
-        let cut = node_offsets.partition_point(|&off| off < target);
-        let cut = cut.clamp(*bounds.last().expect("non-empty"), num_nodes);
-        bounds.push(cut);
-    }
-    bounds.push(num_nodes);
-
-    std::thread::scope(|scope| {
-        let mut ts_rest = ev_ts;
-        let mut packed_rest = ev_packed;
-        let mut edge_rest = ev_edge;
-        for w in bounds.windows(2) {
-            let (n0, n1) = (w[0], w[1]);
-            let shard_events = node_offsets[n1] - node_offsets[n0];
-            let (ts_own, ts_next) = ts_rest.split_at_mut(shard_events);
-            let (packed_own, packed_next) = packed_rest.split_at_mut(shard_events);
-            let (edge_own, edge_next) = edge_rest.split_at_mut(shard_events);
-            ts_rest = ts_next;
-            packed_rest = packed_next;
-            edge_rest = edge_next;
-            if n0 == n1 {
-                continue;
-            }
-            scope.spawn(move || {
-                let base = node_offsets[n0];
-                // Cursors relative to this shard's arena region.
-                let mut cursors: Vec<usize> =
-                    node_offsets[n0..n1].iter().map(|&off| off - base).collect();
-                let node_range = (n0 as NodeId)..(n1 as NodeId);
-                for (id, e) in edges.iter().enumerate() {
-                    let id = id as EdgeId;
-                    if node_range.contains(&e.src) {
-                        let s = &mut cursors[(e.src as usize) - n0];
-                        ts_own[*s] = e.t;
-                        packed_own[*s] = (e.dst << 1) | Dir::Out as u32;
-                        edge_own[*s] = id;
-                        *s += 1;
-                    }
-                    if node_range.contains(&e.dst) {
-                        let d = &mut cursors[(e.dst as usize) - n0];
-                        ts_own[*d] = e.t;
-                        packed_own[*d] = (e.src << 1) | Dir::In as u32;
-                        edge_own[*d] = id;
-                        *d += 1;
-                    }
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1237,28 +1140,6 @@ mod tests {
         assert!(c.resident_lane_bytes() < raw_bytes);
         let still = c.clone().into_lane_layout(LaneLayout::Compressed);
         assert_eq!(still.resident_lane_bytes(), c.resident_lane_bytes());
-    }
-
-    #[test]
-    fn parallel_lane_build_is_bit_identical() {
-        let edges: Vec<TemporalEdge> = (0..500)
-            .map(|i| TemporalEdge::new(i % 23, (i * 7 + 1) % 23, (i as i64 * 13) % 97))
-            .filter(|e| !e.is_self_loop())
-            .collect();
-        let mut sorted = edges;
-        sorted.sort_by_key(|e| e.t);
-        let seq = TemporalGraph::from_sorted_edges(23, sorted.clone());
-        for threads in [2, 3, 4, 8, 64] {
-            let par = TemporalGraph::from_sorted_edges_with_threads(23, sorted.clone(), threads);
-            assert_eq!(par.fingerprint(), seq.fingerprint(), "threads={threads}");
-            for u in seq.node_ids() {
-                let (a, b) = (seq.node_events(u), par.node_events(u));
-                assert_eq!(a.len(), b.len());
-                for i in 0..a.len() {
-                    assert_eq!(a.get(i), b.get(i), "threads={threads} node {u}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -48,9 +48,8 @@ use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::path::Path;
 
-use crate::builder::GraphBuilder;
 use crate::graph::TemporalGraph;
-use crate::types::{NodeId, Timestamp};
+use crate::types::{NodeId, TemporalEdge, Timestamp};
 use crate::util::FxHashMap;
 
 /// Error produced while loading a graph file.
@@ -410,13 +409,25 @@ pub fn load_graph(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<Temporal
 }
 
 /// Build a graph from raw 64-bit-id triples (the in-memory equivalent of
-/// [`load_graph`]). External ids are remapped to a dense `0..n` in order
-/// of first appearance; self-loops are dropped without taking an id. No
-/// field of `_opts` affects the build: it is taken so that callers pass
-/// the options they parsed with.
+/// [`load_graph`]): the graph over [`chronological_edges`]. No field of
+/// `_opts` affects the build: it is taken so that callers pass the
+/// options they parsed with.
 #[must_use]
 pub fn graph_from_raw(raw: Vec<(u64, u64, Timestamp)>, _opts: &LoadOptions) -> TemporalGraph {
-    let mut b = GraphBuilder::with_capacity(raw.len());
+    let (num_nodes, edges) = chronological_edges(raw);
+    TemporalGraph::from_sorted_edges(num_nodes, edges)
+}
+
+/// The chronological edge list of [`graph_from_raw`]'s graph, and its
+/// node count. External ids are remapped to a dense `0..n` in order of
+/// first appearance; self-loops are dropped without taking an id (so
+/// `num_nodes` is stable across save/load round trips); edges are
+/// stably sorted by timestamp, so input order breaks ties. Counting
+/// straight from this list (see `hare::InMemorySource::new`) needs no
+/// graph build at all.
+#[must_use]
+pub fn chronological_edges(raw: Vec<(u64, u64, Timestamp)>) -> (usize, Vec<TemporalEdge>) {
+    let mut edges = Vec::with_capacity(raw.len());
     let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
     let intern = |x: u64, remap: &mut FxHashMap<u64, NodeId>| -> NodeId {
         let next = remap.len() as NodeId;
@@ -424,17 +435,14 @@ pub fn graph_from_raw(raw: Vec<(u64, u64, Timestamp)>, _opts: &LoadOptions) -> T
     };
     for (s, d, t) in raw {
         if s == d {
-            // Don't let a to-be-dropped self-loop claim an id slot
-            // (keeps num_nodes stable across save/load round trips);
-            // still push it so the builder's drop counter is right.
-            b.add_edge(0, 0, t);
             continue;
         }
         let s = intern(s, &mut remap);
         let d = intern(d, &mut remap);
-        b.add_edge(s, d, t);
+        edges.push(TemporalEdge::new(s, d, t));
     }
-    b.build()
+    edges.sort_by_key(|e| e.t); // stable: input order breaks ties
+    (remap.len(), edges)
 }
 
 /// Write a graph back out as `src dst t` lines (chronological order).
@@ -975,7 +983,29 @@ mod tests {
 
     mod fuzz {
         use super::*;
+        use crate::builder::GraphBuilder;
         use proptest::prelude::*;
+
+        /// [`graph_from_raw`] as it was written before
+        /// [`chronological_edges`] was factored out of it: ids interned
+        /// in first-seen order, self-loops pushed as `0 → 0` for the
+        /// builder to drop, then [`GraphBuilder::build`]'s stable sort.
+        fn graph_by_builder(raw: &[(u64, u64, Timestamp)]) -> TemporalGraph {
+            let mut b = GraphBuilder::with_capacity(raw.len());
+            let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
+            for &(s, d, t) in raw {
+                if s == d {
+                    b.add_edge(0, 0, t);
+                    continue;
+                }
+                let next = remap.len() as NodeId;
+                let s = *remap.entry(s).or_insert(next);
+                let next = remap.len() as NodeId;
+                let d = *remap.entry(d).or_insert(next);
+                b.add_edge(s, d, t);
+            }
+            b.build()
+        }
 
         proptest! {
             /// The parser never panics on arbitrary input — it either
@@ -983,6 +1013,34 @@ mod tests {
             #[test]
             fn reader_never_panics(text in "\\PC*") {
                 let _ = read_edges(Cursor::new(text.as_str()), &LoadOptions::default());
+            }
+
+            /// The edge list the out-of-core route counts builds the very
+            /// graph [`graph_from_raw`] does: same content fingerprint,
+            /// same node rank, same node count. The rows are out of time
+            /// order, tie on few timestamps, hold self-loops, and spread
+            /// their ids over the whole 64-bit range.
+            #[test]
+            fn chronological_edges_rebuild_graph_from_raw(
+                rows in proptest::collection::vec((0u64..16, 0u64..16, -5i64..12), 0..90),
+                spread in 1u64..u64::MAX / 16,
+            ) {
+                let raw: Vec<(u64, u64, Timestamp)> = rows
+                    .iter()
+                    .map(|&(s, d, t)| (s * spread, d * spread, t))
+                    .collect();
+                let want = graph_by_builder(&raw);
+                let (num_nodes, edges) = chronological_edges(raw.clone());
+                prop_assert!(edges.windows(2).all(|w| w[0].t <= w[1].t));
+                let got = TemporalGraph::from_chronological_edges(num_nodes, edges.clone());
+                let public = graph_from_raw(raw, &LoadOptions::default());
+                for g in [&got, &public] {
+                    prop_assert_eq!(g.num_nodes(), want.num_nodes());
+                    prop_assert_eq!(g.edges(), want.edges());
+                    prop_assert_eq!(g.fingerprint(), want.fingerprint());
+                    prop_assert_eq!(g.node_rank(), want.node_rank());
+                }
+                prop_assert_eq!(&edges[..], want.edges());
             }
 
             /// Arbitrary well-formed triples survive a full round trip

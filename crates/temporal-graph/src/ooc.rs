@@ -5,8 +5,9 @@
 //! time range `[lo, hi)` off disk without materialising the rest of the
 //! graph. This is the substrate under `hare::ooc`'s chunked
 //! `count_motifs`/`NodeProfiles`: the driver plans timestamp cuts
-//! against the index, loads one δ-haloed chunk at a time, and keeps the
-//! resident lane arenas under a caller-set byte budget.
+//! against the index, loads δ-haloed chunks on parallel workers, and
+//! keeps their resident lane arenas together under a caller-set byte
+//! budget.
 //!
 //! ## File layout
 //!
