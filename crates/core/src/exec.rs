@@ -1,0 +1,133 @@
+//! The executor every parallel driver runs on.
+//!
+//! HARE (node chunks and hub ranges), FAST-Pair (pair slots), node
+//! profiles (node chunks), interval sampling (kept windows), streaming
+//! sampling (kept intervals) and the out-of-core driver (δ-haloed time
+//! chunks) all share one shape: plan an ordered task list, run the
+//! kernel over each task with a worker's [`NeighborScratch`], then fold
+//! the results. This module owns the middle step, so the worker count,
+//! the pool and the scratch are decided in one place:
+//!
+//! * [`workers`] is the one thread policy: `0` means all cores, and any
+//!   request is clamped to the machine's available parallelism — a
+//!   CPU-bound kernel gains nothing from oversubscription, and a hostile
+//!   thread count cannot spawn more threads than there are cores;
+//! * [`map`] runs the tasks and returns their results **in task order**,
+//!   so every driver's fold sees the same sequence for every worker
+//!   count. It runs inline on the calling thread when there is one
+//!   worker or one task, and hands each task its worker's thread-local
+//!   scratch ([`crate::scratch::with_thread_scratch`]), so no task
+//!   allocates per-call scratch.
+//!
+//! This is the only place in the crate that builds a thread pool.
+
+use std::ops::Range;
+
+use rayon::prelude::*;
+
+use crate::scratch::{with_thread_scratch, NeighborScratch};
+
+/// Worker threads for a request of `threads` (`0` = all cores), clamped
+/// to the machine's available parallelism. Always at least 1.
+#[must_use]
+pub fn workers(threads: usize) -> usize {
+    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    if threads == 0 {
+        avail
+    } else {
+        threads.min(avail)
+    }
+}
+
+/// Run `f` over every task on [`workers`]`(threads)` threads (so `0` =
+/// all cores) and return the results in task order. Each call gets its
+/// worker's scratch, grown to index neighbours `0..num_nodes`. With one
+/// worker or at most one task, every task runs on the calling thread and
+/// no pool is built.
+pub fn map<T, R, F>(threads: usize, num_nodes: usize, tasks: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T, &mut NeighborScratch) -> R + Sync,
+{
+    let run = |task: T| with_thread_scratch(num_nodes, |scratch| f(task, scratch));
+    let workers = workers(threads).min(tasks.len());
+    if workers <= 1 {
+        return tasks.into_iter().map(run).collect();
+    }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(workers)
+        .build()
+        .expect("failed to build rayon thread pool")
+        .install(|| tasks.into_par_iter().map(run).collect())
+}
+
+/// `0..len` cut into consecutive ranges of `size` (the last one may be
+/// shorter): the usual task list of a driver that splits an index
+/// space. `size` is raised to 1.
+pub(crate) fn chunks(len: usize, size: usize) -> impl Iterator<Item = Range<usize>> {
+    let size = size.max(1);
+    (0..len)
+        .step_by(size)
+        .map(move |start| start..(start + size).min(len))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread::{self, ThreadId};
+
+    fn avail() -> usize {
+        thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    }
+
+    #[test]
+    fn workers_is_clamped_to_available_parallelism() {
+        assert_eq!(workers(0), avail());
+        assert_eq!(workers(usize::MAX), avail());
+        assert_eq!(workers(1), 1);
+        assert_eq!(workers(2), 2.min(avail()));
+    }
+
+    #[test]
+    fn results_keep_task_order() {
+        for w in [0, 1, 2, 3] {
+            for len in [0, 1, 2, 3, 100] {
+                let tasks: Vec<usize> = (0..len).collect();
+                let got = map(w, 0, tasks, |i, _| i * 10);
+                let want: Vec<usize> = (0..len).map(|i| i * 10).collect();
+                assert_eq!(got, want, "workers={w} tasks={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_every_task_on_the_calling_thread() {
+        let me = thread::current().id();
+        let ids: Vec<ThreadId> = map(1, 0, (0..16).collect(), |_: usize, _| {
+            thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == me));
+        // A single task runs inline whatever the worker count.
+        let ids: Vec<ThreadId> = map(4, 0, vec![()], |(), _| thread::current().id());
+        assert_eq!(ids, [me]);
+    }
+
+    #[test]
+    fn tasks_get_scratch_covering_the_node_space() {
+        let got = map(2, 50, (0..8u32).collect(), |i, scratch| {
+            scratch.reset();
+            scratch.bump(49 - i, 0);
+            scratch.get(49 - i)
+        });
+        assert!(got.iter().all(|&c| c == [1, 0]));
+    }
+
+    #[test]
+    fn chunks_tile_the_index_space() {
+        assert_eq!(chunks(7, 3).collect::<Vec<_>>(), [0..3, 3..6, 6..7]);
+        assert_eq!(chunks(6, 3).collect::<Vec<_>>(), [0..3, 3..6]);
+        assert_eq!(chunks(2, 0).collect::<Vec<_>>(), [0..1, 1..2]);
+        assert_eq!(chunks(0, 4).count(), 0);
+    }
+}

@@ -35,9 +35,8 @@
 //! graph-wide profile distribution ([`ProfileDistribution`],
 //! [`rank_by_zscore`]) — all with deterministic node-id tie-breaks.
 
-use rayon::prelude::*;
-
 use crate::counters::{CenterTally, MotifMatrix};
+use crate::exec;
 use crate::fused::count_node;
 use crate::motif::{Motif, MotifCategory};
 use crate::scratch::NeighborScratch;
@@ -175,33 +174,17 @@ pub fn profile_of_separate(
     fold_tally(&t)
 }
 
-/// Compute the motif profile of every node (dense). `num_threads = 0`
-/// uses all cores. Memory: 288 bytes per node.
-///
-/// The parallel driver is HARE's chunked model: fixed 256-node chunks
-/// over ascending node ids, each chunk counted independently with
-/// thread-local scratch and collected *in chunk order* — so the result
-/// is bit-identical across thread counts (pinned by tests).
+/// Compute the motif profile of every node (dense): the rows of
+/// [`NodeProfiles::compute`], with zero profiles filled in. Same thread
+/// policy and bit-identity across thread counts. Memory: 288 bytes per
+/// node.
 #[must_use]
 pub fn node_profiles(g: &TemporalGraph, delta: Timestamp, num_threads: usize) -> Vec<NodeProfile> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(num_threads)
-        .build()
-        .expect("rayon pool");
-    let nodes: Vec<NodeId> = g.node_ids().collect();
-    pool.install(|| {
-        nodes
-            .par_chunks(256)
-            .map(|chunk| {
-                let mut scratch = NeighborScratch::new(g.num_nodes());
-                chunk
-                    .iter()
-                    .map(|&u| profile_of(g, u, delta, &mut scratch))
-                    .collect::<Vec<_>>()
-            })
-            .flatten()
-            .collect()
-    })
+    let mut dense = vec![NodeProfile::default(); g.num_nodes()];
+    for (u, p) in NodeProfiles::compute(g, delta, num_threads).iter() {
+        dense[u as usize] = *p;
+    }
+    dense
 }
 
 /// Sparse whole-graph profile collection: only the nodes that
@@ -218,34 +201,28 @@ pub struct NodeProfiles {
 
 impl NodeProfiles {
     /// Compute the sparse per-node profiles of the whole graph with the
-    /// fused kernel. `num_threads = 0` uses all cores; results are
-    /// bit-identical across thread counts (same chunked driver as
-    /// [`node_profiles`], with zero rows dropped chunk-locally).
+    /// fused kernel. `num_threads = 0` uses all cores, and any request is
+    /// clamped to the machine's cores ([`exec::workers`]).
+    ///
+    /// The driver is HARE's chunked model: fixed 256-node chunks over
+    /// ascending node ids, each counted independently with its worker's
+    /// scratch, zero rows dropped chunk-locally, and the chunks
+    /// concatenated *in chunk order* — so the result is bit-identical
+    /// across thread counts (pinned by tests).
     #[must_use]
     pub fn compute(g: &TemporalGraph, delta: Timestamp, num_threads: usize) -> NodeProfiles {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(num_threads)
-            .build()
-            .expect("rayon pool");
-        let nodes: Vec<NodeId> = g.node_ids().collect();
-        let entries = pool.install(|| {
+        let tasks = exec::chunks(g.num_nodes(), 256).collect();
+        let chunks = exec::map(num_threads, g.num_nodes(), tasks, |nodes, scratch| {
             nodes
-                .par_chunks(256)
-                .map(|chunk| {
-                    let mut scratch = NeighborScratch::new(g.num_nodes());
-                    chunk
-                        .iter()
-                        .filter_map(|&u| {
-                            let p = profile_of(g, u, delta, &mut scratch);
-                            (!p.is_empty()).then_some((u, p))
-                        })
-                        .collect::<Vec<_>>()
+                .filter_map(|u| {
+                    let u = u as NodeId;
+                    let p = profile_of(g, u, delta, scratch);
+                    (!p.is_empty()).then_some((u, p))
                 })
-                .flatten()
-                .collect()
+                .collect::<Vec<_>>()
         });
         NodeProfiles {
-            entries,
+            entries: chunks.into_iter().flatten().collect(),
             num_nodes: g.num_nodes(),
         }
     }
@@ -488,12 +465,35 @@ mod tests {
         assert_eq!(sa, sb);
     }
 
+    /// Thread requests beyond the machine's cores are clamped, so an
+    /// absurd count is bit-identical to one thread. Four 256-node chunks:
+    /// no run can use more than four threads.
+    #[test]
+    fn oversized_thread_request_matches_one_thread() {
+        let g = erdos_renyi_temporal(1_000, 4_000, 2_000, 5);
+        assert!(g.num_nodes() > 3 * 256 && g.num_nodes() <= 4 * 256);
+        let one = NodeProfiles::compute(&g, 60, 1);
+        assert!(!one.is_empty());
+        assert_eq!(NodeProfiles::compute(&g, 60, usize::MAX), one);
+        assert_eq!(node_profiles(&g, 60, usize::MAX), node_profiles(&g, 60, 1));
+    }
+
     #[test]
     fn sparse_profiles_match_dense_nonzero_rows() {
         let g = paper_fig1_toy();
         let dense = node_profiles(&g, 10, 1);
         let sparse = NodeProfiles::compute(&g, 10, 1);
         assert_eq!(sparse.num_nodes(), g.num_nodes());
+        // The dense table is derived from the sparse one, so pin it
+        // against the per-node kernel, which neither driver shares.
+        let mut scratch = NeighborScratch::new(g.num_nodes());
+        for u in g.node_ids() {
+            assert_eq!(
+                dense[u as usize],
+                profile_of(&g, u, 10, &mut scratch),
+                "node {u}"
+            );
+        }
         let expect: Vec<(NodeId, NodeProfile)> = dense
             .iter()
             .enumerate()

@@ -21,9 +21,9 @@
 //!
 //! Scheduling and allocation discipline (this crate's additions to §IV.C):
 //!
-//! * tasks allocate **nothing** — each worker thread keeps one
-//!   [`crate::NeighborScratch`] in thread-local storage, grown on demand and
-//!   reused across tasks, runs and graphs; each task fills one inline
+//! * tasks allocate **nothing** — [`crate::exec::map`] hands each task
+//!   its worker's [`crate::NeighborScratch`], grown on demand and reused
+//!   across tasks, runs and graphs; each task fills one inline
 //!   [`CenterTally`];
 //! * both strategies run as **one** parallel operation: the heavy nodes'
 //!   first-edge ranges come first, then the light-node chunks, all in
@@ -41,27 +41,28 @@
 //!   is counted once, at its lowest-rank vertex, and hubs — which rank
 //!   highest — shed nearly all of their triangle probes;
 //! * requested thread counts are **clamped to the machine's available
-//!   parallelism** (oversubscribing cores only adds scheduling overhead),
-//!   and graphs below [`SEQ_FALLBACK_EVENTS`] total events skip the
-//!   thread pool entirely and run the sequential kernels — on small
-//!   inputs pool construction and task hand-off used to make `HARE/k`
-//!   slower than `HARE/1`. Both adaptations only change *scheduling*;
-//!   counters stay bit-identical to every other configuration.
+//!   parallelism** ([`crate::exec::workers`]), and graphs below
+//!   [`SEQ_FALLBACK_EVENTS`] total events run as a one-task plan on one
+//!   worker, on the calling thread — on small inputs pool construction
+//!   and task hand-off used to make `HARE/k` slower than `HARE/1`. Both
+//!   adaptations only change *scheduling*; counters stay bit-identical
+//!   to every other configuration.
 
-use rayon::prelude::*;
+use std::ops::Range;
 
 use crate::counters::{CenterTally, MotifCounts, PairCounter};
+use crate::exec;
 use crate::fast_pair::count_pair_events;
 use crate::fused::count_node;
-use crate::scratch::with_thread_scratch as with_scratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{stats, NodeId, TemporalGraph, Timestamp};
 
-/// Below this many events (`2|E|`) a graph runs sequentially regardless
-/// of the configured thread count: the fixed cost of building a thread
-/// pool and stealing tasks exceeds the whole counting run, which made
-/// multi-threaded HARE *slower* than single-threaded on small graphs.
-/// The counters are unaffected — only the schedule changes.
+/// Below this many events (`2|E|`) a graph runs as one task on the
+/// calling thread regardless of the configured thread count: the fixed
+/// cost of building a thread pool and stealing tasks exceeds the whole
+/// counting run, which made multi-threaded HARE *slower* than
+/// single-threaded on small graphs. The counters are unaffected — only
+/// the schedule changes.
 pub const SEQ_FALLBACK_EVENTS: usize = 1 << 15;
 
 /// How HARE decides which nodes get intra-node parallel treatment.
@@ -150,32 +151,23 @@ impl Hare {
         &self.cfg
     }
 
-    fn pool(&self) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(self.effective_threads())
-            .build()
-            .expect("failed to build rayon thread pool")
-    }
-
     /// Worker threads a run will actually use: the configured count
-    /// clamped to the machine's available parallelism (`0` = all cores).
-    /// Oversubscription cannot help a CPU-bound kernel, and the clamp
-    /// keeps `HARE/k` on one shared code path for every `k` on a given
-    /// machine.
+    /// clamped to the machine's available parallelism (`0` = all cores),
+    /// per [`exec::workers`].
     #[must_use]
     pub fn effective_threads(&self) -> usize {
-        let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if self.cfg.num_threads > 0 {
-            self.cfg.num_threads.min(avail)
-        } else {
-            avail
-        }
+        exec::workers(self.cfg.num_threads)
     }
 
-    /// `true` when a graph is small enough that the sequential fallback
-    /// (no pool, no task splitting) is the better schedule.
-    fn run_sequential(&self, g: &TemporalGraph) -> bool {
-        self.effective_threads() <= 1 || 2 * g.num_edges() < SEQ_FALLBACK_EVENTS
+    /// Workers a run on `g` gets: one when the graph is small enough that
+    /// the pool costs more than the count (the whole run is then a
+    /// one-task plan on the calling thread).
+    fn workers_for(&self, g: &TemporalGraph) -> usize {
+        if 2 * g.num_edges() < SEQ_FALLBACK_EVENTS {
+            1
+        } else {
+            self.effective_threads()
+        }
     }
 
     /// Resolve the degree threshold for a concrete graph. Returns
@@ -197,13 +189,9 @@ impl Hare {
         }
     }
 
-    fn intra_ranges(&self, len: usize) -> Vec<std::ops::Range<usize>> {
+    fn intra_ranges(&self, len: usize) -> impl Iterator<Item = Range<usize>> {
         let threads = self.effective_threads();
-        let chunk = (len / (threads * 4)).max(self.cfg.min_task_events).max(1);
-        (0..len)
-            .step_by(chunk)
-            .map(|start| start..(start + chunk).min(len))
-            .collect()
+        exec::chunks(len, (len / (threads * 4)).max(self.cfg.min_task_events))
     }
 
     /// Count all 36 motifs (FAST-Star + FAST-Tri under the hierarchical
@@ -295,32 +283,21 @@ impl Hare {
     #[must_use]
     pub fn count_pair(&self, g: &TemporalGraph, delta: Timestamp) -> PairCounter {
         let pairs = g.pairs();
-        if self.run_sequential(g) {
+        let workers = self.workers_for(g);
+        let n = pairs.num_pairs();
+        let size = if workers == 1 { n } else { self.inter_chunk(n) };
+        // FAST-Pair reads no neighbour scratch, hence `num_nodes = 0`.
+        exec::map(workers, 0, exec::chunks(n, size).collect(), |slots, _| {
             let mut pc = PairCounter::default();
-            for slot in 0..pairs.num_pairs() {
+            for slot in slots {
                 count_pair_events(pairs.events_of_slot(slot), delta, &mut pc);
             }
-            return pc;
-        }
-        let slots: Vec<usize> = (0..pairs.num_pairs()).collect();
-        if slots.is_empty() {
-            return PairCounter::default();
-        }
-        let chunk = self.inter_chunk(slots.len());
-        self.pool().install(|| {
-            slots
-                .par_chunks(chunk)
-                .map(|chunk| {
-                    let mut pc = PairCounter::default();
-                    for &slot in chunk {
-                        count_pair_events(pairs.events_of_slot(slot), delta, &mut pc);
-                    }
-                    pc
-                })
-                .reduce(PairCounter::default, |mut a, b| {
-                    a.merge(&b);
-                    a
-                })
+            pc
+        })
+        .into_iter()
+        .fold(PairCounter::default(), |mut a, b| {
+            a.merge(&b);
+            a
         })
     }
 
@@ -345,59 +322,43 @@ impl Hare {
         }
         let (heavy, light) = nodes.split_at(nodes.partition_point(|&u| g.degree(u) > thrd));
 
-        // One task: a first-edge range of `u`, counted into a tally.
-        let task = |tally: &mut CenterTally, u: NodeId, range: std::ops::Range<usize>| {
-            with_scratch(g.num_nodes(), |scratch| {
-                count_node::<STARS, TRIS, true>(g, u, range, delta, rank, scratch, tally);
-            });
-        };
-
-        // Adaptive fallback: below the work threshold the pool costs
-        // more than the count. Same kernel, same per-node full ranges —
-        // counter addition commutes, so the fold is bit-identical.
-        if self.run_sequential(g) {
-            let mut acc = CenterTally::default();
-            for &u in &nodes {
-                task(&mut acc, u, 0..g.degree(u));
-            }
-            return acc;
-        }
-
         // One parallel op: every heavy node's first-edge ranges
         // (intra-node parallelism), then the light nodes in chunks
         // (inter-node parallelism). Listing the hub ranges first
         // front-loads the expensive work, and a single op pays for one
-        // round of worker threads instead of one per heavy node.
-        let mut tasks: Vec<Task<'_>> = heavy
-            .iter()
-            .flat_map(|&u| {
+        // round of worker threads instead of one per heavy node. On one
+        // worker the plan is a single task over every node's full range —
+        // counter addition commutes, so the fold is bit-identical.
+        let workers = self.workers_for(g);
+        let tasks: Vec<Task<'_>> = if workers == 1 {
+            vec![Task::Nodes(&nodes)]
+        } else {
+            let hubs = heavy.iter().flat_map(|&u| {
                 self.intra_ranges(g.degree(u))
-                    .into_iter()
                     .map(move |range| Task::Range(u, range))
-            })
-            .collect();
-        if !light.is_empty() {
-            tasks.extend(light.chunks(self.inter_chunk(light.len())).map(Task::Nodes));
-        }
-        self.pool().install(|| {
-            tasks
-                .into_par_iter()
-                .map(|t| {
-                    let mut partial = CenterTally::default();
-                    match t {
-                        Task::Range(u, range) => task(&mut partial, u, range),
-                        Task::Nodes(nodes) => {
-                            for &u in nodes {
-                                task(&mut partial, u, 0..g.degree(u));
-                            }
-                        }
+            });
+            let chunk = self.inter_chunk(light.len());
+            hubs.chain(light.chunks(chunk).map(Task::Nodes)).collect()
+        };
+        exec::map(workers, g.num_nodes(), tasks, |task, scratch| {
+            let mut partial = CenterTally::default();
+            let mut count = |u: NodeId, range: Range<usize>| {
+                count_node::<STARS, TRIS, true>(g, u, range, delta, rank, scratch, &mut partial);
+            };
+            match task {
+                Task::Range(u, range) => count(u, range),
+                Task::Nodes(nodes) => {
+                    for &u in nodes {
+                        count(u, 0..g.degree(u));
                     }
-                    partial
-                })
-                .reduce(CenterTally::default, |mut a, b| {
-                    a.merge(&b);
-                    a
-                })
+                }
+            }
+            partial
+        })
+        .into_iter()
+        .fold(CenterTally::default(), |mut a, b| {
+            a.merge(&b);
+            a
         })
     }
 }
@@ -405,7 +366,7 @@ impl Hare {
 /// One unit of HARE's parallel op.
 enum Task<'a> {
     /// A first-edge range of one heavy node.
-    Range(NodeId, std::ops::Range<usize>),
+    Range(NodeId, Range<usize>),
     /// A chunk of light nodes, each over its full range.
     Nodes(&'a [NodeId]),
 }

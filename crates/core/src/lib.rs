@@ -24,6 +24,9 @@
 //! * [`Hare`] — the hierarchical parallel framework (§IV.C): inter-node
 //!   work stealing for the long tail plus intra-node splitting for hub
 //!   nodes above a degree threshold.
+//! * [`exec`] — the executor under every parallel driver: one thread
+//!   policy (requests clamped to the machine's cores) and one ordered
+//!   task map that hands each task its worker's scratch.
 //! * [`windowed::WindowedCounter`] — exact counts over a sliding time
 //!   window: edges expire, motif instances are retired with them, and a
 //!   bounded reorder buffer absorbs slightly out-of-order arrivals. A
@@ -77,6 +80,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod counters;
+pub mod exec;
 pub mod fast_pair;
 pub mod fingerprint;
 pub mod fused;

@@ -36,12 +36,12 @@
 //!
 //! Workers and budget: a run uses `W` workers, the installed rayon
 //! pool's thread count clamped to the machine's available parallelism
-//! (like [`crate::Hare::effective_threads`]), and runs its chunks on a
-//! pool of exactly `W` threads, so at most `W` chunk graphs are resident
-//! at once. The cuts are planned against `budget / W`: a
-//! binary search over the cut timestamp finds the largest `hi` whose
-//! haloed edge count keeps one chunk's lane arenas (at
-//! [`LANE_BYTES_PER_EDGE`] per edge) within that share, degrading to
+//! ([`crate::exec::workers`]), and runs its chunks through
+//! [`crate::exec::map`] on at most `W` threads, so at most `W` chunk
+//! graphs are resident at once. The cuts are planned against
+//! `budget / W`: a binary search over the cut timestamp finds the
+//! largest `hi` whose haloed edge count keeps one chunk's lane arenas
+//! (at [`LANE_BYTES_PER_EDGE`] per edge) within that share, degrading to
 //! minimum progress (`hi = lo + 1`) when even one time unit exceeds it.
 //! Budgets only bound the *lane arenas*; the per-worker scratch and
 //! (for profiles) the dense profile accumulator remain O(|V|) resident,
@@ -51,12 +51,11 @@ use std::borrow::Cow;
 use std::io;
 use std::sync::Mutex;
 
-use rayon::prelude::*;
-
 use crate::counters::{CenterTally, MotifCounts};
+use crate::exec;
 use crate::fingerprint::{fold_tally, NodeProfile, NodeProfiles};
 use crate::fused::count_node;
-use crate::scratch::{with_thread_scratch, NeighborScratch};
+use crate::scratch::NeighborScratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::ooc::LaneFile;
 use temporal_graph::{stats, LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
@@ -368,23 +367,11 @@ fn plan_cuts(
     }
 }
 
-/// The worker count `W` for `threads` requested workers (0 = all
-/// cores), clamped to the machine's available parallelism as in
-/// [`crate::Hare::effective_threads`].
-pub(crate) fn chunk_workers(threads: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    if threads == 0 {
-        avail
-    } else {
-        threads.min(avail)
-    }
-}
-
 /// Plan every chunk against `budget / workers`, then load, build and
-/// `scan` each one as one task of a single parallel op on a pool of
-/// exactly `workers` threads. `scan` gets the chunk graph plus the
-/// `[lo, hi)` first-edge time range it owns, and merges what it finds
-/// into the caller's accumulator before the task ends.
+/// `scan` each one as one task of a single [`exec::map`] on at most
+/// `workers` threads. `scan` gets the chunk graph, the `[lo, hi)`
+/// first-edge time range it owns and the worker's scratch, and merges
+/// what it finds into the caller's accumulator before the task ends.
 ///
 /// The probe stays on the calling thread: [`Phase::ChunkLoad`] brackets
 /// the cut planning and [`Phase::Scan`] the parallel section (every
@@ -394,31 +381,23 @@ fn drive_chunks<P: Probe>(
     config: OocConfig,
     workers: usize,
     probe: &P,
-    scan: impl Fn(&TemporalGraph, Timestamp, Timestamp) + Sync,
+    scan: impl Fn(&TemporalGraph, Timestamp, Timestamp, &mut NeighborScratch) + Sync,
 ) -> io::Result<OocStats> {
     let (cuts, forced_cuts) = probe.span(Phase::ChunkLoad, || {
         plan_cuts(src, config.delta, config.budget_bytes / workers)
     })?;
-    // Exactly W threads, so at most W chunk graphs are ever resident,
+    // At most W threads, so at most W chunk graphs are ever resident,
     // whatever pool the caller runs on.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .expect("failed to build rayon thread pool");
     let arenas: Vec<io::Result<usize>> = probe.span(Phase::Scan, || {
-        pool.install(|| {
-            cuts.into_par_iter()
-                .map(|(lo, hi)| {
-                    let halo = src.load_range(
-                        lo.saturating_sub(config.delta),
-                        hi.saturating_add(config.delta),
-                    )?;
-                    let g = TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
-                        .into_lane_layout(config.lane_layout);
-                    scan(&g, lo, hi);
-                    Ok(g.resident_lane_bytes())
-                })
-                .collect()
+        exec::map(workers, src.num_nodes(), cuts, |(lo, hi), scratch| {
+            let halo = src.load_range(
+                lo.saturating_sub(config.delta),
+                hi.saturating_add(config.delta),
+            )?;
+            let g = TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
+                .into_lane_layout(config.lane_layout);
+            scan(&g, lo, hi, scratch);
+            Ok(g.resident_lane_bytes())
         })
     });
     let mut arenas = arenas.into_iter().collect::<io::Result<Vec<usize>>>()?;
@@ -443,24 +422,22 @@ fn owned_range(
 }
 
 /// Run `visit` on every node of chunk `g` that owns a first edge in
-/// `[lo, hi)`, with that position range and the worker's scratch.
+/// `[lo, hi)`, with that position range.
 fn for_owned_nodes(
     g: &TemporalGraph,
     lo: Timestamp,
     hi: Timestamp,
-    mut visit: impl FnMut(temporal_graph::NodeId, std::ops::Range<usize>, &mut NeighborScratch),
+    mut visit: impl FnMut(temporal_graph::NodeId, std::ops::Range<usize>),
 ) {
-    with_thread_scratch(g.num_nodes(), |scratch| {
-        for u in g.node_ids() {
-            if g.node_events(u).len() < 2 {
-                continue;
-            }
-            let range = owned_range(g, u, lo, hi);
-            if !range.is_empty() {
-                visit(u, range, scratch);
-            }
+    for u in g.node_ids() {
+        if g.node_events(u).len() < 2 {
+            continue;
         }
-    });
+        let range = owned_range(g, u, lo, hi);
+        if !range.is_empty() {
+            visit(u, range);
+        }
+    }
 }
 
 /// Exact whole-graph motif counts computed out of core, oriented by
@@ -502,9 +479,10 @@ pub(crate) fn count_motifs_ooc_on<P: Probe>(
 ) -> io::Result<(MotifCounts, OocStats)> {
     let rank = src.node_rank();
     let total = Mutex::new(CenterTally::default());
-    let stats = drive_chunks(src, config, chunk_workers(threads), probe, |g, lo, hi| {
+    let workers = exec::workers(threads);
+    let stats = drive_chunks(src, config, workers, probe, |g, lo, hi, scratch| {
         let mut tally = CenterTally::default();
-        for_owned_nodes(g, lo, hi, |u, range, scratch| {
+        for_owned_nodes(g, lo, hi, |u, range| {
             count_node::<true, true, true>(g, u, range, config.delta, &rank, scratch, &mut tally);
         });
         total.lock().expect("tally lock poisoned").merge(&tally);
@@ -518,25 +496,30 @@ pub(crate) fn count_motifs_ooc_on<P: Probe>(
 /// to [`NodeProfiles::compute`] over the same edge stream, for any
 /// budget and worker count. Keeps a dense 288-byte accumulator per node
 /// resident (the node space must fit in RAM — the same assumption every
-/// scratch-based kernel makes), into which each node's chunk profile is
-/// merged as soon as it is counted; only the *edge* lanes are
-/// budget-bounded.
+/// scratch-based kernel makes). Each chunk gathers its non-empty profiles
+/// locally and merges them into it under one lock; only the *edge* lanes
+/// are budget-bounded.
 pub fn node_profiles_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
 ) -> io::Result<(NodeProfiles, OocStats)> {
     let num_nodes = src.num_nodes();
     let dense = Mutex::new(vec![NodeProfile::default(); num_nodes]);
-    let workers = chunk_workers(rayon::current_num_threads());
-    let stats = drive_chunks(src, config, workers, &NoopProbe, |g, lo, hi| {
-        for_owned_nodes(g, lo, hi, |u, range, scratch| {
+    let workers = exec::workers(rayon::current_num_threads());
+    let stats = drive_chunks(src, config, workers, &NoopProbe, |g, lo, hi, scratch| {
+        let mut found = Vec::new();
+        for_owned_nodes(g, lo, hi, |u, range| {
             let mut t = CenterTally::default();
             count_node::<true, true, false>(g, u, range, config.delta, &[], scratch, &mut t);
             let profile = fold_tally(&t);
             if !profile.is_empty() {
-                dense.lock().expect("profile lock poisoned")[u as usize].merge_from(&profile);
+                found.push((u, profile));
             }
         });
+        let mut dense = dense.lock().expect("profile lock poisoned");
+        for (u, profile) in &found {
+            dense[*u as usize].merge_from(profile);
+        }
     })?;
     let entries = dense
         .into_inner()
@@ -574,7 +557,7 @@ mod tests {
             .num_threads(threads)
             .build()
             .unwrap();
-        pool.install(|| f(chunk_workers(rayon::current_num_threads())))
+        pool.install(|| f(exec::workers(rayon::current_num_threads())))
     }
 
     /// Count under every pool size, budget (`W` × each share) and lane

@@ -45,12 +45,11 @@
 //!
 //! hare-lint: no-alloc
 
-use rayon::prelude::*;
-
 use crate::counters::{CenterTally, MotifMatrix};
+use crate::exec;
 use crate::fused::count_node;
 use crate::motif::{pair_motif, star_motif, tri_motif, Motif, StarType, TriType};
-use crate::scratch::with_thread_scratch;
+use crate::scratch::{with_thread_scratch, NeighborScratch};
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{Dir, TemporalGraph, Timestamp, WindowSlices};
 
@@ -72,7 +71,8 @@ pub struct SampleConfig {
     /// seed keep exactly the same windows.
     pub seed: u64,
     /// Worker threads for the window-parallel driver: `1` counts
-    /// sequentially, `0` uses all cores, `n` uses `n`. Results are
+    /// sequentially, `0` uses all cores, `n` uses `n` clamped to the
+    /// machine's cores ([`crate::exec::workers`]). Results are
     /// bit-identical across thread counts.
     pub threads: usize,
 }
@@ -209,10 +209,10 @@ impl SampledCounts {
 /// graphs; each call makes fresh per-window coins from the same seed.
 ///
 /// The parallel driver schedules *sampled windows* as the unit of work
-/// — each window task borrows its worker's thread-local
-/// [`crate::NeighborScratch`] (the same pool HARE's node tasks use) and
-/// allocates nothing; partial results are reduced in window order, so
-/// counts and intervals are bit-identical across thread counts.
+/// on [`crate::exec::map`] — each window task borrows its worker's
+/// [`crate::NeighborScratch`] (the same executor HARE's node tasks use)
+/// and allocates nothing; partial results are reduced in window order,
+/// so counts and intervals are bit-identical across thread counts.
 #[derive(Debug, Clone, Default)]
 pub struct SampledCounter {
     cfg: SampleConfig,
@@ -286,7 +286,8 @@ impl SampledCounter {
         // of |E| — the common case, where it beats hashing.
         let dense = windows_total <= g.num_edges().saturating_mul(2).max(4096);
         let tallies: Vec<WindowTally> = probe.span(Phase::Scan, || {
-            if self.effective_threads() <= 1 {
+            let workers = exec::workers(self.cfg.threads);
+            if workers == 1 {
                 if dense {
                     self.tally_sequential_dense(g, delta, window_len, windows_total)
                 } else {
@@ -295,23 +296,15 @@ impl SampledCounter {
             } else {
                 // Parallel: materialise the window-major index once (it is
                 // sparse — O(runs)), then schedule one task per active kept
-                // window; the rayon map keeps item (window) order.
+                // window; the executor keeps task (window) order.
                 let slices = WindowSlices::build_filtered(g, window_len, |k| {
                     window_kept(seed, k as u64, prob)
                 });
                 // hare-lint: allow(alloc, reason = "per-estimate setup: one Vec of active window ids")
                 let active: Vec<usize> = slices.active_windows().collect();
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.cfg.threads)
-                    .build()
-                    .expect("failed to build rayon thread pool")
-                    .install(|| {
-                        active
-                            .into_par_iter()
-                            .map(|k| tally_window(g, &slices, k, delta))
-                            // hare-lint: allow(alloc, reason = "per-estimate result: one tally per sampled window")
-                            .collect()
-                    })
+                exec::map(workers, g.num_nodes(), active, |k, scratch| {
+                    tally_window(g, &slices, k, delta, scratch)
+                })
             }
         });
         probe.span(Phase::Summarise, || {
@@ -460,14 +453,6 @@ impl SampledCounter {
         // hare-lint: allow(alloc, reason = "per-estimate teardown: strips window keys from the tallies")
         tallies.into_iter().map(|(_, t)| t).collect()
     }
-
-    fn effective_threads(&self) -> usize {
-        if self.cfg.threads > 0 {
-            self.cfg.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
 }
 
 /// Raw fused-kernel output of one window. Shared with the
@@ -481,29 +466,28 @@ pub(crate) struct WindowTally {
     pub(crate) touched: bool,
 }
 
-/// Run the exact fused kernel over window `k`'s node slices, borrowing
-/// the calling worker's thread-local scratch.
+/// Run the exact fused kernel over window `k`'s node slices with the
+/// calling worker's scratch.
 fn tally_window(
     g: &TemporalGraph,
     slices: &WindowSlices,
     k: usize,
     delta: Timestamp,
+    scratch: &mut NeighborScratch,
 ) -> WindowTally {
     let mut tally = WindowTally::default();
-    with_thread_scratch(g.num_nodes(), |scratch| {
-        for s in slices.slices_of(k) {
-            tally.touched = true;
-            count_node::<true, true, false>(
-                g,
-                s.node,
-                s.range(),
-                delta,
-                &[],
-                scratch,
-                &mut tally.tally,
-            );
-        }
-    });
+    for s in slices.slices_of(k) {
+        tally.touched = true;
+        count_node::<true, true, false>(
+            g,
+            s.node,
+            s.range(),
+            delta,
+            &[],
+            scratch,
+            &mut tally.tally,
+        );
+    }
     tally
 }
 
@@ -712,6 +696,29 @@ mod tests {
                 .count(&g, delta);
                 assert_eq!(par, seq, "threads={threads} prob={prob}");
             }
+        }
+    }
+
+    /// Thread requests beyond the machine's cores are clamped, so an
+    /// absurd count is bit-identical to one thread. A handful of
+    /// windows: no run can use more threads than that.
+    #[test]
+    fn oversized_thread_request_matches_one_thread() {
+        let g = erdos_renyi_temporal(25, 600, 900, 3);
+        let delta = 40;
+        for prob in [0.5, 1.0] {
+            let one = SampledCounter::new(SampleConfig {
+                threads: 1,
+                ..cfg(prob, 5)
+            })
+            .count(&g, delta);
+            assert!(one.windows_total <= 8 && one.windows_sampled >= 2);
+            let max = SampledCounter::new(SampleConfig {
+                threads: usize::MAX,
+                ..cfg(prob, 5)
+            })
+            .count(&g, delta);
+            assert_eq!(max, one, "prob={prob}");
         }
     }
 

@@ -105,7 +105,7 @@ impl NeighborScratch {
 thread_local! {
     // One scratch per thread, reused across calls, runs and graphs
     // (`ensure_nodes` grows it monotonically). Shared by the sequential
-    // drivers and every HARE worker so no counting path allocates
+    // drivers and every `exec::map` worker so no counting path allocates
     // per-call scratch.
     static THREAD_SCRATCH: std::cell::RefCell<NeighborScratch> =
         std::cell::RefCell::new(NeighborScratch::new(0));

@@ -112,9 +112,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rayon::prelude::*;
-
 use crate::counters::MotifMatrix;
+use crate::exec;
 use crate::motif::Motif;
 use crate::sample::{
     fold_fractional, normal_quantile, window_kept, FoldTables, MotifEstimate, WindowTally,
@@ -193,7 +192,8 @@ pub struct StreamSampleConfig {
     /// admits.
     pub seed: u64,
     /// Worker threads for the per-tick interval tally: `1` counts
-    /// sequentially, `0` uses all cores, `n` uses `n`. Ticks are
+    /// sequentially, `0` uses all cores, `n` uses `n` clamped to the
+    /// machine's cores ([`crate::exec::workers`]). Ticks are
     /// bit-identical across thread counts.
     pub threads: usize,
 }
@@ -1323,9 +1323,12 @@ impl StreamingEstimator {
             i = j;
         }
 
-        let tally_group = |&(s, e): &(usize, usize)| -> WindowTally {
-            let mut tally = WindowTally::default();
-            with_thread_scratch(g.num_nodes(), |scratch| {
+        exec::map(
+            self.cfg.threads,
+            g.num_nodes(),
+            groups,
+            |(s, e), scratch| {
+                let mut tally = WindowTally::default();
                 for &(_, node, lo, hi) in &runs[s..e] {
                     tally.touched = true;
                     crate::fused::count_node::<true, true, false>(
@@ -1338,34 +1341,9 @@ impl StreamingEstimator {
                         &mut tally.tally,
                     );
                 }
-            });
-            tally
-        };
-
-        if self.effective_threads() <= 1 {
-            // hare-lint: allow(alloc, reason = "per-tick result: one tally per kept interval")
-            groups.iter().map(tally_group).collect()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.cfg.threads)
-                .build()
-                .expect("failed to build rayon thread pool")
-                .install(|| {
-                    groups
-                        .par_iter()
-                        .map(tally_group)
-                        // hare-lint: allow(alloc, reason = "per-tick result: one tally per kept interval")
-                        .collect()
-                })
-        }
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.cfg.threads > 0 {
-            self.cfg.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+                tally
+            },
+        )
     }
 }
 

@@ -23,9 +23,11 @@ use std::path::{Path, PathBuf};
 use rules::{Finding, ScopeSet};
 
 /// Counting/estimation modules bound by the determinism (D) rules.
-const DETERMINISM_SCOPE: [&str; 7] = [
+const DETERMINISM_SCOPE: [&str; 9] = [
     "crates/core/src/fused.rs",
     "crates/core/src/hare.rs",
+    "crates/core/src/exec.rs",
+    "crates/core/src/fingerprint.rs",
     "crates/core/src/sample.rs",
     "crates/core/src/windowed.rs",
     "crates/core/src/stream_sample.rs",
@@ -121,6 +123,9 @@ mod tests {
         assert!(scopes_for("crates/core/src/fused.rs").determinism);
         assert!(scopes_for("crates/core/src/ooc.rs").determinism);
         assert!(scopes_for("crates/core/src/stream_sample.rs").determinism);
+        // The executor sets every parallel driver's reduction order.
+        assert!(scopes_for("crates/core/src/exec.rs").determinism);
+        assert!(scopes_for("crates/core/src/fingerprint.rs").determinism);
         assert!(scopes_for("crates/temporal-graph/src/graph.rs").determinism);
         assert!(scopes_for("crates/temporal-graph/src/ooc.rs").determinism);
         assert!(!scopes_for("crates/core/src/lib.rs").determinism);

@@ -367,9 +367,10 @@ fn plan_error(e: &PlanError) -> ApiResponse {
     error_response(status, &e.to_string())
 }
 
-/// Upper bound on `?threads=`: far above any real core count, low
-/// enough that a hostile value cannot exhaust OS threads (the vendored
-/// rayon pool spawns up to this many workers per query).
+/// Upper bound on `?threads=`, as input validation: far above any real
+/// core count, so a larger value is a malformed request. It does not
+/// bound the threads a query spawns — every engine clamps its worker
+/// count to the machine's cores (`hare::exec::workers`).
 pub(crate) const MAX_QUERY_THREADS: usize = 1024;
 
 /// Every query endpoint (`/count`, `/nodes/top`, `/nodes/{id}/motifs`):
@@ -439,7 +440,8 @@ fn query(state: &AppState, req: &Request) -> ApiResponse {
     }
 
     // Miss: run the query on this worker (kernels parallelise
-    // internally over the rayon pool with `threads` workers).
+    // internally through `hare::exec`, on `threads` workers clamped to
+    // the machine's cores).
     let rendered = match plan.execute(&entry.graph, delta, threads, &hare::NoopProbe) {
         Ok(answer) => Arc::new(answer.render(None)),
         Err(e) => return plan_error(&e),

@@ -3,7 +3,8 @@
 //! The counting engines in [`hare`] are one-shot: load a graph, count,
 //! exit. This crate keeps the investment resident and serves it
 //! concurrently over HTTP/1.1 + JSON on `std::net` (no external
-//! dependencies; query execution reuses the engines' rayon pool):
+//! dependencies; query execution reuses the engines' executor,
+//! `hare::exec`):
 //!
 //! * **Dataset catalog** ([`catalog`]) — graphs are loaded, indexed,
 //!   fingerprinted and stat'd once (startup `--preload` or runtime
