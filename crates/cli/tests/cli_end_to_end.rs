@@ -1062,6 +1062,61 @@ fn golden_memory_budget_collegemsg_jsonl_is_byte_identical() {
     );
 }
 
+/// A span wider than `i64::MAX` (timestamps at both ends of the range)
+/// must not wrap: `--stats` reports a non-negative span, and sampling
+/// at p = 1 counts every window exactly, with an exact window total.
+#[test]
+fn time_span_wider_than_i64_max_does_not_wrap() {
+    let dir = temp_dir("wide_span");
+    let path = dir.join("wide.txt");
+    std::fs::write(
+        &path,
+        "0 1 -9000000000000000000\n1 2 -8999999999999999999\n2 0 9000000000000000000\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let json = |args: &[&str]| -> serde_json::Value {
+        let out = hare_count(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        serde_json::from_str(stdout_of(&out).trim()).unwrap()
+    };
+    let stats = json(&["--input", file, "--stats", "--json"]);
+    assert!(stats["time_span"].as_i64().unwrap() >= 0, "{stats}");
+
+    let exact = json(&["--input", file, "--delta", "10", "--json", "--no-timing"]);
+    let approx = json(&[
+        "--input",
+        file,
+        "--delta",
+        "10",
+        "--approx",
+        "--prob",
+        "1",
+        "--json",
+        "--no-timing",
+    ]);
+    assert_eq!(
+        approx["approx"]["windows_total"].as_u64(),
+        Some(180_000_000_000_000_001)
+    );
+    let exact_counts = exact["counts"].as_array().unwrap();
+    let approx_counts = approx["counts"].as_array().unwrap();
+    assert_eq!(exact_counts.len(), 36);
+    for (e, a) in exact_counts.iter().zip(approx_counts) {
+        assert_eq!(e["motif"], a["motif"]);
+        assert_eq!(
+            e["count"].as_f64(),
+            a["estimate"].as_f64(),
+            "{}",
+            e["motif"]
+        );
+    }
+}
+
 #[test]
 fn profile_mode_stdout_is_byte_identical_and_table_on_stderr() {
     // `--profile` is pure observability: the per-phase table goes to

@@ -1,9 +1,9 @@
 //! The executor every parallel driver runs on.
 //!
 //! HARE (node chunks and hub ranges), FAST-Pair (pair slots), node
-//! profiles (node chunks), interval sampling (kept windows), streaming
-//! sampling (kept intervals) and the out-of-core driver (δ-haloed time
-//! chunks) all share one shape: plan an ordered task list, run the
+//! profiles (node chunks), the sampling driver of both estimators
+//! (window-aligned time ranges) and the out-of-core driver (δ-haloed
+//! time chunks) all share one shape: plan an ordered task list, run the
 //! kernel over each task with a worker's [`NeighborScratch`], then fold
 //! the results. This module owns the middle step, so the worker count,
 //! the pool and the scratch are decided in one place:
@@ -22,6 +22,7 @@
 //! This is the only place in the crate that builds a thread pool.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -29,9 +30,15 @@ use crate::scratch::{with_thread_scratch, NeighborScratch};
 
 /// Worker threads for a request of `threads` (`0` = all cores), clamped
 /// to the machine's available parallelism. Always at least 1.
+///
+/// The available parallelism is read once per process (the first call
+/// pays the system query, every later call is a load), so it does not
+/// follow CPU-affinity changes made after that first call.
 #[must_use]
 pub fn workers(threads: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    static AVAIL: OnceLock<usize> = OnceLock::new();
+    let avail = *AVAIL
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
     if threads == 0 {
         avail
     } else {

@@ -10,8 +10,8 @@
 //! estimators of Wang et al. (*Efficient sampling algorithms for
 //! approximate temporal motif counting*):
 //!
-//! 1. partition the time axis into windows of length `c·δ`
-//!    ([`temporal_graph::WindowSlices`]);
+//! 1. partition the time axis into windows of length `c·δ`, anchored
+//!    at the graph's earliest timestamp;
 //! 2. keep each window independently with probability `p` (a
 //!    deterministic per-window coin derived from the seed);
 //! 3. run the **exact fused kernel** on every kept window, restricted to
@@ -49,9 +49,9 @@ use crate::counters::{CenterTally, MotifMatrix};
 use crate::exec;
 use crate::fused::count_node;
 use crate::motif::{pair_motif, star_motif, tri_motif, Motif, StarType, TriType};
-use crate::scratch::{with_thread_scratch, NeighborScratch};
 use hare_obs::{NoopProbe, Phase, Probe};
-use temporal_graph::{Dir, TemporalGraph, Timestamp, WindowSlices};
+use std::ops::Range;
+use temporal_graph::{Dir, NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
 
 /// Configuration of the interval-sampling estimator.
 #[derive(Debug, Clone)]
@@ -70,7 +70,7 @@ pub struct SampleConfig {
     /// Seed of the per-window sampling coins. Two runs with the same
     /// seed keep exactly the same windows.
     pub seed: u64,
-    /// Worker threads for the window-parallel driver: `1` counts
+    /// Worker threads for the window tally driver: `1` counts
     /// sequentially, `0` uses all cores, `n` uses `n` clamped to the
     /// machine's cores ([`crate::exec::workers`]). Results are
     /// bit-identical across thread counts.
@@ -208,11 +208,12 @@ impl SampledCounts {
 /// [`SampleConfig`], then [`SampledCounter::count`] any number of
 /// graphs; each call makes fresh per-window coins from the same seed.
 ///
-/// The parallel driver schedules *sampled windows* as the unit of work
-/// on [`crate::exec::map`] — each window task borrows its worker's
-/// [`crate::NeighborScratch`] (the same executor HARE's node tasks use)
-/// and allocates nothing; partial results are reduced in window order,
-/// so counts and intervals are bit-identical across thread counts.
+/// One driver counts every thread count: the time axis is cut into
+/// window-aligned tasks on [`crate::exec::map`] (the same executor
+/// HARE's node tasks use), each task walks the node lanes in node order
+/// over its time range, and the per-window tallies are reduced in
+/// window order, so counts and intervals are bit-identical across
+/// thread counts.
 #[derive(Debug, Clone, Default)]
 pub struct SampledCounter {
     cfg: SampleConfig,
@@ -252,16 +253,15 @@ impl SampledCounter {
 
     /// Estimate all 36 motif counts of `g` at window `δ = delta`.
     ///
-    /// Runs sequentially or window-parallel per
-    /// [`SampleConfig::threads`]; both paths produce bit-identical
-    /// results.
+    /// Runs on [`SampleConfig::threads`] workers; every thread count
+    /// produces bit-identical results.
     #[must_use]
     pub fn count(&self, g: &TemporalGraph, delta: Timestamp) -> SampledCounts {
         self.count_probed(g, delta, &NoopProbe)
     }
 
     /// [`SampledCounter::count`] with a [`Probe`] observing the phase
-    /// boundaries: [`Phase::Scan`] wraps the per-window tally drivers,
+    /// boundaries: [`Phase::Scan`] wraps the per-window tally driver,
     /// [`Phase::Summarise`] wraps the deterministic reduction and CI
     /// construction. Estimates are bit-identical across probe
     /// implementations.
@@ -273,39 +273,23 @@ impl SampledCounter {
         probe: &P,
     ) -> SampledCounts {
         let window_len = delta.max(0).saturating_mul(self.cfg.window_factor).max(1);
-        let windows_total =
-            temporal_graph::slices::scan_header(g, window_len).map_or(0, |(_, n)| n);
-        let (seed, prob) = (self.cfg.seed, self.cfg.prob);
-
-        // Per-window tallies, reduced in ascending window order on every
-        // driver. Nothing here may scale with `windows_total`: a sparse
-        // graph over a wide or fine-grained timestamp span has
-        // astronomically more (dead) windows than events, so per-window
-        // state is bounded by the run count instead. A dense slot table
-        // is kept only when the window count is within a small multiple
-        // of |E| — the common case, where it beats hashing.
-        let dense = windows_total <= g.num_edges().saturating_mul(2).max(4096);
-        let tallies: Vec<WindowTally> = probe.span(Phase::Scan, || {
-            let workers = exec::workers(self.cfg.threads);
-            if workers == 1 {
-                if dense {
-                    self.tally_sequential_dense(g, delta, window_len, windows_total)
-                } else {
-                    self.tally_sequential_sparse(g, delta, window_len)
-                }
-            } else {
-                // Parallel: materialise the window-major index once (it is
-                // sparse — O(runs)), then schedule one task per active kept
-                // window; the executor keeps task (window) order.
-                let slices = WindowSlices::build_filtered(g, window_len, |k| {
-                    window_kept(seed, k as u64, prob)
-                });
-                // hare-lint: allow(alloc, reason = "per-estimate setup: one Vec of active window ids")
-                let active: Vec<usize> = slices.active_windows().collect();
-                exec::map(workers, g.num_nodes(), active, |k, scratch| {
-                    tally_window(g, &slices, k, delta, scratch)
-                })
+        // `abs_diff`: a span wider than `i64::MAX` must not wrap.
+        let windows_total = match (g.min_time(), g.max_time()) {
+            (Some(lo), Some(hi)) => {
+                (hi.abs_diff(lo) / window_len as u64).saturating_add(1) as usize
             }
+            _ => 0,
+        };
+        let (seed, prob) = (self.cfg.seed, self.cfg.prob);
+        let tallies = probe.span(Phase::Scan, || {
+            tally_windows(
+                g,
+                delta,
+                self.cfg.threads,
+                g.min_time().unwrap_or(0),
+                window_len,
+                |k| window_kept(seed, k as u64, prob),
+            )
         });
         probe.span(Phase::Summarise, || {
             self.summarise(delta, window_len, windows_total, &tallies)
@@ -320,21 +304,16 @@ impl SampledCounter {
         delta: Timestamp,
         window_len: Timestamp,
         windows_total: usize,
-        tallies: &[WindowTally],
+        tallies: &[(i128, CenterTally)],
     ) -> SampledCounts {
-        let windows_sampled = tallies.iter().filter(|t| t.touched).count();
-
         // Deterministic reduction in window order: u64 flat totals for
         // the point estimates (and the p = 1 exact path), f64 sums of
         // squares for the variance.
         let tables = FoldTables::new();
-        let mut total = WindowTally::default();
+        let mut total = CenterTally::default();
         let mut sum_sq = [0.0f64; 36];
-        for t in tallies {
-            if !t.touched {
-                continue; // dead window: every cell is zero
-            }
-            total.tally.merge(&t.tally);
+        for (_, t) in tallies {
+            total.merge(t);
             let x = fold_fractional(t, &tables);
             for (s, v) in sum_sq.iter_mut().zip(x) {
                 *s += v * v;
@@ -361,7 +340,7 @@ impl SampledCounter {
         // p = 1 kept every window, so the summed tally is exactly the
         // tally of a full exact run — fold it through the same path
         // `count_motifs` uses.
-        let exact = (p >= 1.0).then(|| total.tally.into_counts().matrix);
+        let exact = (p >= 1.0).then(|| total.into_counts().matrix);
 
         SampledCounts {
             cells,
@@ -371,124 +350,204 @@ impl SampledCounter {
             delta,
             window_len,
             windows_total,
-            windows_sampled,
+            windows_sampled: tallies.len(),
+        }
+    }
+}
+
+/// Window tasks per worker: enough slack that one bursty time range
+/// does not leave the other workers idle, few enough that the per-task
+/// lane seek (one binary search per node) stays small.
+const TASKS_PER_WORKER: usize = 4;
+
+/// The fused tally of every kept window that holds at least one event,
+/// as `(window, tally)` pairs in ascending window order — the one scan
+/// driver behind both estimators ([`SampledCounter`] and
+/// [`crate::stream_sample::StreamingEstimator`]).
+///
+/// Window `k` covers `[origin + k·window_len, origin + (k+1)·window_len)`;
+/// ids are `i128`, so no timestamp or span can overflow them. A window's
+/// tally is the exact kernel over the node runs whose *first* edge lies
+/// in it (the kernel reads up to `δ` past the window on its own), so
+/// the windows partition the exact computation. `keep` decides each
+/// window once per task; dropped windows cost only the lane walk.
+///
+/// The time axis is cut into window-aligned tasks balanced by edge
+/// count (one task for one worker) and run on [`exec::map`]. Inside its
+/// task a worker walks every node's lane in node order from the task
+/// start, so its memory is one slot per window it touches, never
+/// `O(windows)`. Window tallies are `u64` sums of whole runs, so they
+/// and their order are the same for every thread count.
+///
+/// # Panics
+/// Panics if `window_len <= 0`.
+pub(crate) fn tally_windows(
+    g: &TemporalGraph,
+    delta: Timestamp,
+    threads: usize,
+    origin: Timestamp,
+    window_len: Timestamp,
+    keep: impl Fn(i128) -> bool + Sync,
+) -> Vec<(i128, CenterTally)> {
+    assert!(window_len > 0, "window length must be positive");
+    let grid = Grid {
+        origin,
+        len: window_len,
+    };
+    // Every task pays one lane seek per node, so a task gets at least
+    // `num_nodes` edges.
+    let workers = exec::workers(threads);
+    let parts = if workers == 1 {
+        1
+    } else {
+        (workers * TASKS_PER_WORKER)
+            .min(g.num_edges() / g.num_nodes().max(1))
+            .max(1)
+    };
+
+    const DROPPED: u32 = u32::MAX;
+    let tasks = grid.tasks(g, parts);
+    let per_task = exec::map(workers, g.num_nodes(), tasks, |task, scratch| {
+        // Slots keyed by the window's offset in the task (a `u64`: the
+        // whole graph spans fewer than 2^64 windows); a dropped window's
+        // slot is `DROPPED`.
+        let mut slot_of: temporal_graph::util::FxHashMap<u64, u32> = Default::default();
+        // hare-lint: allow(alloc, reason = "per-task setup: one tally per kept window, O(runs)")
+        let mut found: Vec<(i128, CenterTally)> = Vec::new();
+        task_runs(g, grid, task, |k, u, run| {
+            let slot = *slot_of.entry((k - task.0) as u64).or_insert_with(|| {
+                if !keep(k) {
+                    return DROPPED;
+                }
+                found.push((k, CenterTally::default()));
+                (found.len() - 1) as u32
+            });
+            if slot != DROPPED {
+                let tally = &mut found[slot as usize].1;
+                count_node::<true, true, false>(g, u, run, delta, &[], scratch, tally);
+            }
+        });
+        // Into window order, sorting indices rather than whole tallies.
+        // hare-lint: allow(alloc, reason = "per-task teardown: one index per kept window")
+        let mut order: Vec<u32> = (0..found.len() as u32).collect();
+        order.sort_unstable_by_key(|&s| found[s as usize].0);
+        order
+            .into_iter()
+            .map(|s| std::mem::take(&mut found[s as usize]))
+            // hare-lint: allow(alloc, reason = "per-task teardown: the task's tallies in window order")
+            .collect::<Vec<_>>()
+    });
+    // Tasks are consecutive window ranges, so task order is window order.
+    let mut per_task = per_task.into_iter();
+    let mut all = per_task.next().unwrap_or_default();
+    for mut more in per_task {
+        all.append(&mut more);
+    }
+    all
+}
+
+/// The window grid `origin + k·len` of [`tally_windows`].
+#[derive(Clone, Copy)]
+struct Grid {
+    origin: Timestamp,
+    len: Timestamp,
+}
+
+impl Grid {
+    /// The window holding `t`: 64-bit division unless `t - origin`
+    /// overflows.
+    #[inline]
+    fn window_of(self, t: Timestamp) -> i128 {
+        match t.checked_sub(self.origin) {
+            Some(d) => i128::from(d.div_euclid(self.len)),
+            None => (i128::from(t) - i128::from(self.origin)).div_euclid(i128::from(self.len)),
         }
     }
 
-    /// Sequential driver, dense slot table: `slot_of[k]` maps every kept
-    /// window to its rank among kept windows (ascending), so the tally
-    /// vector comes out in window order with no sort. `O(windows_total)`
-    /// memory — used only when that is bounded by a multiple of `|E|`.
-    fn tally_sequential_dense(
-        &self,
-        g: &TemporalGraph,
-        delta: Timestamp,
-        window_len: Timestamp,
-        windows_total: usize,
-    ) -> Vec<WindowTally> {
-        // hare-lint: allow(alloc, reason = "per-estimate setup: dense slot table, O(windows_total) once")
-        let mut slot_of = vec![u32::MAX; windows_total];
-        let mut kept = 0u32;
-        for (k, slot) in slot_of.iter_mut().enumerate() {
-            if window_kept(self.cfg.seed, k as u64, self.cfg.prob) {
-                *slot = kept;
-                kept += 1;
+    /// The first instant of window `k`.
+    #[inline]
+    fn start_of(self, k: i128) -> i128 {
+        i128::from(self.origin) + k * i128::from(self.len)
+    }
+
+    /// `g`'s windows cut into at most `parts` consecutive `[k_lo, k_hi)`
+    /// ranges at evenly spaced edge ranks (none for an empty graph).
+    fn tasks(self, g: &TemporalGraph, parts: usize) -> Vec<(i128, i128)> {
+        let edges = g.edges();
+        let (Some(first), Some(last)) = (edges.first(), edges.last()) else {
+            // hare-lint: allow(alloc, reason = "empty graph: no tasks")
+            return Vec::new();
+        };
+        // hare-lint: allow(alloc, reason = "per-estimate setup: one window range per task")
+        let mut tasks = Vec::with_capacity(parts);
+        let mut lo = self.window_of(first.t);
+        for i in 1..parts {
+            let cut = self.window_of(edges[i * edges.len() / parts].t);
+            if cut > lo {
+                tasks.push((lo, cut));
+                lo = cut;
             }
         }
-        // hare-lint: allow(alloc, reason = "per-estimate setup: one tally per kept window")
-        let mut tallies: Vec<WindowTally> = (0..kept).map(|_| WindowTally::default()).collect();
-        with_thread_scratch(g.num_nodes(), |scratch| {
-            temporal_graph::slices::scan(g, window_len, |k, node, range| {
-                let slot = slot_of[k];
-                if slot != u32::MAX {
-                    let t = &mut tallies[slot as usize];
-                    t.touched = true;
-                    count_node::<true, true, false>(
-                        g,
-                        node,
-                        range,
-                        delta,
-                        &[],
-                        scratch,
-                        &mut t.tally,
-                    );
-                }
-            });
-        });
-        tallies
-    }
-
-    /// Sequential driver, sparse slots: the coin is flipped lazily for
-    /// the windows the lane walk actually encounters and tally slots are
-    /// assigned in discovery order, then re-sorted into ascending window
-    /// order for the deterministic fold. `O(runs)` memory regardless of
-    /// how many (dead) windows tile the span.
-    fn tally_sequential_sparse(
-        &self,
-        g: &TemporalGraph,
-        delta: Timestamp,
-        window_len: Timestamp,
-    ) -> Vec<WindowTally> {
-        let mut slot_of: temporal_graph::util::FxHashMap<u64, u32> = Default::default();
-        // hare-lint: allow(alloc, reason = "per-estimate setup: sparse tally list grows O(runs)")
-        let mut tallies: Vec<(u64, WindowTally)> = Vec::new();
-        with_thread_scratch(g.num_nodes(), |scratch| {
-            temporal_graph::slices::scan(g, window_len, |k, node, range| {
-                // The coin is a pure hash of (seed, k), so re-flipping it
-                // per run is cheap and needs no memoisation.
-                if !window_kept(self.cfg.seed, k as u64, self.cfg.prob) {
-                    return;
-                }
-                let slot = *slot_of.entry(k as u64).or_insert_with(|| {
-                    tallies.push((k as u64, WindowTally::default()));
-                    (tallies.len() - 1) as u32
-                });
-                let t = &mut tallies[slot as usize].1;
-                t.touched = true;
-                count_node::<true, true, false>(g, node, range, delta, &[], scratch, &mut t.tally);
-            });
-        });
-        // Ascending window order, same as the other drivers.
-        tallies.sort_unstable_by_key(|&(k, _)| k);
-        // hare-lint: allow(alloc, reason = "per-estimate teardown: strips window keys from the tallies")
-        tallies.into_iter().map(|(_, t)| t).collect()
+        tasks.push((lo, self.window_of(last.t) + 1));
+        tasks
     }
 }
 
-/// Raw fused-kernel output of one window. Shared with the
-/// bounded-memory streaming estimator ([`crate::stream_sample`]), whose
-/// per-tick fold is the same math.
-#[derive(Default)]
-pub(crate) struct WindowTally {
-    pub(crate) tally: CenterTally,
-    /// `false` means the window had no runs at all (bursty graphs leave
-    /// most windows dead) — the fold skips it without reading the cells.
-    pub(crate) touched: bool,
-}
-
-/// Run the exact fused kernel over window `k`'s node slices with the
-/// calling worker's scratch.
-fn tally_window(
+/// Visit every `(window, node, positions)` run that starts in windows
+/// `k_lo..k_hi` of `grid`, node by node: each node's lane is entered at
+/// the task start by binary search.
+fn task_runs(
     g: &TemporalGraph,
-    slices: &WindowSlices,
-    k: usize,
-    delta: Timestamp,
-    scratch: &mut NeighborScratch,
-) -> WindowTally {
-    let mut tally = WindowTally::default();
-    for s in slices.slices_of(k) {
-        tally.touched = true;
-        count_node::<true, true, false>(
-            g,
-            s.node,
-            s.range(),
-            delta,
-            &[],
-            scratch,
-            &mut tally.tally,
-        );
+    grid: Grid,
+    (k_lo, k_hi): (i128, i128),
+    mut visit: impl FnMut(i128, NodeId, Range<usize>),
+) {
+    let (t_lo, t_hi) = (grid.start_of(k_lo), grid.start_of(k_hi));
+    for u in g.node_ids() {
+        let lane = g.node_events(u).ts_lane();
+        // A lane with no event in the task's range is skipped unsearched.
+        if lane.is_empty()
+            || i128::from(lane.get(0)) >= t_hi
+            || i128::from(lane.get(lane.len() - 1)) < t_lo
+        {
+            continue;
+        }
+        let from = lane.partition_point(|t| i128::from(t) < t_lo);
+        let node_visit = |k, run| visit(k, u, run);
+        match lane {
+            TsLane::Raw(ts) => lane_runs(ts, from, t_hi, grid, node_visit),
+            TsLane::Packed(ts) => lane_runs(ts, from, t_hi, grid, node_visit),
+        }
     }
-    tally
+}
+
+/// Cut one node's time-sorted lane, from position `from` up to time
+/// `t_hi` (a window start), into its runs on `grid`: `visit(k,
+/// positions)` once per window that holds events, in ascending window
+/// order.
+fn lane_runs<T: TsRead>(
+    ts: T,
+    from: usize,
+    t_hi: i128,
+    grid: Grid,
+    mut visit: impl FnMut(i128, Range<usize>),
+) {
+    let mut i = from;
+    while i < ts.len() && i128::from(ts.at(i)) < t_hi {
+        let k = grid.window_of(ts.at(i));
+        let mut j = i + 1;
+        match Timestamp::try_from(grid.start_of(k + 1)) {
+            Ok(end) => {
+                while j < ts.len() && ts.at(j) < end {
+                    j += 1;
+                }
+            }
+            // The window reaches past `Timestamp::MAX`.
+            Err(_) => j = ts.len(),
+        }
+        visit(k, i..j);
+        i = j;
+    }
 }
 
 /// The deterministic per-window keep/drop coin: a SplitMix64 hash of
@@ -553,8 +612,8 @@ impl FoldTables {
 /// debug builds), triangle class cells third (a triangle's three
 /// per-center counts may split 2 + 1 across two windows, making thirds
 /// the honest per-window attribution).
-pub(crate) fn fold_fractional(t: &WindowTally, tables: &FoldTables) -> [f64; 36] {
-    let (star, pair, tri) = (&t.tally.star.cells, &t.tally.pair.cells, &t.tally.tri.cells);
+pub(crate) fn fold_fractional(t: &CenterTally, tables: &FoldTables) -> [f64; 36] {
+    let (star, pair, tri) = (&t.star.cells, &t.pair.cells, &t.tri.cells);
     let mut out = [0.0f64; 36];
     for (i, &n) in star.iter().enumerate() {
         out[tables.star[i]] += n as f64;
@@ -636,6 +695,7 @@ pub(crate) fn normal_quantile(p: f64) -> f64 {
 mod tests {
     use super::*;
     use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, paper_fig1_toy, GenConfig};
+    use temporal_graph::TemporalEdge;
 
     fn cfg(prob: f64, seed: u64) -> SampleConfig {
         SampleConfig {
@@ -819,6 +879,268 @@ mod tests {
         assert_eq!(est.total_estimate(), 0.0);
         let exact = SampledCounter::new(cfg(1.0, 1)).count(&g, 100);
         assert_eq!(exact.as_exact(), Some(MotifMatrix::default()));
+    }
+
+    /// Every `(window, node, positions)` run of `g` on `grid`, walked
+    /// task by task as [`tally_windows`] walks it.
+    fn all_runs(g: &TemporalGraph, grid: Grid, parts: usize) -> Vec<(i128, NodeId, Range<usize>)> {
+        let mut runs = Vec::new();
+        for task in grid.tasks(g, parts) {
+            task_runs(g, grid, task, |k, u, run| {
+                assert!(
+                    task.0 <= k && k < task.1,
+                    "run of window {k} outside task {task:?}"
+                );
+                runs.push((k, u, run));
+            });
+        }
+        runs
+    }
+
+    /// Bursty edges over negative and positive times, with ties.
+    fn signed_graph() -> TemporalGraph {
+        TemporalGraph::from_edges(
+            (0..400u32)
+                .map(|i| {
+                    let t = -7_000 + i64::from(i * 37 % 9_001) + i64::from(i % 3);
+                    TemporalEdge::new(i % 9, (i * 4 + 1) % 9, t)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn runs_partition_every_event_position() {
+        for (g, len) in [
+            (paper_fig1_toy(), 5),
+            (paper_fig1_toy(), 100),
+            (erdos_renyi_temporal(20, 400, 2_000, 7), 137),
+            (signed_graph(), 90),
+            (signed_graph(), 1),
+        ] {
+            for origin in [g.min_time().unwrap(), 0] {
+                let grid = Grid { origin, len };
+                for parts in [1, 3, 8] {
+                    // Reassemble each node's position set from the runs.
+                    let mut covered: Vec<Vec<bool>> =
+                        g.node_ids().map(|u| vec![false; g.degree(u)]).collect();
+                    for (k, u, run) in all_runs(&g, grid, parts) {
+                        assert!(run.start < run.end, "empty run");
+                        let ts = g.node_events(u).ts_lane();
+                        for i in run {
+                            let t = i128::from(ts.get(i));
+                            assert!(
+                                grid.start_of(k) <= t && t < grid.start_of(k + 1),
+                                "event at t={t} outside window {k} (origin {origin}, len {len})"
+                            );
+                            let seen = &mut covered[u as usize][i];
+                            assert!(!*seen, "position covered twice");
+                            *seen = true;
+                        }
+                    }
+                    for node_cov in covered {
+                        assert!(node_cov.into_iter().all(|c| c), "position never covered");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_window_covers_whole_sequences() {
+        let g = paper_fig1_toy();
+        let grid = Grid {
+            origin: g.min_time().unwrap(),
+            len: g.time_span() + 1,
+        };
+        let runs = all_runs(&g, grid, 4);
+        assert_eq!(
+            runs.len(),
+            g.node_ids().filter(|&u| g.degree(u) > 0).count()
+        );
+        for (k, u, run) in runs {
+            assert_eq!(k, 0);
+            assert_eq!(run, 0..g.degree(u));
+        }
+    }
+
+    #[test]
+    fn window_count_and_bounds_tile_the_span() {
+        let g = paper_fig1_toy(); // span [1, 21]
+        let grid = Grid { origin: 1, len: 10 }; // [1,11), [11,21), [21,31)
+        let ks = [1, 10, 11, 21].map(|t| grid.window_of(t));
+        assert_eq!(ks, [0, 0, 1, 2]);
+        assert_eq!((grid.start_of(0), grid.start_of(2)), (1, 21));
+        // Anchored at 0, times before the anchor fall in negative windows.
+        let zero = Grid { origin: 0, len: 10 };
+        assert_eq!(
+            [-11, -10, -1, 0, 9].map(|t| zero.window_of(t)),
+            [-2, -1, -1, 0, 0]
+        );
+        let est = SampledCounter::new(SampleConfig {
+            prob: 1.0,
+            window_factor: 1,
+            ..SampleConfig::default()
+        })
+        .count(&g, 10);
+        assert_eq!((est.window_len, est.windows_total), (10, 3));
+    }
+
+    #[test]
+    fn task_split_walk_agrees_with_one_task() {
+        let g = erdos_renyi_temporal(15, 300, 1_500, 4);
+        let key = |r: &(i128, NodeId, Range<usize>)| (r.1, r.2.start, r.0);
+        for origin in [g.min_time().unwrap(), 0] {
+            let grid = Grid { origin, len: 90 };
+            let mut one = all_runs(&g, grid, 1);
+            one.sort_by_key(key);
+            assert!(grid.tasks(&g, 5).len() > 1, "the plan must split");
+            for parts in [2, 5, 16] {
+                let mut split = all_runs(&g, grid, parts);
+                split.sort_by_key(key);
+                assert_eq!(split, one, "parts={parts}");
+            }
+        }
+    }
+
+    #[test]
+    fn keep_filter_selects_only_kept_windows() {
+        let g = signed_graph();
+        for origin in [g.min_time().unwrap(), 0] {
+            let all = tally_windows(&g, 40, 1, origin, 90, |_| true);
+            assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "ascending ids");
+            let odd = tally_windows(&g, 40, 1, origin, 90, |k| k.rem_euclid(2) == 1);
+            let want: Vec<_> = all
+                .iter()
+                .filter(|(k, _)| k.rem_euclid(2) == 1)
+                .cloned()
+                .collect();
+            assert!(!want.is_empty() && want.len() < all.len());
+            assert_eq!(odd, want);
+            // Kept windows partition the exact count.
+            let mut total = CenterTally::default();
+            for (_, t) in &all {
+                total.merge(t);
+            }
+            assert_eq!(
+                total.into_counts().matrix,
+                crate::count_motifs(&g, 40).matrix
+            );
+        }
+    }
+
+    #[test]
+    fn huge_sparse_span_costs_only_the_runs() {
+        // Two clusters ~10^14 apart: the window count is astronomical,
+        // but the tallies stay bounded by the runs on either anchor.
+        let g = TemporalGraph::from_edges(vec![
+            TemporalEdge::new(0, 1, -3),
+            TemporalEdge::new(1, 2, 2),
+            TemporalEdge::new(0, 2, 100_000_000_000_000),
+            TemporalEdge::new(2, 1, 100_000_000_000_007),
+        ]);
+        for origin in [g.min_time().unwrap(), 0] {
+            let runs = all_runs(&g, Grid { origin, len: 60 }, 4);
+            assert!(runs.len() <= 8);
+            let tallies = tally_windows(&g, 10, 2, origin, 60, |_| true);
+            assert!((2..=3).contains(&tallies.len()), "{}", tallies.len());
+            assert!(tallies.len() <= runs.len());
+        }
+    }
+
+    #[test]
+    fn empty_graph_has_no_windows() {
+        let g = TemporalGraph::from_edges(vec![]);
+        for origin in [0, 17] {
+            assert!(Grid { origin, len: 60 }.tasks(&g, 4).is_empty());
+            assert!(tally_windows(&g, 10, 2, origin, 60, |_| true).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_length_window_panics() {
+        let _ = tally_windows(&paper_fig1_toy(), 10, 1, 0, 0, |_| true);
+    }
+
+    #[test]
+    fn extreme_timestamps_do_not_overflow() {
+        // Events at both ends of the i64 range: window ids and bounds
+        // must not wrap on either anchor, at any window length.
+        let g = TemporalGraph::from_edges(vec![
+            TemporalEdge::new(0, 1, i64::MIN),
+            TemporalEdge::new(1, 2, i64::MIN + 1),
+            TemporalEdge::new(2, 0, i64::MIN + 2),
+            TemporalEdge::new(0, 1, -1),
+            TemporalEdge::new(1, 0, 0),
+            TemporalEdge::new(1, 2, i64::MAX - 1),
+            TemporalEdge::new(2, 0, i64::MAX),
+        ]);
+        let exact = crate::count_motifs(&g, 2).matrix;
+        for origin in [i64::MIN, -1, 0, i64::MAX] {
+            for len in [1, 3, 1 << 40, i64::MAX] {
+                let grid = Grid { origin, len };
+                let mut covered = 0;
+                for (k, u, run) in all_runs(&g, grid, 3) {
+                    for i in run {
+                        let t = i128::from(g.node_events(u).ts_lane().get(i));
+                        assert!(grid.start_of(k) <= t && t < grid.start_of(k + 1));
+                        covered += 1;
+                    }
+                }
+                assert_eq!(covered, 2 * g.num_edges());
+                let mut total = CenterTally::default();
+                for (_, t) in tally_windows(&g, 2, 2, origin, len, |_| true) {
+                    total.merge(&t);
+                }
+                assert_eq!(
+                    total.into_counts().matrix,
+                    exact,
+                    "origin={origin} len={len}"
+                );
+            }
+        }
+        // The sampler's own grid: a span wider than i64::MAX.
+        let est = SampledCounter::new(SampleConfig {
+            prob: 1.0,
+            window_factor: 1,
+            ..SampleConfig::default()
+        })
+        .count(&g, 0);
+        assert_eq!(est.windows_total, usize::MAX, "2^64 windows saturate");
+        assert_eq!(est.as_exact(), Some(crate::count_motifs(&g, 0).matrix));
+    }
+
+    #[test]
+    fn every_thread_count_is_bit_identical() {
+        let bursty = GenConfig {
+            nodes: 80,
+            edges: 3_000,
+            zipf_exponent: 1.1,
+            seed: 12,
+            ..GenConfig::default()
+        }
+        .generate();
+        for (g, delta) in [
+            (bursty, 2_000),
+            (signed_graph(), 60),
+            (hub_burst(30, 1_500, 8_000, 9), 100),
+        ] {
+            for prob in [0.3, 1.0] {
+                let run = |threads| {
+                    SampledCounter::new(SampleConfig {
+                        threads,
+                        ..cfg(prob, 21)
+                    })
+                    .count(&g, delta)
+                };
+                let one = run(1);
+                assert!(one.windows_sampled > 1);
+                for threads in 2..=4 {
+                    assert_eq!(run(threads), one, "threads={threads} prob={prob}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -112,13 +112,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::counters::MotifMatrix;
-use crate::exec;
+use crate::counters::{CenterTally, MotifMatrix};
 use crate::motif::Motif;
 use crate::sample::{
-    fold_fractional, normal_quantile, window_kept, FoldTables, MotifEstimate, WindowTally,
+    fold_fractional, normal_quantile, tally_windows, window_kept, FoldTables, MotifEstimate,
 };
-use crate::scratch::with_thread_scratch;
 use crate::windowed::StreamError;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{GraphBuilder, NodeId, TemporalGraph, Timestamp};
@@ -1062,28 +1060,9 @@ impl StreamingEstimator {
             }
         }
         let g = b.build();
-        // hare-lint: allow(alloc, reason = "conversion scratch: the interval's (node, range) runs")
-        let mut runs: Vec<(NodeId, u32, u32)> = Vec::new();
-        scan_interval_runs(&g, il, |kk, node, r| {
-            if kk == k {
-                runs.push((node, r.start as u32, r.end as u32));
-            }
-        });
-        let mut tally = WindowTally::default();
-        with_thread_scratch(g.num_nodes(), |scratch| {
-            for &(node, s, e) in &runs {
-                tally.touched = true;
-                crate::fused::count_node::<true, true, false>(
-                    &g,
-                    node,
-                    s as usize..e as usize,
-                    delta,
-                    &[],
-                    scratch,
-                    &mut tally.tally,
-                );
-            }
-        });
+        let tally = tally_windows(&g, delta, 1, 0, il, |kk| kk == i128::from(k))
+            .pop()
+            .map_or_else(CenterTally::default, |(_, t)| t);
         let full = fold_fractional(&tally, &FoldTables::new());
         let x = full.map(|v| v as f32);
         let mass: f64 = full.iter().sum();
@@ -1175,20 +1154,22 @@ impl StreamingEstimator {
             intervals_sampled = coin_n;
             exact = Some(counts);
         } else {
-            let (exact_tallies, coin_tallies) = self.tally_tiers(&g);
+            let tallies = self.tally_tiers(&g);
+            let split = tallies.partition_point(|&(k, _)| k < i128::from(self.floor()));
+            let (coin_tallies, exact_tallies) = tallies.split_at(split);
             intervals_exact = exact_tallies.len();
             intervals_sampled = coin_tallies.len();
             let tables = FoldTables::new();
-            let mut exact_total = WindowTally::default();
-            for t in &exact_tallies {
-                exact_total.tally.merge(&t.tally);
+            let mut exact_total = CenterTally::default();
+            for (_, t) in exact_tallies {
+                exact_total.merge(t);
             }
             let exact_base = fold_fractional(&exact_total, &tables);
-            let mut total = WindowTally::default();
+            let mut total = CenterTally::default();
             let mut var = [0.0f64; 36];
             let coin_factor = (1.0 - p).max(0.0) / (p * p);
-            for t in &coin_tallies {
-                total.tally.merge(&t.tally);
+            for (_, t) in coin_tallies {
+                total.merge(t);
                 let x = fold_fractional(t, &tables);
                 for (s, v) in var.iter_mut().zip(x) {
                     *s += coin_factor * v * v;
@@ -1260,88 +1241,47 @@ impl StreamingEstimator {
 
     /// Number of distinct intervals holding at least one retained event
     /// (the `p = 1` analogue of the tier tally counts), split into
-    /// `(incomplete, complete)`. Runs arrive node-major, so the same
-    /// interval recurs across nodes; dedup via the sorted run keys.
+    /// `(incomplete, complete)`: one pass over the chronological edge
+    /// list, whose interval ids never decrease.
     fn count_nonempty_intervals(&self, g: &TemporalGraph) -> (usize, usize) {
         let floor = self.floor();
-        // hare-lint: allow(alloc, reason = "per-tick metadata: one key per (interval, node) run")
-        let mut keys: Vec<i64> = Vec::new();
-        scan_interval_runs(g, self.interval_len, |k, _, _| keys.push(k));
-        keys.sort_unstable();
-        keys.dedup();
-        let exact_n = keys.iter().filter(|&&k| k >= floor).count();
-        (exact_n, keys.len() - exact_n)
-    }
-
-    /// Per-interval fused tallies over the retained graph, restricted to
-    /// first-edge positions in contributing intervals, split into the
-    /// exact tier (incomplete intervals, weight 1) and the coin tier
-    /// (complete kept intervals, weight `1/p`; converted intervals are
-    /// skipped — their contribution is the frozen vector). Sequential
-    /// or interval-parallel per [`StreamSampleConfig::threads`]; tallies
-    /// come out in ascending interval order on both paths, so the fold
-    /// is bit-identical across thread counts.
-    fn tally_tiers(&self, g: &TemporalGraph) -> (Vec<WindowTally>, Vec<WindowTally>) {
-        let (il, seed, p, floor) = (self.interval_len, self.cfg.seed, self.prob(), self.floor());
-        // hare-lint: allow(alloc, reason = "per-tick setup: one entry per contributing (interval, node) run")
-        let mut runs: Vec<(i64, NodeId, u32, u32)> = Vec::new();
-        // hare-lint: allow(alloc, reason = "per-tick setup: one entry per exact-tier (interval, node) run")
-        let mut exact_runs: Vec<(i64, NodeId, u32, u32)> = Vec::new();
-        scan_interval_runs(g, il, |k, node, range| {
-            if k >= floor {
-                exact_runs.push((k, node, range.start as u32, range.end as u32));
-            } else if !self.converted.contains(&k) && window_kept(seed, k as u64, p) {
-                runs.push((k, node, range.start as u32, range.end as u32));
-            }
-        });
-        let exact_tallies = self.tally_interval_runs(g, exact_runs);
-        let coin_tallies = self.tally_interval_runs(g, runs);
-        (exact_tallies, coin_tallies)
-    }
-
-    /// Group node-major `(interval, node, range)` runs by interval and
-    /// run the fused kernel over each group.
-    fn tally_interval_runs(
-        &self,
-        g: &TemporalGraph,
-        mut runs: Vec<(i64, NodeId, u32, u32)>,
-    ) -> Vec<WindowTally> {
-        let delta = self.cfg.delta;
-        // Node-major → interval-major; the stable sort keeps each
-        // interval's runs in node order.
-        runs.sort_by_key(|&(k, _, _, _)| k);
-        // hare-lint: allow(alloc, reason = "per-tick setup: one (start, end) group per kept interval")
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        let mut i = 0usize;
-        while i < runs.len() {
-            let k = runs[i].0;
-            let mut j = i + 1;
-            while j < runs.len() && runs[j].0 == k {
-                j += 1;
-            }
-            groups.push((i, j));
-            i = j;
-        }
-
-        exec::map(
-            self.cfg.threads,
-            g.num_nodes(),
-            groups,
-            |(s, e), scratch| {
-                let mut tally = WindowTally::default();
-                for &(_, node, lo, hi) in &runs[s..e] {
-                    tally.touched = true;
-                    crate::fused::count_node::<true, true, false>(
-                        g,
-                        node,
-                        lo as usize..hi as usize,
-                        delta,
-                        &[],
-                        scratch,
-                        &mut tally.tally,
-                    );
+        let (mut exact_n, mut coin_n) = (0, 0);
+        let mut last = None;
+        for e in g.edges() {
+            let k = e.t.div_euclid(self.interval_len);
+            if last != Some(k) {
+                last = Some(k);
+                if k >= floor {
+                    exact_n += 1;
+                } else {
+                    coin_n += 1;
                 }
-                tally
+            }
+        }
+        (exact_n, coin_n)
+    }
+
+    /// Per-interval fused tallies over the retained graph, in ascending
+    /// interval order, for every contributing interval: the coin tier
+    /// (complete kept intervals, `k < floor`, weight `1/p`; converted
+    /// intervals are skipped — their contribution is the frozen vector)
+    /// and after it the exact tier (incomplete intervals, weight 1).
+    /// One [`tally_windows`] pass on the grid anchored at absolute time
+    /// 0 (`k = ⌊t / len⌋`), so interval ids stay put as the window
+    /// slides; bit-identical across [`StreamSampleConfig::threads`].
+    fn tally_tiers(&self, g: &TemporalGraph) -> Vec<(i128, CenterTally)> {
+        let (seed, p, floor) = (self.cfg.seed, self.prob(), self.floor());
+        let converted = &self.converted;
+        tally_windows(
+            g,
+            self.cfg.delta,
+            self.cfg.threads,
+            0,
+            self.interval_len,
+            |k| {
+                // Origin 0: every interval id is an `i64`.
+                let k = k as i64;
+                k >= floor || (!converted.contains(&k) && window_kept(seed, k as u64, p))
             },
         )
     }
@@ -1394,39 +1334,6 @@ fn keeps_at(
     let rem = t.rem_euclid(interval_len);
     (rem < delta && contributes(k.wrapping_sub(1)))
         || (rem >= interval_len - delta && contributes(k.wrapping_add(1)))
-}
-
-/// Stream every `(interval, node, first-edge position range)` run of
-/// `g`, with intervals of length `len` anchored at **absolute time 0**
-/// (`k = ⌊t / len⌋` by euclidean division) — unlike
-/// [`temporal_graph::slices::scan`], whose grid is anchored at the
-/// graph's earliest timestamp and would shift as the window slides.
-fn scan_interval_runs(
-    g: &TemporalGraph,
-    len: Timestamp,
-    mut visit: impl FnMut(i64, NodeId, std::ops::Range<usize>),
-) {
-    debug_assert!(len > 0);
-    for u in g.node_ids() {
-        let ts = g.node_events(u).ts_lane();
-        let mut i = 0usize;
-        while i < ts.len() {
-            let t = ts.get(i);
-            let k = t.div_euclid(len);
-            // Saturating end bound: at the extreme positive edge of the
-            // timestamp range the interval simply absorbs the rest.
-            let end = k
-                .saturating_mul(len)
-                .saturating_add(len)
-                .max(t.saturating_add(1));
-            let mut j = i + 1;
-            while j < ts.len() && ts.get(j) < end {
-                j += 1;
-            }
-            visit(k, u, i..j);
-            i = j;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1574,6 +1481,46 @@ mod tests {
         assert_eq!(a, par, "thread-count must not change the tick");
     }
 
+    /// Every thread count gives the same tick at every checkpoint of a
+    /// stream whose budget forces conversions and halves `p`.
+    #[test]
+    fn every_thread_count_is_bit_identical_past_conversions() {
+        let g = GenConfig {
+            nodes: 40,
+            edges: 2_000,
+            time_span: 40_000,
+            mean_burst_len: 2.5,
+            seed: 8,
+            ..GenConfig::default()
+        }
+        .generate();
+        let run = |threads: usize| {
+            let mut c = cfg(200, 40_000, 160 * EDGE_BYTES);
+            c.window_factor = 4;
+            c.threads = threads;
+            let mut est = StreamingEstimator::new(c);
+            let (mut ticks, mut converted, mut prob) = (Vec::new(), false, 1.0f64);
+            for (i, e) in g.edges().iter().enumerate() {
+                est.push(e.src, e.dst, e.t).unwrap();
+                converted |= !est.converted.is_empty();
+                prob = prob.min(est.prob());
+                if i % 100 == 99 {
+                    ticks.push(est.estimates());
+                }
+            }
+            est.flush();
+            ticks.push(est.estimates());
+            (prob, converted, ticks)
+        };
+        let (prob, converted, ticks) = run(1);
+        assert!(prob < 1.0, "the budget must halve p");
+        assert!(converted, "the budget must force a conversion");
+        assert!(ticks.iter().any(|t| t.intervals_sampled > 0));
+        for threads in 2..=4 {
+            assert_eq!(run(threads).2, ticks, "threads={threads}");
+        }
+    }
+
     #[test]
     fn mirror_of_windowed_acceptance_semantics() {
         let mut est = StreamingEstimator::new(StreamSampleConfig {
@@ -1706,29 +1653,13 @@ mod tests {
         );
         let g = b.build();
         let il = est.interval_len();
-        let mut runs: Vec<(i64, u32, u32, u32)> = Vec::new();
-        scan_interval_runs(&g, il, |k, node, r| {
-            runs.push((k, node, r.start as u32, r.end as u32));
-        });
+        let tallies = tally_windows(&g, delta, 1, 0, il, |_| true);
         let tables = FoldTables::new();
         for (&k, s) in &est.summaries {
-            let mut tally = WindowTally::default();
-            with_thread_scratch(g.num_nodes(), |scratch| {
-                for &(kk, node, lo, hi) in &runs {
-                    if kk == k {
-                        tally.touched = true;
-                        crate::fused::count_node::<true, true, false>(
-                            &g,
-                            node,
-                            lo as usize..hi as usize,
-                            delta,
-                            &[],
-                            scratch,
-                            &mut tally.tally,
-                        );
-                    }
-                }
-            });
+            let tally = tallies
+                .iter()
+                .find(|&&(kk, _)| kk == i128::from(k))
+                .map_or_else(CenterTally::default, |(_, t)| t.clone());
             let full = fold_fractional(&tally, &tables).map(|v| v as f32);
             assert_eq!(
                 s.x, full,

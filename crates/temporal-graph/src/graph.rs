@@ -808,12 +808,13 @@ impl TemporalGraph {
         self.edges.last().map(|e| e.t)
     }
 
-    /// `max_time - min_time`, or 0 for graphs with < 2 edges.
+    /// `max_time - min_time`, or 0 for graphs with < 2 edges. Saturates
+    /// at `Timestamp::MAX` for spans wider than that.
     #[inline]
     #[must_use]
     pub fn time_span(&self) -> Timestamp {
         match (self.min_time(), self.max_time()) {
-            (Some(a), Some(b)) => b - a,
+            (Some(a), Some(b)) => b.saturating_sub(a),
             _ => 0,
         }
     }

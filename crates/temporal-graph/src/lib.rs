@@ -65,12 +65,10 @@ pub mod gen;
 pub mod io;
 pub mod lanes;
 pub mod ooc;
-pub mod slices;
 pub mod stats;
 pub mod util;
 
 pub use builder::GraphBuilder;
 pub use graph::{Event, NodeEvents, NodeEventsIter, PairEvent, PairIndex, TemporalGraph};
 pub use lanes::{LaneLayout, TsLane, TsRead};
-pub use slices::{NodeSlice, WindowSlices};
 pub use types::{Dir, EdgeId, NodeId, TemporalEdge, Timestamp};
