@@ -16,9 +16,10 @@ use std::process::ExitCode;
 use hare::query::{Answer, Outcome, Param, Plan, PlanError, Session, SessionEngine, SessionSpec};
 use hare::stream_sample::StreamSampleConfig;
 use hare::{InMemorySource, MotifCategory, NoopProbe, Probe, WallClockProbe};
-use temporal_graph::io::{chronological_edges, load_edges, load_graph, LoadOptions};
+use temporal_graph::io::{
+    load_edges, load_graph, open, read_chronological_edges, Interner, LoadOptions,
+};
 use temporal_graph::stats::GraphStats;
-use temporal_graph::util::FxHashMap;
 use temporal_graph::{NodeId, TemporalGraph, Timestamp};
 
 const USAGE: &str = "\
@@ -382,15 +383,15 @@ fn load_stream(o: &Opts) -> Result<Vec<(NodeId, NodeId, Timestamp)>, String> {
         (Some(path), None) => {
             let raw =
                 load_edges(path, &load_options(o)).map_err(|e| format!("loading {path}: {e}"))?;
-            let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
-            let mut intern = |x: u64| -> NodeId {
-                let next = remap.len() as NodeId;
-                *remap.entry(x).or_insert(next)
+            let mut ids = Interner::new();
+            let mut intern = |x: u64| {
+                ids.intern(x).ok_or_else(|| {
+                    format!("loading {path}: more distinct node ids than a graph can hold")
+                })
             };
-            Ok(raw
-                .into_iter()
-                .map(|(s, d, t)| (intern(s), intern(d), t))
-                .collect())
+            raw.into_iter()
+                .map(|(s, d, t)| Ok((intern(s)?, intern(d)?, t)))
+                .collect()
         }
         (None, Some(name)) => {
             let g = hare_datasets::by_name(name)
@@ -713,9 +714,9 @@ impl Input {
     fn load(o: &Opts, plan: &Plan) -> Result<Input, String> {
         match (&o.input, plan) {
             (Some(path), Plan::Chunked { .. }) => {
-                let raw = load_edges(path, &load_options(o))
+                let (num_nodes, edges) = open(path)
+                    .and_then(|r| read_chronological_edges(r, &load_options(o)))
                     .map_err(|e| format!("loading {path}: {e}"))?;
-                let (num_nodes, edges) = chronological_edges(raw);
                 Ok(Input::Edges(InMemorySource::new(num_nodes, edges)))
             }
             _ => load_input_graph(o).map(Input::Graph),

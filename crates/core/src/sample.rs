@@ -826,8 +826,8 @@ mod tests {
     fn sparse_span_uses_bounded_memory_and_matches_dense_semantics() {
         // Two event clusters separated by ~10^14 time units: the window
         // grid has ~10^10 windows at this δ, so anything O(windows)
-        // would OOM — the sparse driver must finish instantly and still
-        // count the clusters exactly at p = 1.
+        // would OOM — `tally_windows`, whose state is O(kept runs), must
+        // finish instantly and still count the clusters exactly at p = 1.
         let mut edges = Vec::new();
         for i in 0..40u32 {
             edges.push(temporal_graph::TemporalEdge::new(
@@ -854,8 +854,8 @@ mod tests {
         assert!(est.windows_sampled <= 80, "bounded by active windows");
         assert_eq!(est.as_exact(), Some(exact.matrix));
 
-        // And the sparse sequential driver agrees bit-for-bit with the
-        // (also sparse) parallel one at p < 1.
+        // And one worker (one task) agrees bit-for-bit with three
+        // workers (window-aligned time-range tasks) at p < 1.
         let cfg = SampleConfig {
             prob: 0.6,
             window_factor: 2,

@@ -11,7 +11,7 @@ use std::sync::{Arc, PoisonError};
 
 use hare::query::{Plan, PlanError, SessionSpec};
 use serde_json::Value;
-use temporal_graph::io::{graph_from_raw, read_edges, LoadOptions};
+use temporal_graph::io::{read_graph, LoadError, LoadOptions};
 use temporal_graph::{NodeId, Timestamp};
 
 use crate::cache::CacheKey;
@@ -255,13 +255,10 @@ fn register_dataset(state: &AppState, req: &Request) -> ApiResponse {
             },
         };
         let opts = LoadOptions { timestamp_column };
-        let raw = match read_edges(edges_text.as_bytes(), &opts) {
-            Ok(raw) => raw,
-            Err(e) => return error_response(400, &format!("parsing 'edges': {e}")),
-        };
-        state
-            .catalog
-            .register(name, graph_from_raw(raw, &opts), "upload".into())
+        match read_graph(edges_text.as_bytes(), &opts) {
+            Ok(graph) => state.catalog.register(name, graph, "upload".into()),
+            Err(e) => return error_response(upload_status(&e), &format!("parsing 'edges': {e}")),
+        }
     } else {
         return error_response(
             400,
@@ -273,6 +270,16 @@ fn register_dataset(state: &AppState, req: &Request) -> ApiResponse {
         Ok(entry) => ok(201, &dataset_entry_value(&entry)),
         Err(e @ CatalogError::Duplicate(_)) => error_response(409, &e.to_string()),
         Err(e @ CatalogError::UnknownRegistry(_)) => error_response(404, &e.to_string()),
+    }
+}
+
+/// The status of an upload the reader refused: 413 for text that
+/// parses but would take the graph past its id spaces, 400 for the
+/// rest.
+fn upload_status(e: &LoadError) -> u16 {
+    match e {
+        LoadError::Limit { .. } => 413,
+        LoadError::Io(_) | LoadError::Parse { .. } => 400,
     }
 }
 
@@ -644,5 +651,26 @@ fn shutdown(state: &AppState) -> ApiResponse {
         body: Arc::new(hare::report::render(&value)),
         shutdown: true,
         ..ApiResponse::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn upload_past_the_id_spaces_is_413_and_bad_text_400() {
+        let limit = LoadError::Limit {
+            line: 7,
+            message: "more than 2147483647 distinct node ids".into(),
+        };
+        assert_eq!(upload_status(&limit), 413);
+        let parse = LoadError::Parse {
+            line: 1,
+            message: "bad node id".into(),
+        };
+        assert_eq!(upload_status(&parse), 400);
+        let io = LoadError::Io(std::io::Error::other("short read"));
+        assert_eq!(upload_status(&io), 400);
     }
 }

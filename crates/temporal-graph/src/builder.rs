@@ -1,9 +1,9 @@
 //! Validating construction of [`TemporalGraph`]s.
 
 use crate::graph::TemporalGraph;
+use crate::io::Interner;
 use crate::lanes::LaneLayout;
 use crate::types::{NodeId, TemporalEdge, Timestamp};
-use crate::util::FxHashMap;
 
 /// Incremental builder for [`TemporalGraph`].
 ///
@@ -13,7 +13,8 @@ use crate::util::FxHashMap;
 /// * stable-sorts edges by `(t, insertion order)` to establish the global
 ///   chronological total order,
 /// * optionally compacts sparse external node ids to `0..n`
-///   ([`GraphBuilder::compact_ids`]).
+///   ([`GraphBuilder::compact_ids`], through the reader's
+///   [`crate::io::Interner`]).
 ///
 /// ```
 /// use temporal_graph::GraphBuilder;
@@ -119,12 +120,13 @@ impl GraphBuilder {
         } = self;
 
         if compact {
-            let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+            let mut ids = Interner::new();
             for e in &mut edges {
-                let next = remap.len() as NodeId;
-                e.src = *remap.entry(e.src).or_insert(next);
-                let next = remap.len() as NodeId;
-                e.dst = *remap.entry(e.dst).or_insert(next);
+                for v in [&mut e.src, &mut e.dst] {
+                    *v = ids
+                        .intern(u64::from(*v))
+                        .expect("node count exceeds the packed-lane id space (2^31 - 1)");
+                }
             }
         }
 

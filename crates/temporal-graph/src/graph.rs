@@ -49,7 +49,7 @@
 
 use crate::lanes::{LaneLayout, PackedTs, TsLane};
 use crate::types::{Dir, EdgeId, NodeId, TemporalEdge, Timestamp};
-use crate::util::FxHashMap;
+use crate::util::{fx_hash_map_with_capacity, FxHashMap};
 
 /// One entry of a node's event sequence `S_u`: an incident edge viewed
 /// from the owning node (`e = (t, v, dir)` in the paper's notation).
@@ -291,11 +291,15 @@ impl PairEvent {
 
 /// Index over the unordered node pairs with at least one edge.
 ///
-/// Layout mirrors CSR: `keys[i]` is the i-th pair `(lo, hi)`,
-/// `events[offsets[i]..offsets[i+1]]` its time-ordered edges. `slot_of`
-/// provides O(1) lookup from a pair to its slot (a single predictable
-/// hash probe — measured faster here than a sorted-adjacency binary
-/// search, whose log(d) compares mispredict on skewed graphs).
+/// Layout mirrors CSR: `keys[i]` is the i-th pair `(lo, hi)` in
+/// ascending order, `events[offsets[i]..offsets[i+1]]` its time-ordered
+/// edges. `slot_of` provides O(1) lookup from a pair to its slot (a
+/// single predictable hash probe — measured faster here than a
+/// sorted-adjacency binary search, whose log(d) compares mispredict on
+/// skewed graphs). The graph build reads the index off its event lanes
+/// (see `PairIndex::from_lanes`): it sorts only each node's distinct
+/// higher neighbours and probes no hash map before the final `slot_of`
+/// fill.
 #[derive(Debug, Clone)]
 pub struct PairIndex {
     keys: Box<[(NodeId, NodeId)]>,
@@ -309,25 +313,6 @@ pub struct PairIndex {
     blooms: Box<[u64]>,
 }
 
-/// Stable counting sort of `items` by `key(item)`, which must be below
-/// `buckets`.
-fn counting_sort(items: &[u32], buckets: usize, key: impl Fn(u32) -> NodeId) -> Vec<u32> {
-    let mut next = vec![0usize; buckets + 1];
-    for &x in items {
-        next[key(x) as usize + 1] += 1;
-    }
-    for b in 1..next.len() {
-        next[b] += next[b - 1];
-    }
-    let mut out = vec![0u32; items.len()];
-    for &x in items {
-        let at = &mut next[key(x) as usize];
-        out[*at] = x;
-        *at += 1;
-    }
-    out
-}
-
 impl PairIndex {
     /// Bloom bit of neighbour `w` (multiplicative mix into 0..64).
     #[inline]
@@ -335,88 +320,8 @@ impl PairIndex {
         1u64 << (w.wrapping_mul(0x9E37_79B1) >> 26 & 63)
     }
 
-    /// Build from chronological edges without a comparison sort. Slots
-    /// are handed out in first-seen order (one hash probe per edge), two
-    /// counting-sort passes put only the distinct keys in order, and a
-    /// counting-sort fill in edge-id order places each pair's events
-    /// time-ordered.
-    pub(crate) fn build(num_nodes: usize, edges: &[TemporalEdge]) -> PairIndex {
-        let mut slot_of: FxHashMap<(NodeId, NodeId), u32> = FxHashMap::default();
-        // First-seen slot of each edge, and each such slot's key and size.
-        let mut seen_slot = Vec::with_capacity(edges.len());
-        let mut seen: Vec<((NodeId, NodeId), u32)> = Vec::new();
-        for e in edges {
-            let key = e.unordered_pair();
-            let next = seen.len() as u32;
-            let slot = *slot_of.entry(key).or_insert(next);
-            if slot == next {
-                seen.push((key, 0));
-            }
-            seen[slot as usize].1 += 1;
-            seen_slot.push(slot);
-        }
-
-        // Final slots are the keys in ascending order: two stable
-        // counting sorts of the first-seen slots, by `hi` then by `lo`.
-        // `rank` maps a first-seen slot to its final one.
-        let first_seen: Vec<u32> = (0..seen.len() as u32).collect();
-        let by_hi = counting_sort(&first_seen, num_nodes, |s| seen[s as usize].0 .1);
-        let order = counting_sort(&by_hi, num_nodes, |s| seen[s as usize].0 .0);
-        let mut rank = vec![0u32; seen.len()];
-        let mut keys = Vec::with_capacity(seen.len());
-        let mut offsets = Vec::with_capacity(seen.len() + 1);
-        // Per first-seen slot: the next free position of its event run.
-        let mut cursor = vec![0usize; seen.len()];
-        let mut blooms = vec![0u64; num_nodes];
-        let mut at = 0;
-        for (final_slot, &s) in order.iter().enumerate() {
-            let (key, len) = seen[s as usize];
-            rank[s as usize] = final_slot as u32;
-            keys.push(key);
-            offsets.push(at);
-            cursor[s as usize] = at;
-            at += len as usize;
-            let (lo, hi) = key;
-            blooms[lo as usize] |= PairIndex::bloom_bit(hi);
-            blooms[hi as usize] |= PairIndex::bloom_bit(lo);
-        }
-        offsets.push(at);
-        // hare-lint: allow(map-iter, reason = "each value is rewritten on its own; visit order cannot show")
-        for slot in slot_of.values_mut() {
-            *slot = rank[*slot as usize];
-        }
-
-        // Edge ids ascend through this loop, so every pair's run fills
-        // in edge-id (chronological) order.
-        let mut events = vec![
-            PairEvent {
-                t: 0,
-                edge: 0,
-                dir_from_lo: Dir::Out,
-            };
-            edges.len()
-        ];
-        for (id, (e, &s)) in edges.iter().zip(&seen_slot).enumerate() {
-            let pos = &mut cursor[s as usize];
-            events[*pos] = PairEvent {
-                t: e.t,
-                edge: id as EdgeId,
-                dir_from_lo: if e.src <= e.dst { Dir::Out } else { Dir::In },
-            };
-            *pos += 1;
-        }
-
-        PairIndex {
-            keys: keys.into_boxed_slice(),
-            offsets: offsets.into_boxed_slice(),
-            events: events.into_boxed_slice(),
-            slot_of,
-            blooms: blooms.into_boxed_slice(),
-        }
-    }
-
-    /// The stable-sort build [`PairIndex::build`] replaced, kept as its
-    /// oracle: one `((lo, hi), event)` tuple per edge, stable-sorted by
+    /// A stable-sort build, kept as the oracle of the build from the
+    /// lanes: one `((lo, hi), event)` tuple per edge, stable-sorted by
     /// pair key.
     #[cfg(test)]
     pub(crate) fn build_by_sort(num_nodes: usize, edges: &[TemporalEdge]) -> PairIndex {
@@ -525,6 +430,113 @@ impl PairIndex {
     }
 }
 
+/// The packed-lane node space: `other << 1 | dir` must fit a `u32`, so
+/// a graph holds at most 2^31 − 1 nodes.
+pub(crate) const MAX_NODES: usize = (u32::MAX >> 1) as usize;
+
+/// The edge-id space: ids are `u32` chronological ranks.
+pub(crate) const MAX_EDGES: usize = u32::MAX as usize;
+
+impl PairIndex {
+    /// Derive the index from the event lanes (`node_start[u]..
+    /// node_start[u + 1]` is `S_u`). `S_lo` holds node `lo`'s events to
+    /// every `hi > lo` in `(t, edge)` order: its sorted distinct
+    /// neighbours above it are its keys, and its events to them, taken
+    /// in lane order, land in each pair's run from `pair_start[lo]` on
+    /// (`pair_start` is the prefix sum of each node's events to higher
+    /// neighbours). Keys and events come out in ascending `(lo, hi)`
+    /// order; `slot_of` is filled once, into a reserved map.
+    fn from_lanes(
+        node_start: &[usize],
+        pair_start: &[usize],
+        ts: &[Timestamp],
+        packed: &[u32],
+        edge: &[EdgeId],
+    ) -> PairIndex {
+        let num_nodes = node_start.len() - 1;
+        let num_events = pair_start[num_nodes];
+        let mut events = vec![
+            PairEvent {
+                t: 0,
+                edge: 0,
+                dir_from_lo: Dir::Out,
+            };
+            num_events
+        ];
+        let mut blooms = vec![0u64; num_nodes];
+        // `mark[w]` holds `(lo + 1) << 32 | x` once `w` is a listed
+        // neighbour of `lo`, where `x` is first `lo`'s event count to
+        // `w`, then where the next such event goes in `events` (both
+        // below 2^32: edge ids are `u32`). `partners` and `upper`
+        // collect `lo`'s neighbours above it and the positions in `S_lo`
+        // of its events to them. The loops are branch-free: whether an
+        // event goes up and whether its neighbour is new are coin flips
+        // on real graphs.
+        let mut mark = vec![0u64; num_nodes];
+        let mut partners: Vec<NodeId> = Vec::new();
+        let mut upper: Vec<u32> = Vec::new();
+        // At most one key per event: reserved, not touched, so growing
+        // never copies.
+        let mut keys = Vec::with_capacity(num_events);
+        let mut offsets = Vec::with_capacity(num_events + 1);
+        for lo in 0..num_nodes {
+            let stamp = (lo as u64 + 1) << 32;
+            let run = node_start[lo]..node_start[lo + 1];
+            if partners.len() < run.len() {
+                partners.resize(run.len(), 0);
+                upper.resize(run.len(), 0);
+            }
+            let (mut num_partners, mut num_upper, mut bloom) = (0, 0, 0);
+            for (i, &p) in packed[run.clone()].iter().enumerate() {
+                let w = p >> 1;
+                bloom |= PairIndex::bloom_bit(w);
+                let up = w as usize > lo;
+                let m = mark[w as usize];
+                let new = up & (m >> 32 << 32 != stamp);
+                mark[w as usize] = if new { stamp } else { m } + u64::from(up);
+                partners[num_partners] = w;
+                num_partners += usize::from(new);
+                upper[num_upper] = i as u32;
+                num_upper += usize::from(up);
+            }
+            blooms[lo] = bloom;
+            let partners = &mut partners[..num_partners];
+            partners.sort_unstable();
+            let mut at = pair_start[lo];
+            for &hi in partners.iter() {
+                keys.push((lo as NodeId, hi));
+                offsets.push(at);
+                let m = &mut mark[hi as usize];
+                let count = *m as u32 as usize;
+                *m = stamp | at as u64;
+                at += count;
+            }
+            for &i in &upper[..num_upper] {
+                let i = run.start + i as usize;
+                let m = &mut mark[(packed[i] >> 1) as usize];
+                events[*m as u32 as usize] = PairEvent {
+                    t: ts[i],
+                    edge: edge[i],
+                    dir_from_lo: dir_of(packed[i]),
+                };
+                *m += 1;
+            }
+        }
+        offsets.push(num_events);
+        let mut slot_of = fx_hash_map_with_capacity(keys.len());
+        for (slot, &key) in keys.iter().enumerate() {
+            slot_of.insert(key, slot as u32);
+        }
+        PairIndex {
+            keys: keys.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+            events: events.into_boxed_slice(),
+            slot_of,
+            blooms: blooms.into_boxed_slice(),
+        }
+    }
+}
+
 /// Timestamp-lane storage: raw slice or per-run bit-packed deltas. The
 /// other two lanes are cheap (4 bytes/event each) and stay raw in both
 /// layouts.
@@ -587,39 +599,47 @@ impl TemporalGraph {
         b.build()
     }
 
-    /// Internal constructor used by the builder. `edges` must be sorted by
-    /// `(t, original position)` and free of self-loops, and every endpoint
-    /// must be `< num_nodes`.
+    /// Internal constructor used by `GraphBuilder` and the reader. `edges`
+    /// must be sorted by `(t, original position)` and free of
+    /// self-loops, and every endpoint must be `< num_nodes`. One counting
+    /// pass sizes everything; the lane fill and the [`PairIndex`]
+    /// derivation from the lanes then write the final arrays in place.
+    ///
+    /// # Panics
+    /// Panics past the edge-id space (`u32`) or the packed-lane node
+    /// space (2^31 − 1 nodes). The text reader checks both and returns
+    /// a typed error instead.
     pub(crate) fn from_sorted_edges(num_nodes: usize, edges: Vec<TemporalEdge>) -> TemporalGraph {
+        assert!(edges.len() <= MAX_EDGES, "edge count exceeds u32 id space");
         assert!(
-            edges.len() <= u32::MAX as usize,
-            "edge count exceeds u32 id space"
-        );
-        assert!(
-            num_nodes <= (u32::MAX >> 1) as usize,
+            num_nodes <= MAX_NODES,
             "node count exceeds the packed-lane id space (2^31 - 1)"
         );
         debug_assert!(edges.windows(2).all(|w| w[0].t <= w[1].t));
 
-        // Per-node degree counting pass, then prefix sums, then a fill pass
-        // in edge-id order so each S_u comes out time-ordered.
-        let mut counts = vec![0usize; num_nodes + 1];
+        // Counting pass, then prefix sums: each node's degree, which
+        // places its lane run, and its events to higher neighbours, which
+        // place its share of the pair events.
+        let mut node_start = vec![0usize; num_nodes + 1];
+        let mut pair_start = vec![0usize; num_nodes + 1];
         for e in &edges {
-            counts[e.src as usize + 1] += 1;
-            counts[e.dst as usize + 1] += 1;
+            node_start[e.src as usize + 1] += 1;
+            node_start[e.dst as usize + 1] += 1;
+            pair_start[e.src.min(e.dst) as usize + 1] += 1;
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        for i in 1..node_start.len() {
+            node_start[i] += node_start[i - 1];
+            pair_start[i] += pair_start[i - 1];
         }
-        let node_offsets = counts.clone().into_boxed_slice();
-        let node_rank =
-            crate::stats::degree_rank(num_nodes, |u| node_offsets[u + 1] - node_offsets[u]);
+        let node_rank = crate::stats::degree_rank(num_nodes, |u| node_start[u + 1] - node_start[u]);
 
+        // Fill pass in edge-id order, so each S_u comes out in `(t, edge)`
+        // order.
         let n_events = edges.len() * 2;
         let mut ev_ts = vec![0 as Timestamp; n_events];
         let mut ev_packed = vec![0u32; n_events];
         let mut ev_edge = vec![0 as EdgeId; n_events];
-        let mut cursors = counts;
+        let mut cursors = node_start.clone();
         for (id, e) in edges.iter().enumerate() {
             let id = id as EdgeId;
             let s = &mut cursors[e.src as usize];
@@ -633,13 +653,13 @@ impl TemporalGraph {
             ev_edge[*d] = id;
             *d += 1;
         }
-
-        let pairs = PairIndex::build(num_nodes, &edges);
+        drop(cursors);
+        let pairs = PairIndex::from_lanes(&node_start, &pair_start, &ev_ts, &ev_packed, &ev_edge);
 
         TemporalGraph {
             num_nodes,
             edges: edges.into_boxed_slice(),
-            node_offsets,
+            node_offsets: node_start.into_boxed_slice(),
             ev_ts: TsStore::Raw(ev_ts.into_boxed_slice()),
             ev_packed: ev_packed.into_boxed_slice(),
             ev_edge: ev_edge.into_boxed_slice(),
@@ -1186,39 +1206,50 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// `got` equals the sort-built oracle `want` in every array and
+        /// in every lookup.
+        fn same_pairs(got: &PairIndex, want: &PairIndex, span: u32) -> Result<(), TestCaseError> {
+            prop_assert_eq!(&got.keys, &want.keys);
+            prop_assert_eq!(&got.offsets, &want.offsets);
+            prop_assert_eq!(&got.events, &want.events);
+            prop_assert_eq!(&got.slot_of, &want.slot_of);
+            prop_assert_eq!(&got.blooms, &want.blooms);
+            for a in 0..=span {
+                prop_assert_eq!(got.bloom_of(a), want.bloom_of(a));
+                for b in 0..=span.min(40) {
+                    prop_assert_eq!(got.slot_between(a, b), want.slot_between(a, b));
+                }
+            }
+            for slot in 0..want.num_pairs() {
+                let (lo, hi) = want.key(slot);
+                prop_assert_eq!(got.slot_between(hi, lo), Some(slot as u32));
+            }
+            Ok(())
+        }
+
         proptest! {
-            /// The counting build equals the sort build it replaced on
-            /// random multigraphs: few timestamps (so ties are common),
-            /// repeated pairs in both directions, and sparse node ids.
+            /// The build from the lanes equals the sort build on random
+            /// multigraphs: few timestamps (so ties are common),
+            /// repeated pairs in both directions, sparse node ids, and
+            /// up to 1 200 edges, a third of them on node 0 when `hub` is
+            /// 1 (so lane runs range from one event to hundreds).
             #[test]
             fn counting_build_matches_sort_build(
-                shape in (2u32..300, 1i64..30),
-                raw in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0i64..1_000), 0..200),
+                shape in (2u32..400, 1i64..60, 0u8..2),
+                raw in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0i64..1_000), 0..1200),
             ) {
-                let (span, times) = shape;
+                let (span, times, hub) = shape;
                 let g = TemporalGraph::from_edges(
                     raw.iter()
-                        .map(|&(s, d, t)| TemporalEdge::new(s % span, d % span, t % times))
+                        .enumerate()
+                        .map(|(i, &(s, d, t))| {
+                            let s = if hub == 1 && i % 3 == 0 { 0 } else { s % span };
+                            TemporalEdge::new(s, d % span, t % times)
+                        })
                         .collect(),
                 );
-                let n = g.num_nodes();
-                let fast = PairIndex::build(n, g.edges());
-                let slow = PairIndex::build_by_sort(n, g.edges());
-                prop_assert_eq!(&fast.keys, &slow.keys);
-                prop_assert_eq!(&fast.offsets, &slow.offsets);
-                prop_assert_eq!(&fast.events, &slow.events);
-                prop_assert_eq!(&fast.slot_of, &slow.slot_of);
-                prop_assert_eq!(&fast.blooms, &slow.blooms);
-                for a in 0..=span {
-                    prop_assert_eq!(fast.bloom_of(a), slow.bloom_of(a));
-                    for b in 0..=span.min(40) {
-                        prop_assert_eq!(fast.slot_between(a, b), slow.slot_between(a, b));
-                    }
-                }
-                for slot in 0..slow.num_pairs() {
-                    let (lo, hi) = slow.key(slot);
-                    prop_assert_eq!(fast.slot_between(hi, lo), Some(slot as u32));
-                }
+                let slow = PairIndex::build_by_sort(g.num_nodes(), g.edges());
+                same_pairs(g.pairs(), &slow, span)?;
             }
         }
     }

@@ -6,7 +6,22 @@
 //! columns ignored — e.g. the Bitcoin trust datasets carry a rating column
 //! between the endpoints and the timestamp, selectable via
 //! [`LoadOptions::timestamp_column`]). External node ids are remapped to
-//! a dense `0..n` in order of first appearance by [`graph_from_raw`].
+//! a dense `0..n` in order of first appearance by one [`Interner`].
+//!
+//! # Two routes to a graph
+//!
+//! [`read_edges`] returns the raw `(src, dst, t)` triples in file order,
+//! and [`graph_from_raw`] builds a graph from them. [`read_graph`] (and
+//! [`load_graph`], its file-path form) is the lean route to the same
+//! graph: each line's ids are interned as soon as it is scanned, so no
+//! triple list is built, the stable sort by time is skipped when the
+//! file is already chronological. [`read_chronological_edges`] stops
+//! before the build, for counting straight from the sorted edge list.
+//! Both routes
+//! give the same edges, node count and fingerprint, and the same
+//! [`LoadError`] on a bad line. Only the lean route checks the graph's
+//! id spaces, returning [`LoadError::Limit`] where [`graph_from_raw`]
+//! would panic.
 //!
 //! # Accepted grammar
 //!
@@ -36,21 +51,23 @@
 //! read with [`LoadError::Parse`], whose message renders the failing
 //! field's `str::parse` error.
 //!
-//! The reader scans `fill_buf` blocks in place: lines made only of ASCII
-//! bytes are split and their digits accumulated without allocating, and
-//! only a line that straddles two blocks is copied (into one reused
-//! buffer), so besides its output the reader holds one block plus one
-//! line whatever the input size. A line holding any non-ASCII byte, and a line that fails,
-//! takes a `str` path that validates UTF-8 and splits on
-//! `char::is_whitespace` and `,`.
+//! The reader scans `fill_buf` blocks in place: lines made only of
+//! ASCII bytes are split and their digits accumulated without
+//! allocating, eight digits per step, and only a line that straddles
+//! two blocks is copied (into one reused buffer), so besides its output
+//! the reader holds one block plus one line whatever the input size. A
+//! line holding any non-ASCII byte, and a line that fails, takes a
+//! `str` path that validates UTF-8 and splits on `char::is_whitespace`
+//! and `,`.
 
+// hare-lint: allow(std-hash, reason = "Interner's keyed map against hash flooding; ids follow first appearance, never map order")
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::path::Path;
 
-use crate::graph::TemporalGraph;
+use crate::graph::{TemporalGraph, MAX_EDGES, MAX_NODES};
 use crate::types::{NodeId, TemporalEdge, Timestamp};
-use crate::util::FxHashMap;
 
 /// Error produced while loading a graph file.
 #[derive(Debug)]
@@ -65,6 +82,15 @@ pub enum LoadError {
         /// Human-readable description of the problem.
         message: String,
     },
+    /// The record on this line would take the graph past one of its id
+    /// spaces: 2^31 − 1 distinct nodes (the packed lanes) or 2^32 − 1
+    /// edges (`u32` edge ids).
+    Limit {
+        /// 1-based line number of the record that did not fit.
+        line: usize,
+        /// Which limit, and its value.
+        message: String,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -74,6 +100,9 @@ impl fmt::Display for LoadError {
             LoadError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
+            LoadError::Limit { line, message } => {
+                write!(f, "limit exceeded on line {line}: {message}")
+            }
         }
     }
 }
@@ -82,7 +111,7 @@ impl std::error::Error for LoadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LoadError::Io(e) => Some(e),
-            LoadError::Parse { .. } => None,
+            LoadError::Parse { .. } | LoadError::Limit { .. } => None,
         }
     }
 }
@@ -146,13 +175,68 @@ enum Scan {
     Incomplete,
 }
 
+/// How many of the eight bytes of `word` (in memory order) are ASCII
+/// digits before the first that is not (8 if all are).
+#[inline]
+fn leading_digits(word: u64) -> usize {
+    const LO: u64 = 0x0F0F_0F0F_0F0F_0F0F;
+    const HI: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    // A digit byte is `0x3_` with a low nibble of at most 9; any other
+    // byte leaves a nonzero byte in `bad`.
+    let bad = ((word & HI) ^ 0x3030_3030_3030_3030)
+        | ((word & LO).wrapping_add(0x0606_0606_0606_0606) & HI);
+    // Bit 7 of each byte: is that byte of `bad` nonzero?
+    let nonzero =
+        (((bad & 0x7F7F_7F7F_7F7F_7F7F) + 0x7F7F_7F7F_7F7F_7F7F) | bad) & 0x8080_8080_8080_8080;
+    (nonzero.trailing_zeros() / 8) as usize
+}
+
+/// The value of the first `n` (1..=8) bytes of `word`, all ASCII
+/// digits, most significant first: the digit values are shifted to the
+/// top of the word, below zeros that read as leading zeros, and summed
+/// pairwise in three multiplies.
+#[inline]
+fn digits_value(word: u64, n: usize) -> u64 {
+    let x = (word & 0x0F0F_0F0F_0F0F_0F0F) << (8 * (8 - n));
+    let x = (x.wrapping_mul(10) + (x >> 8)) & 0x00FF_00FF_00FF_00FF;
+    let x = (x.wrapping_mul(100) + (x >> 16)) & 0x0000_FFFF_0000_FFFF;
+    (x.wrapping_mul(10_000) + (x >> 32)) & 0xFFFF_FFFF
+}
+
+/// `10^n` for `n` in `0..=8`.
+const POW10: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
 /// Up to 19 digits at `buf[*i..]`, which cannot overflow a `u64`;
 /// `None` for no digits or more than 19 (the `str` path takes those).
-/// Leaves `*i` on the first byte after the run.
+/// Leaves `*i` on the first byte after the run. Reads eight digits at a
+/// time while eight bytes are left, then one at a time.
 #[inline]
 fn scan_digits(buf: &[u8], i: &mut usize) -> Option<u64> {
     let start = *i;
     let mut v: u64 = 0;
+    while let Some(word) = buf.get(*i..*i + 8) {
+        let word = u64::from_le_bytes(word.try_into().ok()?);
+        let n = leading_digits(word);
+        if n == 0 {
+            break;
+        }
+        // Wraps only past 19 digits, which are refused below.
+        v = v.wrapping_mul(POW10[n]).wrapping_add(digits_value(word, n));
+        *i += n;
+        if n < 8 {
+            return (1..=19).contains(&(*i - start)).then_some(v);
+        }
+    }
     while let Some(&b) = buf.get(*i) {
         let d = b.wrapping_sub(b'0');
         if d > 9 {
@@ -315,20 +399,21 @@ fn parse_text_line(
     Ok(Some((src, dst, t)))
 }
 
-/// Parse the line at the start of `buf` into `out`, counting it in
-/// `lineno`. Returns the line's length including its `\n`, or `None`
-/// (and counts nothing) when `buf` ends before the `\n`, which cannot
-/// happen when `buf` ends in one.
+/// Parse the line at the start of `buf`, handing a record to `sink`
+/// with its line number and counting the line in `lineno`. Returns the
+/// line's length including its `\n`, or `None` (and counts nothing)
+/// when `buf` ends before the `\n`, which cannot happen when `buf` ends
+/// in one.
 #[inline]
 fn take_line(
     buf: &[u8],
     lineno: &mut usize,
     opts: &LoadOptions,
-    out: &mut Vec<RawEdge>,
+    sink: &mut impl FnMut(RawEdge, usize) -> Result<(), LoadError>,
 ) -> Result<Option<usize>, LoadError> {
     let len = match scan_line(buf, opts.timestamp_column) {
         Scan::Edge(e, len) => {
-            out.push(e);
+            sink(e, *lineno + 1)?;
             len
         }
         Scan::Skip(len) => len,
@@ -337,7 +422,9 @@ fn take_line(
             let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
                 return Ok(None);
             };
-            out.extend(parse_text_line(&buf[..nl], *lineno + 1, opts)?);
+            if let Some(e) = parse_text_line(&buf[..nl], *lineno + 1, opts)? {
+                sink(e, *lineno + 1)?;
+            }
             nl + 1
         }
     };
@@ -345,13 +432,14 @@ fn take_line(
     Ok(Some(len))
 }
 
-/// Parse edges from any reader, in file order. See the module docs for
-/// the grammar and [`load_edges`] for the file-path wrapper.
-pub fn read_edges<R: BufRead>(
+/// Scan every record of `reader` in file order into `sink`, with its
+/// 1-based line number. The first error, the reader's or the sink's,
+/// stops the scan.
+fn scan_records<R: BufRead>(
     mut reader: R,
     opts: &LoadOptions,
-) -> Result<Vec<(u64, u64, Timestamp)>, LoadError> {
-    let mut out = Vec::new();
+    mut sink: impl FnMut(RawEdge, usize) -> Result<(), LoadError>,
+) -> Result<(), LoadError> {
     // A line the end of a block cut off, completed from the next block.
     let mut carry: Vec<u8> = Vec::new();
     let mut lineno = 0;
@@ -369,7 +457,7 @@ pub fn read_edges<R: BufRead>(
             match block.iter().position(|&b| b == b'\n') {
                 Some(nl) => {
                     carry.extend_from_slice(&block[..=nl]);
-                    take_line(&carry, &mut lineno, opts, &mut out)?;
+                    take_line(&carry, &mut lineno, opts, &mut sink)?;
                     carry.clear();
                     pos = nl + 1;
                 }
@@ -377,7 +465,7 @@ pub fn read_edges<R: BufRead>(
             }
         }
         while carry.is_empty() && pos < block.len() {
-            match take_line(&block[pos..], &mut lineno, opts, &mut out)? {
+            match take_line(&block[pos..], &mut lineno, opts, &mut sink)? {
                 Some(len) => pos += len,
                 None => carry.extend_from_slice(&block[pos..]),
             }
@@ -387,9 +475,35 @@ pub fn read_edges<R: BufRead>(
     }
     if !carry.is_empty() {
         carry.push(b'\n');
-        take_line(&carry, &mut lineno, opts, &mut out)?;
+        take_line(&carry, &mut lineno, opts, &mut sink)?;
     }
+    Ok(())
+}
+
+/// Parse edges from any reader, in file order. See the module docs for
+/// the grammar and [`load_edges`] for the file-path wrapper.
+pub fn read_edges<R: BufRead>(
+    reader: R,
+    opts: &LoadOptions,
+) -> Result<Vec<(u64, u64, Timestamp)>, LoadError> {
+    let mut out = Vec::new();
+    scan_records(reader, opts, |e, _| {
+        out.push(e);
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// Read buffer size of the file-path loaders: a few dozen `read` calls
+/// per megabyte instead of the default 8 KiB buffer's 128.
+const FILE_BUF: usize = 64 << 10;
+
+/// Open a text file for the readers, with the loaders' read buffer.
+pub fn open(path: impl AsRef<Path>) -> Result<BufReader<std::fs::File>, LoadError> {
+    Ok(BufReader::with_capacity(
+        FILE_BUF,
+        std::fs::File::open(path)?,
+    ))
 }
 
 /// Load raw `(src, dst, t)` triples from a text file.
@@ -397,21 +511,44 @@ pub fn load_edges(
     path: impl AsRef<Path>,
     opts: &LoadOptions,
 ) -> Result<Vec<(u64, u64, Timestamp)>, LoadError> {
-    let file = std::fs::File::open(path)?;
-    read_edges(BufReader::new(file), opts)
+    read_edges(open(path)?, opts)
 }
 
-/// Load a [`TemporalGraph`] from a text file (see [`graph_from_raw`]
-/// for the id remap).
+/// Load a [`TemporalGraph`] from a text file: [`read_graph`] over the
+/// loaders' read buffer.
 pub fn load_graph(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<TemporalGraph, LoadError> {
-    let raw = load_edges(path, opts)?;
-    Ok(graph_from_raw(raw, opts))
+    read_graph(open(path)?, opts)
+}
+
+/// Read a [`TemporalGraph`] from any reader: the graph
+/// [`graph_from_raw`] builds from [`read_edges`]' triples, read in one
+/// pass with no triple list (see the module docs).
+pub fn read_graph<R: BufRead>(reader: R, opts: &LoadOptions) -> Result<TemporalGraph, LoadError> {
+    let (num_nodes, edges) = read_chronological_edges(reader, opts)?;
+    Ok(TemporalGraph::from_sorted_edges(num_nodes, edges))
+}
+
+/// [`read_graph`]'s edge list and node count, before the build: the
+/// list [`chronological_edges`] makes of [`read_edges`]' triples.
+/// Counting straight from it (see `hare::InMemorySource::new`) needs no
+/// graph build at all.
+pub fn read_chronological_edges<R: BufRead>(
+    reader: R,
+    opts: &LoadOptions,
+) -> Result<(usize, Vec<TemporalEdge>), LoadError> {
+    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES);
+    scan_records(reader, opts, |e, line| ingest.push(e, line))?;
+    Ok(ingest.finish())
 }
 
 /// Build a graph from raw 64-bit-id triples (the in-memory equivalent of
 /// [`load_graph`]): the graph over [`chronological_edges`]. No field of
 /// `_opts` affects the build: it is taken so that callers pass the
 /// options they parsed with.
+///
+/// # Panics
+/// Panics past the graph's id spaces (see [`LoadError::Limit`], which
+/// [`read_graph`] returns instead).
 #[must_use]
 pub fn graph_from_raw(raw: Vec<(u64, u64, Timestamp)>, _opts: &LoadOptions) -> TemporalGraph {
     let (num_nodes, edges) = chronological_edges(raw);
@@ -420,29 +557,223 @@ pub fn graph_from_raw(raw: Vec<(u64, u64, Timestamp)>, _opts: &LoadOptions) -> T
 
 /// The chronological edge list of [`graph_from_raw`]'s graph, and its
 /// node count. External ids are remapped to a dense `0..n` in order of
-/// first appearance; self-loops are dropped without taking an id (so
-/// `num_nodes` is stable across save/load round trips); edges are
-/// stably sorted by timestamp, so input order breaks ties. Counting
-/// straight from this list (see `hare::InMemorySource::new`) needs no
-/// graph build at all.
+/// first appearance ([`Interner`]); self-loops are dropped without
+/// taking an id (so `num_nodes` is stable across save/load round
+/// trips); edges are stably sorted by timestamp, so input order breaks
+/// ties. Counting straight from this list (see
+/// `hare::InMemorySource::new`) needs no graph build at all.
+///
+/// # Panics
+/// Panics past the graph's id spaces, like [`graph_from_raw`].
 #[must_use]
 pub fn chronological_edges(raw: Vec<(u64, u64, Timestamp)>) -> (usize, Vec<TemporalEdge>) {
-    let mut edges = Vec::with_capacity(raw.len());
-    let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
-    let intern = |x: u64, remap: &mut FxHashMap<u64, NodeId>| -> NodeId {
-        let next = remap.len() as NodeId;
-        *remap.entry(x).or_insert(next)
-    };
-    for (s, d, t) in raw {
-        if s == d {
-            continue;
+    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES);
+    ingest.edges.reserve(raw.len());
+    for (i, e) in raw.into_iter().enumerate() {
+        if let Err(e) = ingest.push(e, i + 1) {
+            // hare-lint: allow(panic, reason = "in-memory triples past the id spaces: the documented panic of this entry point")
+            panic!("{e}");
         }
-        let s = intern(s, &mut remap);
-        let d = intern(d, &mut remap);
-        edges.push(TemporalEdge::new(s, d, t));
     }
-    edges.sort_by_key(|e| e.t); // stable: input order breaks ties
-    (remap.len(), edges)
+    ingest.finish()
+}
+
+/// Dense node ids for external 64-bit ids, handed out `0, 1, 2, …` in
+/// order of first appearance: the one id remap of the reader, of
+/// `GraphBuilder::compact_ids` and of `hare-count`'s streaming input.
+///
+/// While ids stay dense — below `max(2^16, 8 × ids handed out)` — an id
+/// is found by one load from a direct table; the table grows as more
+/// ids are handed out, so ids `0..n` in any order never leave it. A
+/// sparse id goes to a hash map keyed per process (std's `RandomState`),
+/// so crafted ids cannot make its probes collide. Which store holds an
+/// id never shows in the ids handed out.
+#[derive(Debug)]
+pub struct Interner {
+    /// `table[x]` is the id of external id `x`, or [`VACANT`]. Every
+    /// key of `sparse` is at least `table.len()`.
+    table: Vec<NodeId>,
+    // hare-lint: allow(std-hash, reason = "keyed per process against hash flooding; ids are assigned in first-appearance order, never in map order")
+    sparse: HashMap<u64, NodeId>,
+    len: usize,
+    max_nodes: usize,
+}
+
+/// An empty [`Interner::table`] slot.
+const VACANT: NodeId = NodeId::MAX;
+
+/// The direct table always covers ids below this…
+const DENSE_FLOOR: usize = 1 << 16;
+
+/// …and below this multiple of the ids handed out.
+const DENSE_FACTOR: usize = 8;
+
+impl Default for Interner {
+    fn default() -> Interner {
+        Interner::new()
+    }
+}
+
+impl Interner {
+    /// An empty interner over the whole packed-lane node space
+    /// (2^31 − 1 ids).
+    #[must_use]
+    pub fn new() -> Interner {
+        Interner::with_max_nodes(MAX_NODES)
+    }
+
+    /// An empty interner that hands out at most `max_nodes` ids.
+    pub(crate) fn with_max_nodes(max_nodes: usize) -> Interner {
+        Interner {
+            table: Vec::new(),
+            // hare-lint: allow(std-hash, reason = "keyed per process against hash flooding; never iterated for output")
+            sparse: HashMap::new(),
+            len: 0,
+            max_nodes,
+        }
+    }
+
+    /// The dense id of external id `x`, handing out the next one if `x`
+    /// is new; `None` if `x` is new and the node space is full.
+    #[inline]
+    pub fn intern(&mut self, x: u64) -> Option<NodeId> {
+        match usize::try_from(x).ok().and_then(|i| self.table.get(i)) {
+            Some(&id) if id != VACANT => Some(id),
+            _ => self.intern_slow(x),
+        }
+    }
+
+    /// [`Interner::intern`] past the table's filled slots, kept out of
+    /// line so the hit path stays small.
+    #[inline(never)]
+    fn intern_slow(&mut self, x: u64) -> Option<NodeId> {
+        let cap = DENSE_FLOOR.max(self.len.saturating_mul(DENSE_FACTOR));
+        match usize::try_from(x) {
+            Ok(i) if i < cap => {
+                if i >= self.table.len() {
+                    let len = (i + 1).max(2 * self.table.len()).max(1024).min(cap);
+                    self.grow(len);
+                }
+                if self.table[i] == VACANT {
+                    self.table[i] = self.next_id()?;
+                }
+                Some(self.table[i])
+            }
+            _ => match self.sparse.get(&x) {
+                Some(&id) => Some(id),
+                None => {
+                    let id = self.next_id()?;
+                    self.sparse.insert(x, id);
+                    Some(id)
+                }
+            },
+        }
+    }
+
+    /// Grow the table to `len` slots, moving in the sparse ids it now
+    /// covers.
+    fn grow(&mut self, len: usize) {
+        self.table.resize(len, VACANT);
+        if !self.sparse.is_empty() {
+            let table = &mut self.table;
+            // hare-lint: allow(map-iter, reason = "each entry moves to its own table slot; visit order cannot show")
+            self.sparse.retain(|&x, &mut id| {
+                match usize::try_from(x).ok().and_then(|i| table.get_mut(i)) {
+                    Some(slot) => {
+                        *slot = id;
+                        false
+                    }
+                    None => true,
+                }
+            });
+        }
+    }
+
+    fn next_id(&mut self) -> Option<NodeId> {
+        if self.len >= self.max_nodes {
+            return None;
+        }
+        self.len += 1;
+        NodeId::try_from(self.len - 1).ok()
+    }
+
+    /// Ids handed out so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if no id has been handed out.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The error for a record on `line` that would make more than `max`
+/// of `what`.
+#[cold]
+fn limit_error(line: usize, max: usize, what: &str) -> LoadError {
+    LoadError::Limit {
+        line,
+        message: format!("more than {max} {what}"),
+    }
+}
+
+/// Interned edges in input order, on their way to a chronological list.
+struct Ingest {
+    ids: Interner,
+    edges: Vec<TemporalEdge>,
+    max_edges: usize,
+    /// Whether the timestamps so far never decrease, and the last one.
+    sorted: bool,
+    last_t: Timestamp,
+}
+
+impl Ingest {
+    fn new(ids: Interner, max_edges: usize) -> Ingest {
+        Ingest {
+            ids,
+            edges: Vec::new(),
+            max_edges,
+            sorted: true,
+            last_t: Timestamp::MIN,
+        }
+    }
+
+    /// Intern and append one record from `line`, dropping a self-loop
+    /// before its ids are interned.
+    #[inline]
+    fn push(&mut self, (s, d, t): RawEdge, line: usize) -> Result<(), LoadError> {
+        if s == d {
+            return Ok(());
+        }
+        let (Some(s), Some(d)) = (self.ids.intern(s), self.ids.intern(d)) else {
+            let what = "distinct node ids (the packed-lane node space)";
+            return Err(limit_error(line, self.ids.max_nodes, what));
+        };
+        if self.edges.len() >= self.max_edges {
+            return Err(limit_error(
+                line,
+                self.max_edges,
+                "edges (the u32 edge-id space)",
+            ));
+        }
+        self.sorted &= t >= self.last_t;
+        self.last_t = t;
+        self.edges.push(TemporalEdge::new(s, d, t));
+        Ok(())
+    }
+
+    /// The node count and the edges, stably sorted by time unless they
+    /// came in that order.
+    fn finish(self) -> (usize, Vec<TemporalEdge>) {
+        let mut edges = self.edges;
+        if !self.sorted {
+            edges.sort_by_key(|e| e.t); // stable: input order breaks ties
+        }
+        (self.ids.len(), edges)
+    }
 }
 
 /// Write a graph back out as `src dst t` lines (chronological order).
@@ -611,6 +942,126 @@ mod tests {
         // External ids are always compacted to 0..n in first-seen order.
         let g = graph_from_raw(vec![(1_000_000_000_000, 7, 1)], &LoadOptions::default());
         assert_eq!(g.num_nodes(), 2);
+    }
+
+    #[test]
+    fn word_digit_helpers_match_a_byte_loop() {
+        let check = |bytes: [u8; 8]| {
+            let word = u64::from_le_bytes(bytes);
+            let want = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+            assert_eq!(leading_digits(word), want, "{bytes:?}");
+            if want > 0 {
+                let text = std::str::from_utf8(&bytes[..want]).unwrap();
+                assert_eq!(digits_value(word, want), text.parse::<u64>().unwrap());
+            }
+        };
+        // Every byte value at every position after a run of digits.
+        for k in 0..8 {
+            for b in 0..=255u8 {
+                let mut bytes = *b"90817263";
+                bytes[k] = b;
+                check(bytes);
+            }
+        }
+        // Mixed words, mostly digits.
+        let mut h = 1;
+        for case in 0..20_000 {
+            h = crate::util::splitmix64_mix(h, case);
+            check(std::array::from_fn(|k| {
+                let r = (h >> (8 * k)) as u8;
+                if r.is_multiple_of(4) {
+                    r
+                } else {
+                    b'0' + r % 10
+                }
+            }));
+        }
+    }
+
+    /// Read `text` through a fresh [`Ingest`] with the given limits.
+    fn ingest_text(text: &str, ids: Interner, max_edges: usize) -> (Ingest, Result<(), LoadError>) {
+        let mut ingest = Ingest::new(ids, max_edges);
+        let res = scan_records(Cursor::new(text), &LoadOptions::default(), |e, line| {
+            ingest.push(e, line)
+        });
+        (ingest, res)
+    }
+
+    #[test]
+    fn sparse_ids_stay_out_of_the_direct_table() {
+        let text = "1099511627776 9000000000000000000 5\n\
+                    9000000000000000000 1099511627776 6\n\
+                    1099511627776 9000000000000000001 7\n";
+        let (ingest, res) = ingest_text(text, Interner::new(), MAX_EDGES);
+        res.unwrap();
+        assert!(ingest.ids.table.is_empty());
+        assert_eq!(ingest.ids.sparse.len(), 3);
+        let (num_nodes, edges) = ingest.finish();
+        assert_eq!(num_nodes, 3);
+        assert_eq!(
+            edges,
+            [
+                TemporalEdge::new(0, 1, 5),
+                TemporalEdge::new(1, 0, 6),
+                TemporalEdge::new(0, 2, 7),
+            ]
+        );
+    }
+
+    #[test]
+    fn node_and_edge_limits_are_typed_errors() {
+        // Line 4 is a self-loop, which takes no id; line 5 brings the
+        // fourth distinct node.
+        let text = "1 2 5\n# comment\n2 3 6\n7 7 7\n4 1 8\n";
+        let (_, res) = ingest_text(text, Interner::with_max_nodes(3), MAX_EDGES);
+        assert_eq!(
+            res.unwrap_err().to_string(),
+            "limit exceeded on line 5: more than 3 distinct node ids (the packed-lane node space)"
+        );
+        let (_, res) = ingest_text(text, Interner::with_max_nodes(4), MAX_EDGES);
+        res.unwrap();
+        let (ingest, res) = ingest_text(text, Interner::new(), 1);
+        assert!(
+            matches!(&res, Err(LoadError::Limit { line: 3, message }) if message.contains("edge-id")),
+            "{res:?}"
+        );
+        assert_eq!(ingest.edges.len(), 1);
+    }
+
+    #[test]
+    fn chronological_input_is_not_sorted_again() {
+        let (ingest, res) = ingest_text("1 2 5\n2 3 5\n3 1 9\n", Interner::new(), 10);
+        res.unwrap();
+        assert!(ingest.sorted);
+        let (ingest, res) = ingest_text("1 2 5\n2 3 4\n3 1 9\n", Interner::new(), 10);
+        res.unwrap();
+        assert!(!ingest.sorted);
+        let times: Vec<_> = ingest.finish().1.iter().map(|e| e.t).collect();
+        assert_eq!(times, [4, 5, 9]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The interner hands out the ids a first-seen hash map does,
+        /// whichever store an id lands in: ids start sparse (above the
+        /// table's floor), the table grows over them as more ids are
+        /// handed out, and a few ids stay far out of its reach.
+        #[test]
+        fn interner_matches_a_first_seen_map(seed in 0u64..u64::MAX, len in 0usize..30_000) {
+            let mut interner = Interner::new();
+            let mut want: crate::util::FxHashMap<u64, NodeId> = Default::default();
+            let mut h = seed;
+            for _ in 0..len {
+                h = crate::util::splitmix64_mix(h, 1);
+                let x = if h % 50 == 0 { (h >> 8) << 40 } else { (h >> 8) % 400_000 };
+                let next = want.len() as NodeId;
+                let id = *want.entry(x).or_insert(next);
+                proptest::prop_assert_eq!(interner.intern(x), Some(id));
+            }
+            proptest::prop_assert_eq!(interner.len(), want.len());
+            proptest::prop_assert!(interner.table.len() <= DENSE_FLOOR.max(8 * want.len()));
+        }
     }
 
     #[test]
@@ -939,6 +1390,81 @@ mod tests {
             out
         }
 
+        /// The lean route against the raw one on `bytes`: [`read_graph`]
+        /// and [`read_chronological_edges`], through read buffers of 1 to
+        /// 8192 bytes, must give
+        /// `graph_from_raw(read_edges(..))`'s edges, node count and
+        /// fingerprint, or its error with the same line and message.
+        fn check_graph(bytes: &[u8], ts_col: usize) -> Result<(), String> {
+            let opts = LoadOptions {
+                timestamp_column: ts_col,
+            };
+            let raw = read_edges(bytes, &opts);
+            let want = raw.as_ref().map(|raw| graph_from_raw(raw.clone(), &opts));
+            let same = |got: &Result<(usize, &[TemporalEdge], u64), String>| match (&want, got) {
+                (Ok(w), Ok((n, edges, fp))) => {
+                    w.num_nodes() == *n && w.edges() == *edges && w.fingerprint() == *fp
+                }
+                (Err(w), Err(g)) => w.to_string() == *g,
+                _ => false,
+            };
+            for cap in [1, 7, 64, 8192] {
+                let reader = || BufReader::with_capacity(cap, Cursor::new(bytes));
+                let got = read_graph(reader(), &opts);
+                let got = got
+                    .as_ref()
+                    .map(|g| (g.num_nodes(), g.edges(), g.fingerprint()));
+                let got = got.map_err(ToString::to_string);
+                let list = read_chronological_edges(reader(), &opts);
+                let list = list.as_ref().map(|(n, edges)| (*n, &edges[..], 0));
+                let list = list.map_err(ToString::to_string);
+                let list_ok = match (&list, &raw) {
+                    (Ok((n, edges, _)), Ok(raw)) => {
+                        let (wn, wedges) = chronological_edges(raw.clone());
+                        *n == wn && *edges == &wedges[..]
+                    }
+                    (Err(g), Err(w)) => *g == w.to_string(),
+                    _ => false,
+                };
+                if !same(&got) || !list_ok {
+                    return Err(format!(
+                        "input {:?} (timestamp column {ts_col}, capacity {cap}): lean {got:?} / {list:?}, raw {:?}",
+                        String::from_utf8_lossy(bytes),
+                        want.as_ref()
+                            .map(|g| (g.num_nodes(), g.edges(), g.fingerprint())),
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200))]
+
+            /// Generated SNAP-style text (valid or not) reads to the same
+            /// graph, or the same error, by the lean route as by the raw
+            /// one.
+            #[test]
+            fn lean_reader_matches_raw_route_on_generated_text(
+                lines in proptest::collection::vec(
+                    ((0usize..1000, 0usize..1000), (0usize..1000, 0usize..1000), (0usize..1000, 0usize..1000)),
+                    0..24,
+                ),
+                shape in (0usize..2, 0usize..2, 0usize..5),
+            ) {
+                let (crlf, valid, ts_col) = shape;
+                let lines: Vec<LineRecipe> = if valid == 1 {
+                    lines.iter().map(|&((a, b), (c, d), (e, f))| ((a % 8, b % 8), (c % 8, d % 8), (e % 8, 1 + f % 3))).collect()
+                } else {
+                    lines
+                };
+                let bytes = render(&lines, crlf == 1);
+                if let Err(msg) = check_graph(&bytes, ts_col) {
+                    prop_assert!(false, "{}", msg);
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -984,6 +1510,7 @@ mod tests {
     mod fuzz {
         use super::*;
         use crate::builder::GraphBuilder;
+        use crate::util::FxHashMap;
         use proptest::prelude::*;
 
         /// [`graph_from_raw`] as it was written before
