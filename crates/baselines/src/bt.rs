@@ -167,7 +167,7 @@ impl MotifPattern {
             (Some(a), Some(b)) => {
                 let evs = g.pair_events(a, b);
                 let start = evs.partition_point(|p| p.edge <= last_id);
-                for p in &evs[start..] {
+                for p in evs.slice(start..evs.len()) {
                     if p.t > deadline {
                         break;
                     }

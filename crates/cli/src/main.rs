@@ -706,7 +706,7 @@ fn load_options(o: &Opts) -> LoadOptions {
 /// count of an `--input` file — the file's chronological edge list, from
 /// which no whole graph is ever built.
 enum Input {
-    Graph(TemporalGraph),
+    Graph(Box<TemporalGraph>),
     Edges(InMemorySource<'static>),
 }
 
@@ -719,7 +719,7 @@ impl Input {
                     .map_err(|e| format!("loading {path}: {e}"))?;
                 Ok(Input::Edges(InMemorySource::new(num_nodes, edges)))
             }
-            _ => load_input_graph(o).map(Input::Graph),
+            _ => load_input_graph(o).map(|g| Input::Graph(Box::new(g))),
         }
     }
 

@@ -20,11 +20,11 @@
 //! hare-lint: no-alloc
 
 use crate::counters::PairCounter;
-use temporal_graph::{PairEvent, TemporalGraph, Timestamp};
+use temporal_graph::{PairEvents, TemporalGraph, Timestamp};
 
 /// Count all pair motif instances inside one pair edge list (directions
 /// relative to the pair's smaller endpoint, as stored).
-pub fn count_pair_events(events: &[PairEvent], delta: Timestamp, pair: &mut PairCounter) {
+pub fn count_pair_events(events: PairEvents<'_>, delta: Timestamp, pair: &mut PairCounter) {
     let mut c1 = [0u64; 2];
     let mut c2 = [[0u64; 2]; 2];
     let mut start = 0usize;
@@ -33,8 +33,8 @@ pub fn count_pair_events(events: &[PairEvent], delta: Timestamp, pair: &mut Pair
         // Evict edges that can no longer open a window containing `ej`
         // (saturating: a negative timestamp minus a huge δ must not wrap).
         let t_lo = ej.t.saturating_sub(delta);
-        while events[start].t < t_lo {
-            let d = events[start].dir_from_lo.index();
+        while events.get(start).t < t_lo {
+            let d = events.get(start).dir_from_lo.index();
             c1[d] -= 1;
             // The evictee is the oldest edge, hence the *first* element of
             // every ordered pair it participates in.
@@ -162,7 +162,7 @@ mod tests {
         let g = TemporalGraph::from_edges(vec![]);
         assert_eq!(fast_pair(&g, 10).total(), 0);
         let mut pc = PairCounter::default();
-        count_pair_events(&[], 10, &mut pc);
+        count_pair_events(PairEvents::default(), 10, &mut pc);
         assert_eq!(pc.total(), 0);
     }
 

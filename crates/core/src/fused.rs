@@ -188,7 +188,7 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
         // tuple compares everywhere below.
         let e1_id = eids[i];
         // v's neighbour signature: one register test rejects the frequent
-        // wedges with no closing edge before any hash probe.
+        // wedges with no closing edge before any pair lookup.
         let bloom_v = if tri_first { pairs.bloom_of(v) } else { 0 };
         if STARS {
             scratch.reset();
@@ -200,10 +200,10 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
         // whole window, so events to v never touch the scratch array at
         // all and the Star-III read is free.
         let mut cv = [0u64; 2];
-        // One-entry pair-list memo: bursty sequences hit the same far
-        // endpoint in runs, making consecutive probes of E(v, w) free.
+        // One-entry pair-slot memo: bursty sequences hit the same far
+        // endpoint in runs, making consecutive lookups of E(v, w) free.
         let mut memo_w = u32::MAX;
-        let mut memo_evs: &[temporal_graph::PairEvent] = &[];
+        let mut memo_slot = None;
 
         for j in i + 1..j_end {
             let p3 = packed[j];
@@ -241,16 +241,16 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
                 {
                     if w != memo_w {
                         memo_w = w;
-                        memo_evs = pairs.events_between(v, w);
+                        memo_slot = pairs.slot_between(v, w);
                     }
-                    let evs = memo_evs;
-                    if !evs.is_empty() {
+                    if let Some(slot) = memo_slot {
+                        let evs = pairs.events_of_slot(slot as usize);
                         let dk_flip = usize::from(v >= w); // dirs stored relative to lo
                         let tbase = b1 | (d3 << 1); // di·4 + dj·2
                         let ej_id = eids[j];
                         let t_lo = ts.at(j).saturating_sub(delta);
-                        let start = evs.partition_point(|p| p.t < t_lo);
-                        for p in &evs[start..] {
+                        let start = evs.ts().partition_point(|&t| t < t_lo);
+                        for p in evs.slice(start..evs.len()) {
                             if p.t > t_hi {
                                 break;
                             }

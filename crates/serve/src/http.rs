@@ -167,25 +167,32 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         return Err(ReadError::TooLarge(content_length));
     }
 
-    // Body: whatever arrived past the head, then read the remainder.
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(ReadError::BadRequest("truncated request body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-
     let (path_raw, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
+    let method = method.to_uppercase();
+    let path = percent_decode(path_raw, false);
+    let query = parse_query(query_raw);
+
+    // Body: whatever arrived past the head stays in `buf`; the rest is
+    // read straight after it, so the buffer grows only with the bytes
+    // that actually arrive (never to a declared length up front).
+    buf.drain(..head_end + 4);
+    let mut body = buf;
+    if body.len() < content_length {
+        let remaining = (content_length - body.len()) as u64;
+        stream.take(remaining).read_to_end(&mut body)?;
+        if body.len() < content_length {
+            return Err(ReadError::BadRequest("truncated request body".into()));
+        }
+    }
+    body.truncate(content_length);
+
     Ok(Request {
-        method: method.to_uppercase(),
-        path: percent_decode(path_raw, false),
-        query: parse_query(query_raw),
+        method,
+        path,
+        query,
         body,
     })
 }
@@ -383,6 +390,70 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.json().unwrap()["ok"], serde_json::Value::Bool(true));
         server.join().unwrap();
+    }
+
+    /// Serve one `read_request` on an ephemeral port; the client side
+    /// writes `chunks` one by one (flushing each), then closes.
+    fn read_from_chunks(chunks: Vec<Vec<u8>>, max_body: usize) -> Result<Request, ReadError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_nodelay(true).unwrap();
+            for chunk in chunks {
+                conn.write_all(&chunk).unwrap();
+                conn.flush().unwrap();
+            }
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let got = read_request(&mut conn, max_body);
+        client.join().unwrap();
+        got
+    }
+
+    /// A request as bytes: head with `Content-Length: declared`, then
+    /// `body`.
+    fn raw_post(declared: usize, body: &[u8]) -> Vec<u8> {
+        let mut raw =
+            format!("POST /up HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n").into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    #[test]
+    fn body_sent_in_many_small_writes_is_reassembled() {
+        let body: Vec<u8> = (0..5_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let raw = raw_post(body.len(), &body);
+        // 7-byte writes split the head, the head/body boundary and the
+        // body at every offset class.
+        let chunks = raw.chunks(7).map(<[u8]>::to_vec).collect();
+        let req = read_from_chunks(chunks, 1 << 20).unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/up");
+        assert_eq!(req.body, body);
+    }
+
+    #[test]
+    fn body_larger_than_64_kib_is_read_whole() {
+        let body: Vec<u8> = (0..200_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let raw = raw_post(body.len(), &body);
+        let chunks = raw.chunks(50_000).map(<[u8]>::to_vec).collect();
+        let req = read_from_chunks(chunks, 1 << 20).unwrap();
+        assert_eq!(req.body.len(), body.len());
+        assert_eq!(req.body, body);
+    }
+
+    #[test]
+    fn truncated_body_is_a_bad_request() {
+        // The peer declares 100 bytes, sends 40 and closes.
+        let raw = raw_post(100, &[b'x'; 40]);
+        match read_from_chunks(vec![raw], 1 << 20) {
+            Err(ReadError::BadRequest(msg)) => assert_eq!(msg, "truncated request body"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        // Bytes past the declared length are not part of the body.
+        let req = read_from_chunks(vec![raw_post(3, b"abcdef")], 1 << 20).unwrap();
+        assert_eq!(req.body, b"abc");
     }
 
     #[test]

@@ -41,15 +41,15 @@
 //!
 //! # Node rank
 //!
-//! Beside the lanes the graph keeps one `u32` per node: its position in
-//! ascending `(degree, id)` order ([`TemporalGraph::node_rank`]). The
-//! whole-graph triangle count visits each instance only from its
-//! lowest-rank vertex, and HARE reads its hubs-first schedule and its
-//! `TopK` threshold off the same array.
+//! Beside the lanes the graph keeps one `u32` per node, stored in its
+//! [`PairIndex`]: the node's position in ascending `(degree, id)` order
+//! ([`TemporalGraph::node_rank`]). The whole-graph triangle count visits
+//! each instance only from its lowest-rank vertex, HARE reads its
+//! hubs-first schedule and its `TopK` threshold off the same array, and
+//! the pair index files each pair under its lower-rank endpoint.
 
 use crate::lanes::{LaneLayout, PackedTs, TsLane};
 use crate::types::{Dir, EdgeId, NodeId, TemporalEdge, Timestamp};
-use crate::util::{fx_hash_map_with_capacity, FxHashMap};
 
 /// One entry of a node's event sequence `S_u`: an incident edge viewed
 /// from the owning node (`e = (t, v, dir)` in the paper's notation).
@@ -262,6 +262,10 @@ fn dir_of(packed: u32) -> Dir {
 
 /// One entry of a pair edge list `E(v, w)`, stored relative to the
 /// *smaller* endpoint of the unordered pair.
+///
+/// This is the *materialised* form — storage is the index's
+/// struct-of-arrays event layout (see [`PairIndex`]); [`PairEvents::get`]
+/// assembles a `PairEvent` on demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairEvent {
     /// Timestamp of the underlying edge.
@@ -289,28 +293,196 @@ impl PairEvent {
     }
 }
 
+/// Borrowed view over one pair edge list `E(v, w)` (or a contiguous part
+/// of it), in time order.
+///
+/// The timestamps and edge ids are parallel slices of the index's event
+/// arrays; the directions are bits of the index's shared bitset, starting
+/// at bit `first`. Readers get materialised [`PairEvent`]s by value. Two
+/// views compare equal when they hold the same events.
+#[derive(Clone, Copy, Default)]
+pub struct PairEvents<'a> {
+    t: &'a [Timestamp],
+    edge: &'a [EdgeId],
+    dirs: &'a [u64],
+    first: usize,
+}
+
+impl<'a> PairEvents<'a> {
+    /// Number of events in the view.
+    #[inline]
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.t.len()
+    }
+
+    /// `true` if the view holds no events.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.t.is_empty()
+    }
+
+    /// Materialise the `i`-th event.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, i: usize) -> PairEvent {
+        let bit = self.first + i;
+        PairEvent {
+            t: self.t[i],
+            edge: self.edge[i],
+            dir_from_lo: dir_of((self.dirs[bit >> 6] >> (bit & 63)) as u32),
+        }
+    }
+
+    /// The timestamp array (δ-window searches read only this).
+    #[inline]
+    #[must_use]
+    pub fn ts(&self) -> &'a [Timestamp] {
+        self.t
+    }
+
+    /// Sub-view over a contiguous range of event positions.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    #[inline]
+    #[must_use]
+    pub fn slice(&self, range: std::ops::Range<usize>) -> PairEvents<'a> {
+        PairEvents {
+            t: &self.t[range.clone()],
+            edge: &self.edge[range.clone()],
+            dirs: self.dirs,
+            first: self.first + range.start,
+        }
+    }
+
+    /// Iterate materialised [`PairEvent`]s in time order.
+    #[inline]
+    #[must_use]
+    pub fn iter(&self) -> PairEventsIter<'a> {
+        self.into_iter()
+    }
+
+    /// `slice::partition_point` over materialised events: the index of
+    /// the first event for which `pred` is false (events for which it is
+    /// true must form a prefix).
+    #[inline]
+    #[must_use]
+    pub fn partition_point(&self, mut pred: impl FnMut(PairEvent) -> bool) -> usize {
+        let mut lo = 0usize;
+        let mut hi = self.len();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.get(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+impl std::fmt::Debug for PairEvents<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for PairEvents<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for PairEvents<'_> {}
+
+impl<'a> IntoIterator for PairEvents<'a> {
+    type Item = PairEvent;
+    type IntoIter = PairEventsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        PairEventsIter {
+            view: self,
+            next: 0,
+        }
+    }
+}
+
+/// Iterator over a [`PairEvents`] view, yielding materialised
+/// [`PairEvent`]s.
+#[derive(Debug, Clone)]
+pub struct PairEventsIter<'a> {
+    view: PairEvents<'a>,
+    next: usize,
+}
+
+impl Iterator for PairEventsIter<'_> {
+    type Item = PairEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<PairEvent> {
+        if self.next < self.view.len() {
+            let e = self.view.get(self.next);
+            self.next += 1;
+            Some(e)
+        } else {
+            None
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rem = self.view.len() - self.next;
+        (rem, Some(rem))
+    }
+}
+
+impl ExactSizeIterator for PairEventsIter<'_> {}
+
 /// Index over the unordered node pairs with at least one edge.
 ///
-/// Layout mirrors CSR: `keys[i]` is the i-th pair `(lo, hi)` in
-/// ascending order, `events[offsets[i]..offsets[i+1]]` its time-ordered
-/// edges. `slot_of` provides O(1) lookup from a pair to its slot (a
-/// single predictable hash probe — measured faster here than a
-/// sorted-adjacency binary search, whose log(d) compares mispredict on
-/// skewed graphs). The graph build reads the index off its event lanes
-/// (see `PairIndex::from_lanes`): it sorts only each node's distinct
-/// higher neighbours and probes no hash map before the final `slot_of`
-/// fill.
+/// Each pair belongs to its *owner*, the endpoint of lower node rank
+/// (ascending `(degree, id)`, see [`TemporalGraph::node_rank`]), and the
+/// pairs are stored as a compressed sparse row keyed by the owner:
+/// `his[pair_base[u]..pair_base[u + 1]]` are `u`'s neighbours of higher
+/// rank, ascending by id, and a pair's slot is its position in `his`.
+/// Keying by rank instead of by id keeps hub rows short: a hub owns only
+/// its pairs with the few nodes ranked above it (on the hub-skewed
+/// benchmark input the longest row holds 52 pairs where an id-keyed row
+/// held 5 169). Slot `s`'s time-ordered events are positions
+/// `offsets[s]..offsets[s + 1]` of three event arrays: timestamps, edge
+/// ids, and one direction bit per event (set for `In`, i.e. the edge
+/// runs from the pair's larger id to its smaller) in a `u64` bitset.
+/// In bytes: 16 per node (`pair_base`, the bloom and the rank), 8 per
+/// pair (`his` and `offsets`) and 12⅛ per edge; no hash table is built.
+/// A lookup reads the two ranks and binary-searches the owner's row.
+/// Against the `FxHashMap` probe it replaced, `hare-count --profile`
+/// scan time fell 5–9 % on the hub-skewed and dense benchmark inputs
+/// (2 vCPU); rows keyed by the smaller id instead made the per-node
+/// profile pass 8 % slower than the hash probe. The graph build reads
+/// the index off its event lanes (see `PairIndex::from_lanes`): it sorts
+/// only each node's distinct higher-rank neighbours.
 #[derive(Debug, Clone)]
 pub struct PairIndex {
-    keys: Box<[(NodeId, NodeId)]>,
-    offsets: Box<[usize]>,
-    events: Box<[PairEvent]>,
-    slot_of: FxHashMap<(NodeId, NodeId), u32>,
+    pair_base: Box<[u32]>,
+    his: Box<[NodeId]>,
+    offsets: Box<[u32]>,
+    t: Box<[Timestamp]>,
+    edge: Box<[EdgeId]>,
+    dirs: Box<[u64]>,
     // Per-node 64-bit neighbour signatures: bit `sig(w)` is set iff some
     // edge connects the node to `w`. One register test filters the
     // (frequent) non-adjacent probes of the triangle kernel before they
-    // pay for a hash lookup; a clear bit is an exact negative.
+    // pay for a row search; a clear bit is an exact negative.
     blooms: Box<[u64]>,
+    // Each node's position in ascending `(degree, id)` order: it routes
+    // a lookup to the owner's row, and the kernels read it as
+    // `TemporalGraph::node_rank`.
+    rank: Box<[u32]>,
 }
 
 impl PairIndex {
@@ -321,10 +493,11 @@ impl PairIndex {
     }
 
     /// A stable-sort build, kept as the oracle of the build from the
-    /// lanes: one `((lo, hi), event)` tuple per edge, stable-sorted by
-    /// pair key.
+    /// lanes: one `((owner, other), event)` tuple per edge, stable-sorted
+    /// by owner and then by the other endpoint.
     #[cfg(test)]
-    pub(crate) fn build_by_sort(num_nodes: usize, edges: &[TemporalEdge]) -> PairIndex {
+    pub(crate) fn build_by_sort(rank: &[u32], edges: &[TemporalEdge]) -> PairIndex {
+        let num_nodes = rank.len();
         // Edges are already in chronological (id) order, so a stable sort
         // by pair key keeps each pair's events time-ordered.
         let mut tagged: Vec<((NodeId, NodeId), PairEvent)> = edges
@@ -332,9 +505,14 @@ impl PairIndex {
             .enumerate()
             .map(|(id, e)| {
                 let (lo, hi) = e.unordered_pair();
+                let owned = if rank[lo as usize] < rank[hi as usize] {
+                    (lo, hi)
+                } else {
+                    (hi, lo)
+                };
                 let dir_from_lo = if e.src == lo { Dir::Out } else { Dir::In };
                 (
-                    (lo, hi),
+                    owned,
                     PairEvent {
                         t: e.t,
                         edge: id as EdgeId,
@@ -345,30 +523,42 @@ impl PairIndex {
             .collect();
         tagged.sort_by_key(|&(key, ev)| (key, ev.edge));
 
-        let mut keys: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut offsets = Vec::with_capacity(tagged.len() / 2 + 2);
-        let mut events = Vec::with_capacity(tagged.len());
-        let mut slot_of = FxHashMap::default();
+        let mut pair_base = vec![0u32; num_nodes + 1];
+        let mut his = Vec::new();
+        let mut offsets = Vec::new();
+        let mut t = Vec::with_capacity(tagged.len());
+        let mut edge = Vec::with_capacity(tagged.len());
+        let mut dirs = vec![0u64; tagged.len().div_ceil(64)];
         let mut blooms = vec![0u64; num_nodes];
+        let mut last = None;
         for (key, ev) in tagged {
-            if keys.last() != Some(&key) {
-                slot_of.insert(key, keys.len() as u32);
-                keys.push(key);
-                offsets.push(events.len());
-                let (lo, hi) = key;
-                blooms[lo as usize] |= PairIndex::bloom_bit(hi);
-                blooms[hi as usize] |= PairIndex::bloom_bit(lo);
+            if last != Some(key) {
+                last = Some(key);
+                let (owner, other) = key;
+                pair_base[owner as usize + 1] += 1;
+                his.push(other);
+                offsets.push(t.len() as u32);
+                blooms[owner as usize] |= PairIndex::bloom_bit(other);
+                blooms[other as usize] |= PairIndex::bloom_bit(owner);
             }
-            events.push(ev);
+            dirs[t.len() >> 6] |= (ev.dir_from_lo as u64) << (t.len() & 63);
+            t.push(ev.t);
+            edge.push(ev.edge);
         }
-        offsets.push(events.len());
+        offsets.push(t.len() as u32);
+        for i in 1..pair_base.len() {
+            pair_base[i] += pair_base[i - 1];
+        }
 
         PairIndex {
-            keys: keys.into_boxed_slice(),
+            pair_base: pair_base.into_boxed_slice(),
+            his: his.into_boxed_slice(),
             offsets: offsets.into_boxed_slice(),
-            events: events.into_boxed_slice(),
-            slot_of,
+            t: t.into_boxed_slice(),
+            edge: edge.into_boxed_slice(),
+            dirs: dirs.into_boxed_slice(),
             blooms: blooms.into_boxed_slice(),
+            rank: rank.into(),
         }
     }
 
@@ -389,44 +579,85 @@ impl PairIndex {
     }
 
     /// Slot of the unordered pair `{a, b}`, or `None` if no edge connects
-    /// them.
+    /// them — including `a == b` and ids outside the graph.
     #[inline]
     #[must_use]
     pub fn slot_between(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.slot_of.get(&key).copied()
+        // Ids outside the graph have no rank. For `a == b` the search
+        // misses: a row holds only neighbours ranked above its owner.
+        let (rank_a, rank_b) = (*self.rank.get(a as usize)?, *self.rank.get(b as usize)?);
+        let (owner, other) = if rank_a < rank_b { (a, b) } else { (b, a) };
+        let (start, end) = (
+            self.pair_base[owner as usize],
+            self.pair_base[owner as usize + 1],
+        );
+        let row = &self.his[start as usize..end as usize];
+        row.binary_search(&other).ok().map(|i| start + i as u32)
     }
 
     /// Number of distinct unordered pairs with at least one edge.
     #[inline]
     #[must_use]
     pub fn num_pairs(&self) -> usize {
-        self.keys.len()
+        self.his.len()
     }
 
-    /// The `i`-th pair key `(lo, hi)`.
+    /// The `i`-th pair key `(lo, hi)`, smaller id first. Slots run by
+    /// owner id and then by the other endpoint's id, so keys are not in
+    /// `(lo, hi)` order.
+    ///
+    /// # Panics
+    /// Panics if `slot >= self.num_pairs()`.
     #[inline]
     #[must_use]
     pub fn key(&self, slot: usize) -> (NodeId, NodeId) {
-        self.keys[slot]
+        let other = self.his[slot];
+        // The last row starting at or before `slot` holds it (rows of
+        // nodes that own no pair are empty and share a start).
+        let owner = (self.pair_base.partition_point(|&b| b as usize <= slot) - 1) as NodeId;
+        (owner.min(other), owner.max(other))
     }
 
     /// Time-ordered events of the `i`-th pair.
+    ///
+    /// # Panics
+    /// Panics if `slot >= self.num_pairs()`.
     #[inline]
     #[must_use]
-    pub fn events_of_slot(&self, slot: usize) -> &[PairEvent] {
-        &self.events[self.offsets[slot]..self.offsets[slot + 1]]
+    pub fn events_of_slot(&self, slot: usize) -> PairEvents<'_> {
+        let (start, end) = (self.offsets[slot] as usize, self.offsets[slot + 1] as usize);
+        PairEvents {
+            t: &self.t[start..end],
+            edge: &self.edge[start..end],
+            dirs: &self.dirs,
+            first: start,
+        }
     }
 
-    /// Time-ordered events between `a` and `b` (either order); empty slice
-    /// if the pair has no edges.
+    /// Time-ordered events between `a` and `b` (either order); an empty
+    /// view if the pair has no edges.
     #[inline]
     #[must_use]
-    pub fn events_between(&self, a: NodeId, b: NodeId) -> &[PairEvent] {
+    pub fn events_between(&self, a: NodeId, b: NodeId) -> PairEvents<'_> {
         match self.slot_between(a, b) {
             Some(slot) => self.events_of_slot(slot as usize),
-            None => &[],
+            None => PairEvents::default(),
         }
+    }
+
+    /// Heap bytes held by the index: at most 16 per node, 8 per pair and
+    /// 12⅛ per edge, plus a few words of rounding.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.pair_base)
+            + size_of_val(&*self.his)
+            + size_of_val(&*self.offsets)
+            + size_of_val(&*self.t)
+            + size_of_val(&*self.edge)
+            + size_of_val(&*self.dirs)
+            + size_of_val(&*self.blooms)
+            + size_of_val(&*self.rank)
     }
 }
 
@@ -439,49 +670,45 @@ pub(crate) const MAX_EDGES: usize = u32::MAX as usize;
 
 impl PairIndex {
     /// Derive the index from the event lanes (`node_start[u]..
-    /// node_start[u + 1]` is `S_u`). `S_lo` holds node `lo`'s events to
-    /// every `hi > lo` in `(t, edge)` order: its sorted distinct
-    /// neighbours above it are its keys, and its events to them, taken
-    /// in lane order, land in each pair's run from `pair_start[lo]` on
-    /// (`pair_start` is the prefix sum of each node's events to higher
-    /// neighbours). Keys and events come out in ascending `(lo, hi)`
-    /// order; `slot_of` is filled once, into a reserved map.
+    /// node_start[u + 1]` is `S_u`) and the node rank. `S_u` holds each
+    /// of node `u`'s events in `(t, edge)` order: its sorted distinct
+    /// neighbours ranked above it are its row of `his`, and its events
+    /// to them, taken in lane order, land in each pair's run. Rows are
+    /// laid out in id order, so each starts where the previous ended and
+    /// everything is written straight into the final arrays.
     fn from_lanes(
         node_start: &[usize],
-        pair_start: &[usize],
+        rank: Box<[u32]>,
         ts: &[Timestamp],
         packed: &[u32],
         edge: &[EdgeId],
     ) -> PairIndex {
         let num_nodes = node_start.len() - 1;
-        let num_events = pair_start[num_nodes];
-        let mut events = vec![
-            PairEvent {
-                t: 0,
-                edge: 0,
-                dir_from_lo: Dir::Out,
-            };
-            num_events
-        ];
+        // Each edge lands in exactly one pair: its owner's.
+        let num_events = node_start[num_nodes] / 2;
+        let mut ev_t = vec![0 as Timestamp; num_events];
+        let mut ev_edge = vec![0 as EdgeId; num_events];
+        let mut dirs = vec![0u64; num_events.div_ceil(64)];
         let mut blooms = vec![0u64; num_nodes];
-        // `mark[w]` holds `(lo + 1) << 32 | x` once `w` is a listed
-        // neighbour of `lo`, where `x` is first `lo`'s event count to
-        // `w`, then where the next such event goes in `events` (both
-        // below 2^32: edge ids are `u32`). `partners` and `upper`
-        // collect `lo`'s neighbours above it and the positions in `S_lo`
-        // of its events to them. The loops are branch-free: whether an
+        let mut pair_base = vec![0u32; num_nodes + 1];
+        // `mark[w]` holds `(u + 1) << 32 | x` once `w` is a listed
+        // neighbour of `u`, where `x` is first `u`'s event count to `w`,
+        // then where the next such event goes in the event arrays (both
+        // below 2^32: edge ids are `u32`). `partners` and `upper` collect
+        // `u`'s neighbours ranked above it and the positions in `S_u` of
+        // its events to them. The loops are branch-free: whether an
         // event goes up and whether its neighbour is new are coin flips
         // on real graphs.
         let mut mark = vec![0u64; num_nodes];
         let mut partners: Vec<NodeId> = Vec::new();
         let mut upper: Vec<u32> = Vec::new();
-        // At most one key per event: reserved, not touched, so growing
-        // never copies.
-        let mut keys = Vec::with_capacity(num_events);
-        let mut offsets = Vec::with_capacity(num_events + 1);
-        for lo in 0..num_nodes {
-            let stamp = (lo as u64 + 1) << 32;
-            let run = node_start[lo]..node_start[lo + 1];
+        let mut his: Vec<NodeId> = Vec::new();
+        let mut offsets: Vec<u32> = Vec::new();
+        let mut at = 0usize;
+        for u in 0..num_nodes {
+            let stamp = (u as u64 + 1) << 32;
+            let rank_u = rank[u];
+            let run = node_start[u]..node_start[u + 1];
             if partners.len() < run.len() {
                 partners.resize(run.len(), 0);
                 upper.resize(run.len(), 0);
@@ -490,7 +717,7 @@ impl PairIndex {
             for (i, &p) in packed[run.clone()].iter().enumerate() {
                 let w = p >> 1;
                 bloom |= PairIndex::bloom_bit(w);
-                let up = w as usize > lo;
+                let up = rank[w as usize] > rank_u;
                 let m = mark[w as usize];
                 let new = up & (m >> 32 << 32 != stamp);
                 mark[w as usize] = if new { stamp } else { m } + u64::from(up);
@@ -499,40 +726,43 @@ impl PairIndex {
                 upper[num_upper] = i as u32;
                 num_upper += usize::from(up);
             }
-            blooms[lo] = bloom;
+            blooms[u] = bloom;
             let partners = &mut partners[..num_partners];
             partners.sort_unstable();
-            let mut at = pair_start[lo];
-            for &hi in partners.iter() {
-                keys.push((lo as NodeId, hi));
-                offsets.push(at);
-                let m = &mut mark[hi as usize];
+            his.extend_from_slice(partners);
+            pair_base[u + 1] = his.len() as u32;
+            for &w in partners.iter() {
+                offsets.push(at as u32);
+                let m = &mut mark[w as usize];
                 let count = *m as u32 as usize;
                 *m = stamp | at as u64;
                 at += count;
             }
             for &i in &upper[..num_upper] {
                 let i = run.start + i as usize;
-                let m = &mut mark[(packed[i] >> 1) as usize];
-                events[*m as u32 as usize] = PairEvent {
-                    t: ts[i],
-                    edge: edge[i],
-                    dir_from_lo: dir_of(packed[i]),
-                };
+                let w = packed[i] >> 1;
+                let m = &mut mark[w as usize];
+                let to = *m as u32 as usize;
+                ev_t[to] = ts[i];
+                ev_edge[to] = edge[i];
+                // Stored relative to the smaller id: flip when `u` is
+                // the larger endpoint.
+                let dir = (packed[i] & 1) ^ u32::from(u as NodeId > w);
+                dirs[to >> 6] |= u64::from(dir) << (to & 63);
                 *m += 1;
             }
         }
-        offsets.push(num_events);
-        let mut slot_of = fx_hash_map_with_capacity(keys.len());
-        for (slot, &key) in keys.iter().enumerate() {
-            slot_of.insert(key, slot as u32);
-        }
+        debug_assert_eq!(at, num_events);
+        offsets.push(num_events as u32);
         PairIndex {
-            keys: keys.into_boxed_slice(),
+            pair_base: pair_base.into_boxed_slice(),
+            his: his.into_boxed_slice(),
             offsets: offsets.into_boxed_slice(),
-            events: events.into_boxed_slice(),
-            slot_of,
+            t: ev_t.into_boxed_slice(),
+            edge: ev_edge.into_boxed_slice(),
+            dirs: dirs.into_boxed_slice(),
             blooms: blooms.into_boxed_slice(),
+            rank,
         }
     }
 }
@@ -585,7 +815,7 @@ pub struct TemporalGraph {
     ev_ts: TsStore,
     ev_packed: Box<[u32]>,
     ev_edge: Box<[EdgeId]>,
-    node_rank: Box<[u32]>,
+    // Also holds the node rank (see `TemporalGraph::node_rank`).
     pairs: PairIndex,
 }
 
@@ -617,19 +847,15 @@ impl TemporalGraph {
         );
         debug_assert!(edges.windows(2).all(|w| w[0].t <= w[1].t));
 
-        // Counting pass, then prefix sums: each node's degree, which
-        // places its lane run, and its events to higher neighbours, which
-        // place its share of the pair events.
+        // Counting pass, then a prefix sum: each node's degree places its
+        // lane run.
         let mut node_start = vec![0usize; num_nodes + 1];
-        let mut pair_start = vec![0usize; num_nodes + 1];
         for e in &edges {
             node_start[e.src as usize + 1] += 1;
             node_start[e.dst as usize + 1] += 1;
-            pair_start[e.src.min(e.dst) as usize + 1] += 1;
         }
         for i in 1..node_start.len() {
             node_start[i] += node_start[i - 1];
-            pair_start[i] += pair_start[i - 1];
         }
         let node_rank = crate::stats::degree_rank(num_nodes, |u| node_start[u + 1] - node_start[u]);
 
@@ -654,7 +880,7 @@ impl TemporalGraph {
             *d += 1;
         }
         drop(cursors);
-        let pairs = PairIndex::from_lanes(&node_start, &pair_start, &ev_ts, &ev_packed, &ev_edge);
+        let pairs = PairIndex::from_lanes(&node_start, node_rank, &ev_ts, &ev_packed, &ev_edge);
 
         TemporalGraph {
             num_nodes,
@@ -663,7 +889,6 @@ impl TemporalGraph {
             ev_ts: TsStore::Raw(ev_ts.into_boxed_slice()),
             ev_packed: ev_packed.into_boxed_slice(),
             ev_edge: ev_edge.into_boxed_slice(),
-            node_rank,
             pairs,
         }
     }
@@ -797,7 +1022,7 @@ impl TemporalGraph {
     #[inline]
     #[must_use]
     pub fn node_rank(&self) -> &[u32] {
-        &self.node_rank
+        &self.pairs.rank
     }
 
     /// The pair index over `E(v, w)` lists.
@@ -810,7 +1035,7 @@ impl TemporalGraph {
     /// Time-ordered edges between `a` and `b`, both directions.
     #[inline]
     #[must_use]
-    pub fn pair_events(&self, a: NodeId, b: NodeId) -> &[PairEvent] {
+    pub fn pair_events(&self, a: NodeId, b: NodeId) -> PairEvents<'_> {
         self.pairs.events_between(a, b)
     }
 
@@ -1013,16 +1238,16 @@ mod tests {
         let g = toy();
         let evs = g.pair_events(2, 3);
         assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].t, 10);
-        assert_eq!(evs[0].dir_from_lo, Dir::In); // d -> c means hi -> lo
-        assert_eq!(evs[1].t, 17);
-        assert_eq!(evs[1].dir_from_lo, Dir::Out); // c -> d means lo -> hi
+        assert_eq!(evs.get(0).t, 10);
+        assert_eq!(evs.get(0).dir_from_lo, Dir::In); // d -> c means hi -> lo
+        assert_eq!(evs.get(1).t, 17);
+        assert_eq!(evs.get(1).dir_from_lo, Dir::Out); // c -> d means lo -> hi
 
         // Symmetric query.
         assert_eq!(g.pair_events(3, 2), evs);
         // Direction relative to each endpoint.
-        assert_eq!(evs[0].dir_from(true), Dir::In); // from c's view: inward
-        assert_eq!(evs[0].dir_from(false), Dir::Out); // from d's view: outward
+        assert_eq!(evs.get(0).dir_from(true), Dir::In); // from c's view: inward
+        assert_eq!(evs.get(0).dir_from(false), Dir::Out); // from d's view: outward
     }
 
     #[test]
@@ -1032,18 +1257,129 @@ mod tests {
     }
 
     #[test]
+    fn pair_events_view_accessors_agree() {
+        let g = toy();
+        // E(a, c): a -> c at 4, 8 and 15 (ids 1, 3, 8).
+        let evs = g.pair_events(0, 2);
+        let all: Vec<PairEvent> = evs.iter().collect();
+        assert_eq!(all.len(), 3);
+        assert_eq!(all.iter().map(|p| p.t).collect::<Vec<_>>(), [4, 8, 15]);
+        assert!(all.iter().all(|p| p.dir_from_lo == Dir::Out));
+        for (i, p) in all.iter().enumerate() {
+            assert_eq!(evs.get(i), *p);
+        }
+        let tail = evs.slice(1..3);
+        assert_eq!(tail.len(), 2);
+        assert_eq!(tail.get(0), all[1]);
+        assert_eq!(tail.iter().collect::<Vec<_>>(), all[1..]);
+        assert!(evs.slice(3..3).is_empty());
+        for cut in [0, 4, 5, 15, 16] {
+            let via_view = evs.partition_point(|p| p.t < cut);
+            let via_scan = all.iter().take_while(|p| p.t < cut).count();
+            assert_eq!(via_view, via_scan, "cut={cut}");
+        }
+        let it = evs.into_iter();
+        assert_eq!(it.len(), 3);
+        assert_eq!(format!("{evs:?}"), format!("{all:?}"));
+        assert_ne!(evs, tail);
+    }
+
+    #[test]
     fn pair_events_time_ordered() {
         let g = toy();
         let p = g.pairs();
         let mut seen = 0;
         for slot in 0..p.num_pairs() {
-            let evs = p.events_of_slot(slot);
+            let evs: Vec<PairEvent> = p.events_of_slot(slot).iter().collect();
             assert!(!evs.is_empty());
             assert!(evs.windows(2).all(|w| w[0].edge < w[1].edge));
             assert!(evs.windows(2).all(|w| w[0].t <= w[1].t));
             seen += evs.len();
         }
         assert_eq!(seen, g.num_edges());
+    }
+
+    /// Ids that are not in the index — a node paired with itself, ids at
+    /// or past `num_nodes`, the largest id — find no slot and no events,
+    /// as they did when lookups went through a hash map. Node 0 is a hub
+    /// with the lowest id: an id-keyed row would hold all its 300 pairs,
+    /// but it ranks highest, so it owns none and each spoke owns its pair
+    /// with it.
+    #[test]
+    fn lookups_outside_the_index_are_absent() {
+        let mut edges = Vec::new();
+        for k in 1..=300u32 {
+            edges.push(TemporalEdge::new(0, k, i64::from(k)));
+            edges.push(TemporalEdge::new(k, 0, i64::from(k) + 1000));
+        }
+        edges.push(TemporalEdge::new(7, 9, 5000));
+        let g = TemporalGraph::from_chronological_edges(400, {
+            edges.sort_by_key(|e| e.t);
+            edges
+        });
+        let p = g.pairs();
+        assert_eq!(p.num_pairs(), 301);
+        for k in 1..=300u32 {
+            let slot = p.slot_between(0, k).expect("hub pair");
+            assert_eq!(p.slot_between(k, 0), Some(slot));
+            assert_eq!(p.key(slot as usize), (0, k));
+            let evs = g.pair_events(k, 0);
+            assert_eq!(evs.len(), 2);
+            assert_eq!(evs.get(0).dir_from_lo, Dir::Out);
+            assert_eq!(evs.get(1).dir_from_lo, Dir::In);
+        }
+        assert_eq!(p.pair_base[1], 0, "the hub owns no pair");
+        assert_eq!(
+            p.key(p.slot_between(9, 7).expect("spoke pair") as usize),
+            (7, 9)
+        );
+        let absent = [
+            (0, 0),
+            (5, 5),
+            (399, 399),
+            (400, 400),
+            (0, 301),
+            (0, 399),
+            (0, 400),
+            (400, 0),
+            (7, 8),
+            (9, 7 + 1000),
+            (399, 400),
+            (400, 401),
+            (u32::MAX, 0),
+            (0, u32::MAX),
+            (u32::MAX, u32::MAX),
+            (u32::MAX - 1, u32::MAX),
+        ];
+        for (a, b) in absent {
+            assert_eq!(p.slot_between(a, b), None, "({a}, {b})");
+            assert!(p.events_between(a, b).is_empty(), "({a}, {b})");
+            assert!(g.pair_events(a, b).is_empty(), "({a}, {b})");
+        }
+        // An empty graph answers the same way.
+        let empty = TemporalGraph::from_edges(vec![]);
+        assert_eq!(empty.pairs().slot_between(0, 1), None);
+        assert!(empty.pair_events(0, 0).is_empty());
+    }
+
+    /// The index's heap footprint stays at 16 bytes per node (12 of its
+    /// own and the node rank), 8 per pair and 12⅛ per edge (plus
+    /// rounding), so a later change cannot grow it back unnoticed.
+    #[test]
+    fn pair_index_footprint_is_pinned() {
+        let within = |g: &TemporalGraph| {
+            let (n, p, e) = (g.num_nodes(), g.pairs().num_pairs(), g.num_edges());
+            let bytes = g.pairs().heap_bytes();
+            // bytes ≤ 16·n + 8·p + 12.2·e + 64, in tenths of a byte.
+            assert!(
+                10 * bytes <= 160 * n + 80 * p + 122 * e + 640,
+                "{bytes} bytes for {n} nodes, {p} pairs, {e} edges"
+            );
+        };
+        within(&toy());
+        within(&TemporalGraph::from_edges(vec![]));
+        within(&crate::gen::erdos_renyi_temporal(500, 20_000, 100_000, 3));
+        within(&crate::gen::hub_burst(2_000, 10_000, 100_000, 7));
     }
 
     #[test]
@@ -1206,23 +1542,59 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// `got` equals the sort-built oracle `want` in every array and
-        /// in every lookup.
-        fn same_pairs(got: &PairIndex, want: &PairIndex, span: u32) -> Result<(), TestCaseError> {
-            prop_assert_eq!(&got.keys, &want.keys);
+        /// `got` equals the sort-built oracle `want` array for array, and
+        /// both answer every accessor as the edge list says: the keys are
+        /// the distinct unordered pairs, each once, `events_of_slot` holds
+        /// a pair's edges in id order, and `slot_between` finds every key
+        /// from either end and nothing for the `probes` that are not keys.
+        fn same_pairs(
+            got: &PairIndex,
+            want: &PairIndex,
+            edges: &[TemporalEdge],
+            probes: &[(NodeId, NodeId)],
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(&got.pair_base, &want.pair_base);
+            prop_assert_eq!(&got.his, &want.his);
             prop_assert_eq!(&got.offsets, &want.offsets);
-            prop_assert_eq!(&got.events, &want.events);
-            prop_assert_eq!(&got.slot_of, &want.slot_of);
+            prop_assert_eq!(&got.t, &want.t);
+            prop_assert_eq!(&got.edge, &want.edge);
+            prop_assert_eq!(&got.dirs, &want.dirs);
             prop_assert_eq!(&got.blooms, &want.blooms);
-            for a in 0..=span {
-                prop_assert_eq!(got.bloom_of(a), want.bloom_of(a));
-                for b in 0..=span.min(40) {
-                    prop_assert_eq!(got.slot_between(a, b), want.slot_between(a, b));
-                }
+            prop_assert_eq!(&got.rank, &want.rank);
+            // Each pair's edges in id order, keyed by pair.
+            let mut lists = std::collections::BTreeMap::<_, Vec<PairEvent>>::new();
+            for (id, e) in edges.iter().enumerate() {
+                let (lo, hi) = e.unordered_pair();
+                lists.entry((lo, hi)).or_default().push(PairEvent {
+                    t: e.t,
+                    edge: id as EdgeId,
+                    dir_from_lo: if e.src == lo { Dir::Out } else { Dir::In },
+                });
             }
-            for slot in 0..want.num_pairs() {
-                let (lo, hi) = want.key(slot);
-                prop_assert_eq!(got.slot_between(hi, lo), Some(slot as u32));
+            for index in [got, want] {
+                prop_assert_eq!(index.num_pairs(), lists.len());
+                for slot in 0..index.num_pairs() {
+                    let (lo, hi) = index.key(slot);
+                    prop_assert!(lo < hi);
+                    let list = lists.get(&(lo, hi));
+                    prop_assert!(list.is_some(), "key {:?} has no edge", (lo, hi));
+                    // Distinct keys: each finds its own slot.
+                    prop_assert_eq!(index.slot_between(lo, hi), Some(slot as u32));
+                    prop_assert_eq!(index.slot_between(hi, lo), Some(slot as u32));
+                    let evs: Vec<PairEvent> = index.events_of_slot(slot).iter().collect();
+                    prop_assert_eq!(Some(&evs), list);
+                    prop_assert_eq!(index.events_between(hi, lo), index.events_of_slot(slot));
+                }
+                let keys: Vec<(NodeId, NodeId)> = lists.keys().copied().collect();
+                for &(a, b) in probes {
+                    let present = keys.binary_search(&(a.min(b), a.max(b))).is_ok();
+                    let slot = index.slot_between(a, b);
+                    prop_assert_eq!(slot.is_some(), present);
+                    if let Some(slot) = slot {
+                        prop_assert_eq!(index.key(slot as usize), (a.min(b), a.max(b)));
+                    }
+                    prop_assert_eq!(index.events_between(a, b).is_empty(), !present);
+                }
             }
             Ok(())
         }
@@ -1237,6 +1609,7 @@ mod tests {
             fn counting_build_matches_sort_build(
                 shape in (2u32..400, 1i64..60, 0u8..2),
                 raw in proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0i64..1_000), 0..1200),
+                probes in proptest::collection::vec((0u32..420, 0u32..420), 0..200),
             ) {
                 let (span, times, hub) = shape;
                 let g = TemporalGraph::from_edges(
@@ -1248,8 +1621,16 @@ mod tests {
                         })
                         .collect(),
                 );
-                let slow = PairIndex::build_by_sort(g.num_nodes(), g.edges());
-                same_pairs(g.pairs(), &slow, span)?;
+                let slow = PairIndex::build_by_sort(g.node_rank(), g.edges());
+                // Random pairs (mostly absent, some past `num_nodes`),
+                // every node with itself, and the largest ids.
+                let mut probes = probes;
+                probes.extend((0..=span).map(|a| (a, a)));
+                probes.extend([(0, u32::MAX), (u32::MAX, span), (u32::MAX, u32::MAX)]);
+                same_pairs(g.pairs(), &slow, g.edges(), &probes)?;
+                for a in 0..=span {
+                    prop_assert_eq!(g.pairs().bloom_of(a), slow.bloom_of(a));
+                }
             }
         }
     }

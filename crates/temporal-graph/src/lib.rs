@@ -69,6 +69,9 @@ pub mod stats;
 pub mod util;
 
 pub use builder::GraphBuilder;
-pub use graph::{Event, NodeEvents, NodeEventsIter, PairEvent, PairIndex, TemporalGraph};
+pub use graph::{
+    Event, NodeEvents, NodeEventsIter, PairEvent, PairEvents, PairEventsIter, PairIndex,
+    TemporalGraph,
+};
 pub use lanes::{LaneLayout, TsLane, TsRead};
 pub use types::{Dir, EdgeId, NodeId, TemporalEdge, Timestamp};

@@ -68,12 +68,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Construct an empty [`FxHashMap`] with the given capacity.
-#[must_use]
-pub fn fx_hash_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 /// One step of a SplitMix64-style hash chain: absorb `v` into the
 /// running state `h` and return the finalized new state.
 ///
@@ -114,12 +108,6 @@ mod tests {
         };
         assert_eq!(h(42), h(42));
         assert_ne!(h(42), h(43));
-    }
-
-    #[test]
-    fn with_capacity_constructor() {
-        let m: FxHashMap<u32, u32> = fx_hash_map_with_capacity(100);
-        assert!(m.capacity() >= 100);
     }
 
     #[test]
