@@ -14,8 +14,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
+use hare::exec;
 use hare::motif::{Motif, MotifCategory};
 use temporal_graph::{GraphBuilder, TemporalGraph, Timestamp};
 
@@ -49,8 +49,10 @@ pub fn bts_pair_estimate(g: &TemporalGraph, delta: Timestamp, cfg: &BtsConfig) -
     bts_estimate_with(g, delta, cfg, 1, |m| m.category() == MotifCategory::Pair)
 }
 
-/// Estimate pair-motif counts with a rayon pool of `threads` workers
-/// (windows are independent — the natural parallel unit).
+/// Estimate pair-motif counts on [`hare::exec::workers`]`(threads)`
+/// threads (windows are independent — the natural parallel unit).
+/// Window estimates are folded in window order, so results are
+/// bit-identical across thread counts for a fixed seed.
 #[must_use]
 pub fn bts_pair_estimate_parallel(
     g: &TemporalGraph,
@@ -100,19 +102,14 @@ pub fn bts_estimate_with(
         .filter(|(m, _)| select(m))
         .collect();
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("rayon pool");
-    pool.install(|| {
-        windows
-            .par_iter()
-            .map(|&w_start| count_window(g, delta, w_start, len, cfg.sample_prob, &patterns))
-            .reduce(EstimateMatrix::default, |mut a, b| {
-                a.merge(&b);
-                a
-            })
-    })
+    let parts = exec::map(threads, 0, windows, |w_start, _| {
+        count_window(g, delta, w_start, len, cfg.sample_prob, &patterns)
+    });
+    let mut est = EstimateMatrix::default();
+    for part in &parts {
+        est.merge(part);
+    }
+    est
 }
 
 fn count_window(
@@ -234,10 +231,12 @@ mod tests {
     fn parallel_matches_sequential_given_same_seed() {
         let g = pair_rich_graph(4);
         let cfg = BtsConfig::default();
-        let a = bts_pair_estimate(&g, 500, &cfg);
-        let b = bts_pair_estimate_parallel(&g, 500, &cfg, 2);
-        for (ma, mb) in a.iter().zip(b.iter()) {
-            assert!((ma.1 - mb.1).abs() < 1e-9);
+        let bits =
+            |est: EstimateMatrix| -> Vec<u64> { est.iter().map(|(_, x)| x.to_bits()).collect() };
+        let want = bits(bts_pair_estimate(&g, 500, &cfg));
+        for threads in 1..=4 {
+            let got = bits(bts_pair_estimate_parallel(&g, 500, &cfg, threads));
+            assert_eq!(got, want, "{threads} threads");
         }
     }
 

@@ -12,8 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
+use hare::exec;
 use temporal_graph::{EdgeId, TemporalGraph, Timestamp};
 
 use crate::enumerate::enumerate_from_first_edge;
@@ -43,9 +43,11 @@ pub fn ews_estimate(g: &TemporalGraph, delta: Timestamp, cfg: &EwsConfig) -> Est
     ews_estimate_parallel(g, delta, cfg, 1)
 }
 
-/// Estimate all 36 motif counts with a rayon pool of `threads` workers.
-/// Sampling decisions are drawn once up front, so results are identical
-/// across thread counts for a fixed seed.
+/// Estimate all 36 motif counts on [`hare::exec::workers`]`(threads)`
+/// threads. Sampling decisions are drawn once up front, the sampled
+/// edges are cut into chunks that do not depend on `threads`, and the
+/// chunk estimates are folded in chunk order, so results are
+/// bit-identical across thread counts for a fixed seed.
 #[must_use]
 pub fn ews_estimate_parallel(
     g: &TemporalGraph,
@@ -63,27 +65,21 @@ pub fn ews_estimate_parallel(
         .collect();
     let weight = 1.0 / cfg.edge_prob;
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("rayon pool");
-    pool.install(|| {
-        sampled
-            .par_chunks(64.max(sampled.len() / 256 + 1))
-            .map(|chunk| {
-                let mut est = EstimateMatrix::default();
-                for &first in chunk {
-                    enumerate_from_first_edge(g, delta, first, &mut |_, _, _, m| {
-                        est.add(m, weight);
-                    });
-                }
-                est
-            })
-            .reduce(EstimateMatrix::default, |mut a, b| {
-                a.merge(&b);
-                a
-            })
-    })
+    let chunks = sampled.chunks(64.max(sampled.len() / 256 + 1)).collect();
+    let parts = exec::map(threads, 0, chunks, |chunk: &[EdgeId], _| {
+        let mut est = EstimateMatrix::default();
+        for &first in chunk {
+            enumerate_from_first_edge(g, delta, first, &mut |_, _, _, m| {
+                est.add(m, weight);
+            });
+        }
+        est
+    });
+    let mut est = EstimateMatrix::default();
+    for part in &parts {
+        est.merge(part);
+    }
+    est
 }
 
 #[cfg(test)]
@@ -151,10 +147,12 @@ mod tests {
             edge_prob: 0.5,
             seed: 9,
         };
-        let a = ews_estimate(&g, 600, &cfg);
-        let b = ews_estimate_parallel(&g, 600, &cfg, 3);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x.1 - y.1).abs() < 1e-9);
+        let bits =
+            |est: EstimateMatrix| -> Vec<u64> { est.iter().map(|(_, x)| x.to_bits()).collect() };
+        let want = bits(ews_estimate(&g, 600, &cfg));
+        for threads in 1..=4 {
+            let got = bits(ews_estimate_parallel(&g, 600, &cfg, threads));
+            assert_eq!(got, want, "{threads} threads");
         }
     }
 

@@ -21,14 +21,14 @@
 //!
 //! All parts are exact and agree with FAST and the enumeration oracle
 //! (asserted in tests). `count_all_parallel` parallelises each phase over
-//! its natural unit (pairs / centers / static triangles) with rayon, the
-//! analogue of the OpenMP port the paper benchmarks in Fig. 11.
+//! its natural unit (pairs / centers / static triangles) on
+//! [`hare::exec::map`], the analogue of the OpenMP port the paper
+//! benchmarks in Fig. 11.
 
 use std::sync::OnceLock;
 
-use rayon::prelude::*;
-
 use hare::counters::{MotifMatrix, PairCounter, StarCounter};
+use hare::exec;
 use hare::motif::{Motif, StarType};
 use temporal_graph::util::FxHashMap;
 use temporal_graph::{Dir, NodeId, TemporalEdge, TemporalGraph, Timestamp};
@@ -356,74 +356,66 @@ pub fn count_all(g: &TemporalGraph, delta: Timestamp) -> MotifMatrix {
     mx
 }
 
-/// Parallel EX: each phase fans out over its natural unit with rayon.
-/// This is the analogue of the paper's OpenMP EX port used in Fig. 11.
+/// Parallel EX: the pair, star and triangle phases run one after
+/// another, each fanned out over its natural unit (pair slots, centers,
+/// static triangles) on [`hare::exec::workers`]`(num_threads)` threads
+/// and folded in task order. This is the analogue of the paper's OpenMP
+/// EX port used in Fig. 11.
 #[must_use]
 pub fn count_all_parallel(g: &TemporalGraph, delta: Timestamp, num_threads: usize) -> MotifMatrix {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(num_threads)
-        .build()
-        .expect("rayon pool");
-    pool.install(|| {
-        let (pairs_mx, (stars, tri_mx)) = rayon::join(
-            || {
-                let slots: Vec<usize> = (0..g.pairs().num_pairs()).collect();
-                let pc = slots
-                    .par_chunks(256.max(slots.len() / 64 + 1))
-                    .map(|chunk| {
-                        chunk.iter().fold(PairCounter::default(), |acc, &slot| {
-                            count_pair_slot(g, slot, delta, acc)
-                        })
-                    })
-                    .reduce(PairCounter::default, |mut a, b| {
-                        a.merge(&b);
-                        a
-                    });
-                let mut mx = MotifMatrix::default();
-                pc.add_to_matrix_pair_based(&mut mx);
-                mx
-            },
-            || {
-                rayon::join(
-                    || {
-                        let nodes: Vec<NodeId> = g.node_ids().collect();
-                        nodes
-                            .par_chunks(256.max(nodes.len() / 64 + 1))
-                            .map(|chunk| {
-                                let mut star = StarCounter::default();
-                                let mut pair = PairCounter::default();
-                                for &u in chunk {
-                                    count_stars_at(g, u, delta, &mut star, &mut pair);
-                                }
-                                star
-                            })
-                            .reduce(StarCounter::default, |mut a, b| {
-                                a.merge(&b);
-                                a
-                            })
-                    },
-                    || {
-                        let triangles = static_triangles(g);
-                        triangles
-                            .par_chunks(64.max(triangles.len() / 64 + 1))
-                            .map(|chunk| {
-                                chunk.iter().fold(MotifMatrix::default(), |acc, &tri| {
-                                    count_one_triangle(g, tri, delta, acc)
-                                })
-                            })
-                            .reduce(MotifMatrix::default, |mut a, b| {
-                                a.merge(&b);
-                                a
-                            })
-                    },
-                )
-            },
-        );
-        let mut mx = pairs_mx;
-        stars.add_to_matrix(&mut mx);
-        mx.merge(&tri_mx);
-        mx
-    })
+    let num_pairs = g.pairs().num_pairs();
+    let slots = exec::map(
+        num_threads,
+        0,
+        exec::chunks(num_pairs, 256.max(num_pairs / 64 + 1)).collect(),
+        |range, _| {
+            range.fold(PairCounter::default(), |acc, slot| {
+                count_pair_slot(g, slot, delta, acc)
+            })
+        },
+    );
+    let mut pc = PairCounter::default();
+    for part in &slots {
+        pc.merge(part);
+    }
+    let mut mx = MotifMatrix::default();
+    pc.add_to_matrix_pair_based(&mut mx);
+
+    let num_nodes = g.num_nodes();
+    let centers = exec::map(
+        num_threads,
+        0,
+        exec::chunks(num_nodes, 256.max(num_nodes / 64 + 1)).collect(),
+        |range, _| {
+            let mut star = StarCounter::default();
+            let mut pair = PairCounter::default();
+            for u in range {
+                count_stars_at(g, u as NodeId, delta, &mut star, &mut pair);
+            }
+            star
+        },
+    );
+    let mut star = StarCounter::default();
+    for part in &centers {
+        star.merge(part);
+    }
+    star.add_to_matrix(&mut mx);
+
+    let triangles = static_triangles(g);
+    let tris = exec::map(
+        num_threads,
+        0,
+        triangles.chunks(64.max(triangles.len() / 64 + 1)).collect(),
+        |chunk, _| {
+            chunk.iter().fold(MotifMatrix::default(), |acc, &tri| {
+                count_one_triangle(g, tri, delta, acc)
+            })
+        },
+    );
+    for part in &tris {
+        mx.merge(part);
+    }
+    mx
 }
 
 #[cfg(test)]
@@ -512,7 +504,7 @@ mod tests {
         let g = erdos_renyi_temporal(25, 600, 800, 8);
         let delta = 150;
         let seq = count_all(&g, delta);
-        for threads in [1, 2, 4] {
+        for threads in 1..=4 {
             assert_eq!(
                 count_all_parallel(&g, delta, threads),
                 seq,

@@ -276,16 +276,12 @@ fn main() {
         lane_layout: temporal_graph::LaneLayout::Raw,
     };
     // Chunk workers share the budget (each chunk is planned against
-    // budget / W), so the row runs on a fixed two-worker pool: its chunk
-    // plan, peak and zero-forced-cut assert stay the same on any runner
-    // with at least two cores.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("thread pool");
-    let (ooc_counts, ooc_stats) = pool
-        .install(|| hare::count_motifs_ooc(&src, cfg))
-        .expect("ooc count");
+    // budget / W), so the row runs on two workers: its chunk plan, peak
+    // and zero-forced-cut assert stay the same on any runner with at
+    // least two cores.
+    let ooc_threads = 2;
+    let (ooc_counts, ooc_stats) =
+        hare::count_motifs_ooc(&src, cfg, ooc_threads).expect("ooc count");
     assert_eq!(
         ooc_counts.matrix, syn_reference.matrix,
         "out-of-core counts disagree with in-RAM FAST"
@@ -298,12 +294,11 @@ fn main() {
     );
     let ooc_row = sample(
         format!("synthetic_e{syn_edges}/ooc_b{budget}/{syn_delta}"),
-        1,
+        ooc_threads,
         samples,
         || {
             std::hint::black_box(
-                pool.install(|| hare::count_motifs_ooc(&src, cfg))
-                    .expect("ooc count"),
+                hare::count_motifs_ooc(&src, cfg, ooc_threads).expect("ooc count"),
             );
         },
     );

@@ -2,10 +2,10 @@
 //!
 //! HARE (node chunks and hub ranges), FAST-Pair (pair slots), node
 //! profiles (node chunks), the sampling driver of both estimators
-//! (window-aligned time ranges) and the out-of-core driver (δ-haloed
-//! time chunks) all share one shape: plan an ordered task list, run the
-//! kernel over each task with a worker's [`NeighborScratch`], then fold
-//! the results. This module owns the middle step, so the worker count,
+//! (window-aligned time ranges), the out-of-core driver (δ-haloed
+//! time chunks) and the EX, EWS and BTS baselines all share one shape:
+//! plan an ordered task list, run the kernel over each task with a
+//! worker's [`NeighborScratch`], then fold the results. This module owns the middle step, so the worker count,
 //! the pool and the scratch are decided in one place:
 //!
 //! * [`workers`] is the one thread policy: `0` means all cores, and any
@@ -17,14 +17,20 @@
 //!   count. It runs inline on the calling thread when there is one
 //!   worker or one task, and hands each task its worker's thread-local
 //!   scratch ([`crate::scratch::with_thread_scratch`]), so no task
-//!   allocates per-call scratch.
+//!   allocates per-call scratch;
+//! * [`chunks`] cuts an index space into the usual task list.
 //!
-//! This is the only place in the crate that builds a thread pool.
+//! The workers are `std::thread::scope` threads started for each call;
+//! the calling thread is one of them. They pull tasks from one shared
+//! queue, so a worker that drew cheap tasks takes the next one while
+//! another is still on a hub. A task that panics makes `map` panic with
+//! the same payload once every worker has stopped.
+//!
+//! This is the only place in the workspace's counting code (this crate
+//! and the baselines) that starts threads.
 
 use std::ops::Range;
-use std::sync::OnceLock;
-
-use rayon::prelude::*;
+use std::sync::{Mutex, OnceLock};
 
 use crate::scratch::{with_thread_scratch, NeighborScratch};
 
@@ -50,7 +56,12 @@ pub fn workers(threads: usize) -> usize {
 /// all cores) and return the results in task order. Each call gets its
 /// worker's scratch, grown to index neighbours `0..num_nodes`. With one
 /// worker or at most one task, every task runs on the calling thread and
-/// no pool is built.
+/// no thread is started.
+///
+/// # Panics
+///
+/// If a task panics, `map` panics with that task's payload after the
+/// other workers have drained the queue.
 pub fn map<T, R, F>(threads: usize, num_nodes: usize, tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -62,17 +73,36 @@ where
     if workers <= 1 {
         return tasks.into_iter().map(run).collect();
     }
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .expect("failed to build rayon thread pool")
-        .install(|| tasks.into_par_iter().map(run).collect())
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    // Each worker returns its `(task index, result)` pairs; the lock is
+    // held only to take the next task.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("task queue poisoned").next();
+            let Some((i, task)) = next else { break done };
+            done.push((i, run(task)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// `0..len` cut into consecutive ranges of `size` (the last one may be
 /// shorter): the usual task list of a driver that splits an index
 /// space. `size` is raised to 1.
-pub(crate) fn chunks(len: usize, size: usize) -> impl Iterator<Item = Range<usize>> {
+pub fn chunks(len: usize, size: usize) -> impl Iterator<Item = Range<usize>> {
     let size = size.max(1);
     (0..len)
         .step_by(size)
@@ -82,7 +112,9 @@ pub(crate) fn chunks(len: usize, size: usize) -> impl Iterator<Item = Range<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     fn avail() -> usize {
         thread::available_parallelism().map_or(1, std::num::NonZero::get)
@@ -118,6 +150,47 @@ mod tests {
         // A single task runs inline whatever the worker count.
         let ids: Vec<ThreadId> = map(4, 0, vec![()], |(), _| thread::current().id());
         assert_eq!(ids, [me]);
+    }
+
+    #[test]
+    fn map_actually_uses_multiple_threads() {
+        if avail() < 2 {
+            return;
+        }
+        // Task 0 waits for task 1's signal, which can only arrive if
+        // task 1 runs on another thread while task 0 is waiting.
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let got = map(2, 0, vec![0, 1], |i: usize, _| {
+            if i == 0 {
+                let rx = rx.lock().expect("receiver lock");
+                rx.recv_timeout(Duration::from_secs(30)).is_ok()
+            } else {
+                tx.send(()).is_ok()
+            }
+        });
+        assert_eq!(got, [true, true], "the two tasks did not overlap");
+    }
+
+    #[test]
+    fn a_panicking_task_panics_the_caller_and_map_still_works() {
+        let caught = std::panic::catch_unwind(|| {
+            map(2, 0, (0..32).collect(), |i: usize, _| {
+                assert_ne!(i, 17, "task 17 fails");
+                i
+            })
+        });
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.contains("task 17 fails")),
+            "{message:?}"
+        );
+        let again = map(2, 0, (0..32).collect(), |i: usize, _| i + 1);
+        assert_eq!(again, (1..33).collect::<Vec<_>>());
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! (Fig. 9). HARE therefore combines two strategies:
 //!
 //! * **inter-node parallel** — nodes with degree ≤ `thrd` are distributed
-//!   across threads in small chunks with work stealing (the rayon
-//!   equivalent of OpenMP `schedule(dynamic)`);
+//!   across threads in small chunks that idle workers pull from a shared
+//!   queue (the equivalent of OpenMP `schedule(dynamic)`);
 //! * **intra-node parallel** — for each node with degree > `thrd`, the
 //!   first-edge loop of Algorithms 1 and 2 is itself split across threads,
 //!   each thread accumulating into a private counter that is reduced at
-//!   the end (the rayon equivalent of OpenMP `reduction`).
+//!   the end (the equivalent of OpenMP `reduction`).
 //!
 //! The default `thrd` follows the paper's §V.F setting: the minimum degree
 //! among the top-20 nodes. Counter addition is commutative and
@@ -80,7 +80,8 @@ pub enum DegreeThreshold {
 /// Chunking discipline for the inter-node phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduling {
-    /// Many small chunks + work stealing (≈ OpenMP `schedule(dynamic)`).
+    /// Many small chunks pulled from a shared queue (≈ OpenMP
+    /// `schedule(dynamic)`).
     Dynamic,
     /// One contiguous chunk per thread (≈ OpenMP default static
     /// schedule). Used as the "without thrd" baseline in Fig. 12b.

@@ -21,12 +21,13 @@
 //!   one [`CenterTally`].
 //! * [`fast_pair`](crate::fast_pair::fast_pair) — the cheap pair-only
 //!   variant (sliding-window DP, O(|E|)).
-//! * [`Hare`] — the hierarchical parallel framework (§IV.C): inter-node
-//!   work stealing for the long tail plus intra-node splitting for hub
-//!   nodes above a degree threshold.
+//! * [`Hare`] — the hierarchical parallel framework (§IV.C): dynamic
+//!   inter-node scheduling for the long tail plus intra-node splitting
+//!   for hub nodes above a degree threshold.
 //! * [`exec`] — the executor under every parallel driver: one thread
 //!   policy (requests clamped to the machine's cores) and one ordered
-//!   task map that hands each task its worker's scratch.
+//!   task map on scoped std threads that hands each task its worker's
+//!   scratch.
 //! * [`windowed::WindowedCounter`] — exact counts over a sliding time
 //!   window: edges expire, motif instances are retired with them, and a
 //!   bounded reorder buffer absorbs slightly out-of-order arrivals. A
@@ -187,6 +188,39 @@ mod tests {
                 MotifCategory::Triangle => assert_eq!(full.get(mo), tri_only.get(mo), "{mo}"),
                 MotifCategory::Star => {}
             }
+        }
+    }
+
+    // The executor contract every parallel driver folds on: all tasks
+    // run, results come back in task order, and empty input is empty.
+
+    #[test]
+    fn map_preserves_order_and_runs_all() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = AtomicUsize::new(0);
+        let out = exec::map(4, 0, (0..1000).collect(), |x: usize, _| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            x * 2
+        });
+        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(ran.load(Ordering::Relaxed), 1000);
+    }
+
+    #[test]
+    fn chunked_reduce_matches_sequential() {
+        let v: Vec<u64> = (1..=10_000).collect();
+        let tasks: Vec<_> = exec::chunks(v.len(), 97).collect();
+        let sums = exec::map(3, 0, tasks, |r, _| v[r].iter().sum::<u64>());
+        assert_eq!(sums.len(), v.len().div_ceil(97));
+        assert_eq!(sums.iter().sum::<u64>(), 10_000 * 10_001 / 2);
+    }
+
+    #[test]
+    fn empty_inputs() {
+        for threads in [0, 1, 4] {
+            let out: Vec<u32> = exec::map(threads, 0, Vec::<u32>::new(), |x, _| x);
+            assert!(out.is_empty());
+            assert_eq!(exec::chunks(0, 97).count(), 0);
         }
     }
 }

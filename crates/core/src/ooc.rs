@@ -34,8 +34,8 @@
 //! [`NodeProfiles::compute`] for every worker count — pinned by the
 //! tests below and the `lane_ooc_equivalence` differential suite.
 //!
-//! Workers and budget: a run uses `W` workers, the installed rayon
-//! pool's thread count clamped to the machine's available parallelism
+//! Workers and budget: a run uses `W` workers, its `threads` argument
+//! (`0` = all cores) clamped to the machine's available parallelism
 //! ([`crate::exec::workers`]), and runs its chunks through
 //! [`crate::exec::map`] on at most `W` threads, so at most `W` chunk
 //! graphs are resident at once. The cuts are planned against
@@ -379,15 +379,15 @@ fn plan_cuts(
 fn drive_chunks<P: Probe>(
     src: &impl EdgeSource,
     config: OocConfig,
-    workers: usize,
+    threads: usize,
     probe: &P,
     scan: impl Fn(&TemporalGraph, Timestamp, Timestamp, &mut NeighborScratch) + Sync,
 ) -> io::Result<OocStats> {
+    let workers = exec::workers(threads);
     let (cuts, forced_cuts) = probe.span(Phase::ChunkLoad, || {
         plan_cuts(src, config.delta, config.budget_bytes / workers)
     })?;
-    // At most W threads, so at most W chunk graphs are ever resident,
-    // whatever pool the caller runs on.
+    // At most W threads, so at most W chunk graphs are ever resident.
     let arenas: Vec<io::Result<usize>> = probe.span(Phase::Scan, || {
         exec::map(workers, src.num_nodes(), cuts, |(lo, hi), scratch| {
             let halo = src.load_range(
@@ -445,19 +445,20 @@ fn for_owned_nodes(
 /// [`crate::count_motifs`] over the same edge stream, for any budget,
 /// worker count and either lane layout; the raw triangle cells are too
 /// whenever the source's rank equals the graph's (as for
-/// [`InMemorySource`]). Chunks run on as many workers as the installed
-/// rayon pool has threads (see the module docs for how they share the
-/// budget).
+/// [`InMemorySource`]). Chunks run on [`crate::exec::workers`]`(threads)`
+/// workers, so `0` = all cores (see the module docs for how they share
+/// the budget).
 pub fn count_motifs_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
+    threads: usize,
 ) -> io::Result<(MotifCounts, OocStats)> {
-    count_motifs_ooc_probed(src, config, &NoopProbe)
+    count_motifs_ooc_on(src, config, threads, &NoopProbe)
 }
 
-/// [`count_motifs_ooc`] with a [`Probe`] observing the phase
-/// boundaries from the calling thread: [`Phase::ChunkLoad`] wraps the
-/// cut planning, [`Phase::Scan`] the parallel section in which every
+/// [`count_motifs_ooc`] on all cores with a [`Probe`] observing the
+/// phase boundaries from the calling thread: [`Phase::ChunkLoad`] wraps
+/// the cut planning, [`Phase::Scan`] the parallel section in which every
 /// chunk is loaded, built, scanned and merged into the shared tally,
 /// [`Phase::Fold`] the conversion of that tally into the grid. Counts
 /// and stats are bit-identical across probe implementations.
@@ -466,11 +467,10 @@ pub fn count_motifs_ooc_probed<P: Probe>(
     config: OocConfig,
     probe: &P,
 ) -> io::Result<(MotifCounts, OocStats)> {
-    count_motifs_ooc_on(src, config, rayon::current_num_threads(), probe)
+    count_motifs_ooc_on(src, config, 0, probe)
 }
 
-/// [`count_motifs_ooc_probed`] on `threads` workers (0 = all cores)
-/// instead of the installed pool's.
+/// [`count_motifs_ooc`] with a [`Probe`]: the one body of both.
 pub(crate) fn count_motifs_ooc_on<P: Probe>(
     src: &impl EdgeSource,
     config: OocConfig,
@@ -479,8 +479,7 @@ pub(crate) fn count_motifs_ooc_on<P: Probe>(
 ) -> io::Result<(MotifCounts, OocStats)> {
     let rank = src.node_rank();
     let total = Mutex::new(CenterTally::default());
-    let workers = exec::workers(threads);
-    let stats = drive_chunks(src, config, workers, probe, |g, lo, hi, scratch| {
+    let stats = drive_chunks(src, config, threads, probe, |g, lo, hi, scratch| {
         let mut tally = CenterTally::default();
         for_owned_nodes(g, lo, hi, |u, range| {
             count_node::<true, true, true>(g, u, range, config.delta, &rank, scratch, &mut tally);
@@ -494,19 +493,19 @@ pub(crate) fn count_motifs_ooc_on<P: Probe>(
 
 /// Sparse per-node motif profiles computed out of core. Bit-identical
 /// to [`NodeProfiles::compute`] over the same edge stream, for any
-/// budget and worker count. Keeps a dense 288-byte accumulator per node
-/// resident (the node space must fit in RAM — the same assumption every
-/// scratch-based kernel makes). Each chunk gathers its non-empty profiles
-/// locally and merges them into it under one lock; only the *edge* lanes
-/// are budget-bounded.
+/// budget and worker count (`threads`, `0` = all cores). Keeps a dense
+/// 288-byte accumulator per node resident (the node space must fit in
+/// RAM — the same assumption every scratch-based kernel makes). Each
+/// chunk gathers its non-empty profiles locally and merges them into it
+/// under one lock; only the *edge* lanes are budget-bounded.
 pub fn node_profiles_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
+    threads: usize,
 ) -> io::Result<(NodeProfiles, OocStats)> {
     let num_nodes = src.num_nodes();
     let dense = Mutex::new(vec![NodeProfile::default(); num_nodes]);
-    let workers = exec::workers(rayon::current_num_threads());
-    let stats = drive_chunks(src, config, workers, &NoopProbe, |g, lo, hi, scratch| {
+    let stats = drive_chunks(src, config, threads, &NoopProbe, |g, lo, hi, scratch| {
         let mut found = Vec::new();
         for_owned_nodes(g, lo, hi, |u, range| {
             let mut t = CenterTally::default();
@@ -547,57 +546,46 @@ mod tests {
         [full / 7 + 1, full / 2 + 1, 2 * full + 1]
     }
 
-    /// Installed pool sizes the driver is run under.
-    const POOLS: [usize; 4] = [1, 2, 3, 4];
+    /// Thread counts the driver is run with.
+    const THREADS: [usize; 4] = [1, 2, 3, 4];
 
-    /// Run `f` under an installed pool of `threads`, passing it the
-    /// worker count `W` the driver will use there.
-    fn on_pool<R>(threads: usize, f: impl FnOnce(usize) -> R) -> R {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| f(exec::workers(rayon::current_num_threads())))
-    }
-
-    /// Count under every pool size, budget (`W` × each share) and lane
+    /// Count at every thread count, budget (`W` × each share) and lane
     /// layout, checking the grid — raw triangle cells too when the
     /// source ranks nodes like `g` — and the budget obligations. Each
     /// run is repeated: its stats must not change at a fixed `W`.
     fn check_counts(src: &impl EdgeSource, g: &TemporalGraph, delta: Timestamp) {
         let want = crate::count_motifs(g, delta);
-        for threads in POOLS {
-            on_pool(threads, |w| {
-                for share in shares_for(g) {
-                    for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                        let budget = share * w;
-                        let ctx = format!("pool={threads} W={w} budget={budget} layout={layout}");
-                        let mut config = OocConfig::new(delta, budget);
-                        config.lane_layout = layout;
-                        let (got, stats) = count_motifs_ooc(src, config).unwrap();
-                        assert_eq!(got.matrix, want.matrix, "{ctx}");
-                        assert_eq!(got.star, want.star, "{ctx}");
-                        if *src.node_rank() == *g.node_rank() {
-                            assert_eq!(got.tri, want.tri, "{ctx}");
-                        } else {
-                            assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
-                        }
-                        assert!(stats.chunks >= 1, "{ctx}");
-                        assert_eq!(stats.budget_bytes, budget, "{ctx}");
-                        if layout == LaneLayout::Raw && stats.forced_cuts == 0 {
-                            // Unforced raw chunks keep the W largest
-                            // arenas under budget by construction.
-                            assert!(
-                                stats.peak_resident_lane_bytes <= budget,
-                                "{ctx}: peak {} > budget",
-                                stats.peak_resident_lane_bytes
-                            );
-                        }
-                        let (_, again) = count_motifs_ooc(src, config).unwrap();
-                        assert_eq!(again, stats, "{ctx}");
+        for threads in THREADS {
+            let w = exec::workers(threads);
+            for share in shares_for(g) {
+                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                    let budget = share * w;
+                    let ctx = format!("threads={threads} W={w} budget={budget} layout={layout}");
+                    let mut config = OocConfig::new(delta, budget);
+                    config.lane_layout = layout;
+                    let (got, stats) = count_motifs_ooc(src, config, threads).unwrap();
+                    assert_eq!(got.matrix, want.matrix, "{ctx}");
+                    assert_eq!(got.star, want.star, "{ctx}");
+                    if *src.node_rank() == *g.node_rank() {
+                        assert_eq!(got.tri, want.tri, "{ctx}");
+                    } else {
+                        assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
                     }
+                    assert!(stats.chunks >= 1, "{ctx}");
+                    assert_eq!(stats.budget_bytes, budget, "{ctx}");
+                    if layout == LaneLayout::Raw && stats.forced_cuts == 0 {
+                        // Unforced raw chunks keep the W largest
+                        // arenas under budget by construction.
+                        assert!(
+                            stats.peak_resident_lane_bytes <= budget,
+                            "{ctx}: peak {} > budget",
+                            stats.peak_resident_lane_bytes
+                        );
+                    }
+                    let (_, again) = count_motifs_ooc(src, config, threads).unwrap();
+                    assert_eq!(again, stats, "{ctx}");
                 }
-            });
+            }
         }
     }
 
@@ -634,15 +622,10 @@ mod tests {
         let src = InMemorySource::from_graph(&g);
         let budget = g.num_edges() * LANE_BYTES_PER_EDGE / 3;
         let mut chunks_at = Vec::new();
-        for threads in POOLS {
-            let (stats, w) = on_pool(threads, |w| {
-                (
-                    count_motifs_ooc(&src, OocConfig::new(delta, budget))
-                        .unwrap()
-                        .1,
-                    w,
-                )
-            });
+        for threads in THREADS {
+            let w = exec::workers(threads);
+            let (_, stats) =
+                count_motifs_ooc(&src, OocConfig::new(delta, budget), threads).unwrap();
             let (cuts, forced) = plan_cuts(&src, delta, budget / w).unwrap();
             assert_eq!((stats.chunks, stats.forced_cuts), (cuts.len(), forced));
             let mut arenas: Vec<usize> = cuts
@@ -655,9 +638,9 @@ mod tests {
                 .collect();
             arenas.sort_unstable_by(|a, b| b.cmp(a));
             let top_w: usize = arenas.iter().take(w).sum();
-            assert_eq!(stats.peak_resident_lane_bytes, top_w, "pool={threads}");
-            assert_eq!(forced, 0, "pool={threads}");
-            assert!(top_w <= budget, "pool={threads}");
+            assert_eq!(stats.peak_resident_lane_bytes, top_w, "threads={threads}");
+            assert_eq!(forced, 0, "threads={threads}");
+            assert!(top_w <= budget, "threads={threads}");
             chunks_at.push((w, stats.chunks));
         }
         // More workers, smaller shares, at least as many chunks.
@@ -682,7 +665,7 @@ mod tests {
         let delta = 7;
         let want = crate::count_motifs(&g, delta);
         let src = InMemorySource::from_graph(&g);
-        let (got, stats) = count_motifs_ooc(&src, OocConfig::new(delta, 3_000)).unwrap();
+        let (got, stats) = count_motifs_ooc(&src, OocConfig::new(delta, 3_000), 0).unwrap();
         assert_eq!(got.matrix, want.matrix);
         assert!(stats.chunks > 1, "budget must force multiple chunks");
     }
@@ -697,16 +680,19 @@ mod tests {
         write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
         let src = LaneFileSource::open(&path).unwrap();
         assert_eq!(src.num_edges(), g.num_edges() as u64);
-        for threads in POOLS {
-            on_pool(threads, |w| {
-                // Each worker's share is half the graph's lanes.
-                let budget = (g.num_edges() * LANE_BYTES_PER_EDGE / 2 + 1) * w;
-                let (got, stats) = count_motifs_ooc(&src, OocConfig::new(delta, budget)).unwrap();
-                assert_eq!(got.matrix, want.matrix, "pool={threads}");
-                assert!(stats.chunks > 1, "pool={threads}");
-                assert_eq!(stats.forced_cuts, 0, "pool={threads}");
-                assert!(stats.peak_resident_lane_bytes <= budget, "pool={threads}");
-            });
+        for threads in THREADS {
+            let w = exec::workers(threads);
+            // Each worker's share is half the graph's lanes.
+            let budget = (g.num_edges() * LANE_BYTES_PER_EDGE / 2 + 1) * w;
+            let (got, stats) =
+                count_motifs_ooc(&src, OocConfig::new(delta, budget), threads).unwrap();
+            assert_eq!(got.matrix, want.matrix, "threads={threads}");
+            assert!(stats.chunks > 1, "threads={threads}");
+            assert_eq!(stats.forced_cuts, 0, "threads={threads}");
+            assert!(
+                stats.peak_resident_lane_bytes <= budget,
+                "threads={threads}"
+            );
         }
         check_counts(&src, &g, delta);
         std::fs::remove_file(&path).unwrap();
@@ -729,26 +715,25 @@ mod tests {
         let lane = LaneFileSource::open(&path).unwrap();
         let identity: Vec<u32> = (0..g.num_nodes() as u32).collect();
         assert_eq!(&*lane.node_rank(), &identity[..]);
-        for threads in POOLS {
-            on_pool(threads, |w| {
-                for share in &shares_for(&g) {
-                    let budget = share * w;
-                    for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                        let ctx = format!("pool={threads} budget={budget} layout={layout}");
-                        let mut config = OocConfig::new(delta, budget);
-                        config.lane_layout = layout;
-                        let (got, stats) = count_motifs_ooc(&derived, config).unwrap();
-                        assert_eq!(got, want, "{ctx}");
-                        let (got, _) = count_motifs_ooc(&lane, config).unwrap();
-                        assert_eq!(got.matrix, want.matrix, "{ctx}");
-                        assert_eq!(got.star, want.star, "{ctx}");
-                        assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
-                        if *share < g.num_edges() * LANE_BYTES_PER_EDGE {
-                            assert!(stats.chunks > 1, "{ctx}");
-                        }
+        for threads in THREADS {
+            let w = exec::workers(threads);
+            for share in &shares_for(&g) {
+                let budget = share * w;
+                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                    let ctx = format!("threads={threads} budget={budget} layout={layout}");
+                    let mut config = OocConfig::new(delta, budget);
+                    config.lane_layout = layout;
+                    let (got, stats) = count_motifs_ooc(&derived, config, threads).unwrap();
+                    assert_eq!(got, want, "{ctx}");
+                    let (got, _) = count_motifs_ooc(&lane, config, threads).unwrap();
+                    assert_eq!(got.matrix, want.matrix, "{ctx}");
+                    assert_eq!(got.star, want.star, "{ctx}");
+                    assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
+                    if *share < g.num_edges() * LANE_BYTES_PER_EDGE {
+                        assert!(stats.chunks > 1, "{ctx}");
                     }
                 }
-            });
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -763,21 +748,20 @@ mod tests {
         path.push(format!("hare-ooc-profiles-{}.hlg", std::process::id()));
         write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
         let lane = LaneFileSource::open(&path).unwrap();
-        for threads in POOLS {
-            on_pool(threads, |w| {
-                for share in shares_for(&g) {
-                    for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                        let ctx = format!("pool={threads} share={share} layout={layout}");
-                        let mut config = OocConfig::new(delta, share * w);
-                        config.lane_layout = layout;
-                        let (got, stats) = node_profiles_ooc(&src, config).unwrap();
-                        assert_eq!(got, want, "{ctx}");
-                        let (got, lane_stats) = node_profiles_ooc(&lane, config).unwrap();
-                        assert_eq!(got, want, "{ctx}");
-                        assert_eq!(lane_stats, stats, "{ctx}");
-                    }
+        for threads in THREADS {
+            let w = exec::workers(threads);
+            for share in shares_for(&g) {
+                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                    let ctx = format!("threads={threads} share={share} layout={layout}");
+                    let mut config = OocConfig::new(delta, share * w);
+                    config.lane_layout = layout;
+                    let (got, stats) = node_profiles_ooc(&src, config, threads).unwrap();
+                    assert_eq!(got, want, "{ctx}");
+                    let (got, lane_stats) = node_profiles_ooc(&lane, config, threads).unwrap();
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(lane_stats, stats, "{ctx}");
                 }
-            });
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -785,14 +769,14 @@ mod tests {
     #[test]
     fn empty_and_tiny_sources() {
         let empty = InMemorySource::new(0, vec![]);
-        let (counts, stats) = count_motifs_ooc(&empty, OocConfig::new(10, 1_000)).unwrap();
+        let (counts, stats) = count_motifs_ooc(&empty, OocConfig::new(10, 1_000), 0).unwrap();
         assert_eq!(counts.total(), 0);
         assert_eq!(stats.chunks, 0);
-        let (profiles, _) = node_profiles_ooc(&empty, OocConfig::new(10, 1_000)).unwrap();
+        let (profiles, _) = node_profiles_ooc(&empty, OocConfig::new(10, 1_000), 0).unwrap();
         assert!(profiles.is_empty());
 
         let one = InMemorySource::new(2, vec![TemporalEdge::new(0, 1, 5)]);
-        let (counts, stats) = count_motifs_ooc(&one, OocConfig::new(10, 1_000)).unwrap();
+        let (counts, stats) = count_motifs_ooc(&one, OocConfig::new(10, 1_000), 0).unwrap();
         assert_eq!(counts.total(), 0);
         assert_eq!(stats.chunks, 1);
     }
@@ -826,8 +810,8 @@ mod tests {
     }
 
     /// A budget below one edge forces minimum-progress cuts everywhere:
-    /// counts and profiles stay exact on every pool, layout and source,
-    /// with one chunk per distinct timestamp.
+    /// counts and profiles stay exact at every thread count, layout and
+    /// source, with one chunk per distinct timestamp.
     fn check_forced_cuts(g: &TemporalGraph, delta: Timestamp, ctx: &str) {
         let want = crate::count_motifs(g, delta);
         let src = InMemorySource::from_graph(g);
@@ -843,32 +827,30 @@ mod tests {
         write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
         let lane = LaneFileSource::open(&path).unwrap();
         let profiles = NodeProfiles::compute(g, delta, 1);
-        for threads in POOLS {
-            on_pool(threads, |_| {
-                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                    let ctx = format!("{ctx} pool={threads} layout={layout}");
-                    let mut config = OocConfig::new(delta, 1);
-                    config.lane_layout = layout;
-                    for (got, stats) in [
-                        count_motifs_ooc(&src, config).unwrap(),
-                        count_motifs_ooc(&lane, config).unwrap(),
-                    ] {
-                        assert_eq!(got.matrix, want.matrix, "{ctx}");
-                        assert_eq!(stats.chunks, times.len(), "{ctx}");
-                        assert!(stats.forced_cuts > 0, "{ctx}");
-                    }
-                    assert_eq!(
-                        node_profiles_ooc(&src, config).unwrap().0,
-                        profiles,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        node_profiles_ooc(&lane, config).unwrap().0,
-                        profiles,
-                        "{ctx}"
-                    );
+        for threads in THREADS {
+            for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
+                let ctx = format!("{ctx} threads={threads} layout={layout}");
+                let mut config = OocConfig::new(delta, 1);
+                config.lane_layout = layout;
+                for (got, stats) in [
+                    count_motifs_ooc(&src, config, threads).unwrap(),
+                    count_motifs_ooc(&lane, config, threads).unwrap(),
+                ] {
+                    assert_eq!(got.matrix, want.matrix, "{ctx}");
+                    assert_eq!(stats.chunks, times.len(), "{ctx}");
+                    assert!(stats.forced_cuts > 0, "{ctx}");
                 }
-            });
+                assert_eq!(
+                    node_profiles_ooc(&src, config, threads).unwrap().0,
+                    profiles,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    node_profiles_ooc(&lane, config, threads).unwrap().0,
+                    profiles,
+                    "{ctx}"
+                );
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

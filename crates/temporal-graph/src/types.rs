@@ -1,7 +1,5 @@
 //! Primitive types shared by every crate in the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense node identifier. The builder guarantees `0..num_nodes`.
 pub type NodeId = u32;
 
@@ -20,7 +18,7 @@ pub type EdgeId = u32;
 /// For an event in a node `u`'s sequence `S_u`, `Out` means the underlying
 /// edge leaves `u` (`u -> other`) and `In` means it enters `u`
 /// (`other -> u`). The paper writes these as `o` and `in`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Dir {
     /// Edge points away from the reference node (`o` in the paper).
@@ -76,7 +74,7 @@ impl std::fmt::Display for Dir {
 }
 
 /// A directed, timestamped edge `(src, dst, t)` — Definition 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TemporalEdge {
     /// Source node.
     pub src: NodeId,

@@ -28,26 +28,19 @@ fn shifted(g: &TemporalGraph, by: i64) -> TemporalGraph {
     TemporalGraph::from_chronological_edges(g.num_nodes(), edges)
 }
 
-/// Run `f` under an installed rayon pool of `threads` workers.
-fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .unwrap()
-        .install(f)
-}
-
-/// Count `src` twice on a pool of `threads`: the counts, then each
+/// Count `src` twice on `threads` workers: the counts, then each
 /// run's stats.
 fn count_twice(
     src: &impl EdgeSource,
     cfg: OocConfig,
     threads: usize,
 ) -> (MotifCounts, OocStats, OocStats) {
-    on_pool(threads, || {
-        let (counts, stats) = hare::count_motifs_ooc(src, cfg).unwrap();
-        (counts, stats, hare::count_motifs_ooc(src, cfg).unwrap().1)
-    })
+    let (counts, stats) = hare::count_motifs_ooc(src, cfg, threads).unwrap();
+    (
+        counts,
+        stats,
+        hare::count_motifs_ooc(src, cfg, threads).unwrap().1,
+    )
 }
 
 /// `g`'s edge stream as a `HARELG01` lane file in the temp directory,
@@ -109,8 +102,8 @@ proptest! {
 
     /// Chunk-loaded counting equals the in-RAM kernel for every budget,
     /// from "everything in one chunk" down to budgets so small every cut
-    /// is forced — exactness is never traded for the budget — on pools
-    /// of 1 to 4 workers (which share the budget, so each pool plans its
+    /// is forced — exactness is never traded for the budget — on 1 to 4
+    /// workers (which share the budget, so each worker count plans its
     /// own cuts), either lane layout, either edge source, and timestamps
     /// shifted below zero.
     #[test]
@@ -170,12 +163,12 @@ proptest! {
         prop_assert_eq!(&*src.node_rank(), g.node_rank());
         let full = g.num_edges() * hare::ooc::LANE_BYTES_PER_EDGE;
         let cfg = OocConfig::new(delta, full / budget_divisor + 1);
-        let (counts, _) = on_pool(threads, || hare::count_motifs_ooc(&src, cfg)).unwrap();
+        let (counts, _) = hare::count_motifs_ooc(&src, cfg, threads).unwrap();
         prop_assert_eq!(counts, hare::count_motifs(&g, delta));
     }
 
     /// Chunk-loaded per-node profiles equal the in-RAM driver, node for
-    /// node and counter for counter, on pools of 1 to 4 workers, either
+    /// node and counter for counter, on 1 to 4 workers, either
     /// lane layout, either edge source, and timestamps shifted below
     /// zero.
     #[test]
@@ -195,12 +188,9 @@ proptest! {
             cfg.lane_layout = LaneLayout::Compressed;
         }
         let file = TempLaneFile::write(&g);
-        let (in_memory, from_file) = on_pool(threads, || {
-            (
-                hare::node_profiles_ooc(&InMemorySource::from_graph(&g), cfg).unwrap(),
-                hare::node_profiles_ooc(&file.open(), cfg).unwrap(),
-            )
-        });
+        let src = InMemorySource::from_graph(&g);
+        let in_memory = hare::node_profiles_ooc(&src, cfg, threads).unwrap();
+        let from_file = hare::node_profiles_ooc(&file.open(), cfg, threads).unwrap();
         prop_assert_eq!(&in_memory.0, &reference);
         prop_assert_eq!(&from_file.0, &reference);
         prop_assert_eq!(in_memory.1, from_file.1);

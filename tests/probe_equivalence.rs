@@ -98,7 +98,7 @@ fn ooc_counts_are_probe_invariant() {
         let full = g.num_edges() * hare::ooc::LANE_BYTES_PER_EDGE;
         for budget in [full / 5 + 1, 2 * full + 1] {
             let config = OocConfig::new(delta, budget);
-            let (want, want_stats) = count_motifs_ooc(&src, config).unwrap();
+            let (want, want_stats) = count_motifs_ooc(&src, config, 0).unwrap();
             let timing = WallClockProbe::new();
             let (timed, stats) = count_motifs_ooc_probed(&src, config, &timing).unwrap();
             assert_eq!(timed.matrix, want.matrix);
