@@ -15,10 +15,9 @@ use std::process::ExitCode;
 
 use hare::query::{Answer, Outcome, Param, Plan, PlanError, Session, SessionEngine, SessionSpec};
 use hare::stream_sample::StreamSampleConfig;
-use hare::{InMemorySource, MotifCategory, NoopProbe, Probe, WallClockProbe};
-use temporal_graph::io::{
-    load_edges, load_graph, open, read_chronological_edges, Interner, LoadOptions,
-};
+use hare::{MotifCategory, NoopProbe, Probe, WallClockProbe};
+use temporal_graph::io::{load_edges, load_graph, open, read_packed_edges, Interner, LoadOptions};
+use temporal_graph::ooc::PackedEdges;
 use temporal_graph::stats::GraphStats;
 use temporal_graph::{NodeId, TemporalGraph, Timestamp};
 
@@ -46,7 +45,11 @@ OPTIONS:
                         time chunks through the fused kernel, one chunk
                         per --threads worker at a time, keeping their
                         resident lane arenas under B bytes together.
-                        With --input, no whole graph is built.
+                        With --input, the file is held as a bit-packed
+                        edge stream (about 5 bytes per edge) and no
+                        whole graph or edge list is built; B bounds the
+                        chunk lanes, not the stream or the chunk
+                        graphs' edge lists and pair indexes.
                         Bit-identical to in-RAM counting. Exact
                         all-motif mode only (no --only/--window/
                         --approx/--stats/--nodes)
@@ -703,22 +706,21 @@ fn load_options(o: &Opts) -> LoadOptions {
 }
 
 /// What a batch query runs on: a whole graph, or — for an out-of-core
-/// count of an `--input` file — the file's chronological edge list, from
-/// which no whole graph is ever built.
+/// count of an `--input` file — the file's edges as a bit-packed
+/// chronological stream, from which no whole graph and no edge list is
+/// ever built.
 enum Input {
     Graph(Box<TemporalGraph>),
-    Edges(InMemorySource<'static>),
+    Edges(Box<PackedEdges>),
 }
 
 impl Input {
     fn load(o: &Opts, plan: &Plan) -> Result<Input, String> {
         match (&o.input, plan) {
-            (Some(path), Plan::Chunked { .. }) => {
-                let (num_nodes, edges) = open(path)
-                    .and_then(|r| read_chronological_edges(r, &load_options(o)))
-                    .map_err(|e| format!("loading {path}: {e}"))?;
-                Ok(Input::Edges(InMemorySource::new(num_nodes, edges)))
-            }
+            (Some(path), Plan::Chunked { .. }) => open(path)
+                .and_then(|r| read_packed_edges(r, &load_options(o)))
+                .map(|stream| Input::Edges(Box::new(stream)))
+                .map_err(|e| format!("loading {path}: {e}")),
             _ => load_input_graph(o).map(|g| Input::Graph(Box::new(g))),
         }
     }
@@ -732,7 +734,7 @@ impl Input {
     ) -> Result<Answer, PlanError> {
         match self {
             Input::Graph(g) => plan.execute(g, delta, threads, probe),
-            Input::Edges(src) => plan.execute_chunked(src, delta, threads, probe),
+            Input::Edges(src) => plan.execute_chunked(&**src, delta, threads, probe),
         }
     }
 }

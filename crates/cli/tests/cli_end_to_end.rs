@@ -370,6 +370,66 @@ fn chunked_input_route_matches_in_ram_on_a_messy_snap_file() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The dynetworkx tie fixture: three edges into node 2 tie at t = 30,
+/// then node 2 sends two at t = 32 and 33 (docs/ARCHITECTURE.md, "Ties",
+/// says where its counts differ from dynetworkx's). The goldens pin the
+/// in-RAM count at δ = 3 and 5; the chunked route must print the same
+/// bytes, with budgets that cut at t = 30 (160 bytes at δ = 3 on one
+/// worker, forced cuts either side of it at δ = 5), cut at t = 28–30
+/// (480), and force a cut at every timestamp (1).
+#[test]
+fn golden_dnx_tie_fixture_is_byte_identical_in_ram_and_chunked() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/dnx_ties.txt");
+    for (delta, golden) in [
+        (
+            "3",
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/dnx_ties_delta3.json"
+            ),
+        ),
+        (
+            "5",
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/dnx_ties_delta5.json"
+            ),
+        ),
+    ] {
+        let expected = std::fs::read(golden).expect("golden file present");
+        let base = ["--input", data, "--delta", delta, "--json", "--no-timing"];
+        let mut variants = vec![vec![]];
+        for threads in ["1", "2"] {
+            for lanes in ["raw", "compressed"] {
+                for budget in ["160", "480", "1"] {
+                    variants.push(vec![
+                        "--threads",
+                        threads,
+                        "--lanes",
+                        lanes,
+                        "--chunk-budget",
+                        budget,
+                    ]);
+                }
+            }
+        }
+        for variant in variants {
+            let out = hare_count(&[&base[..], &variant].concat());
+            assert!(
+                out.status.success(),
+                "{variant:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                out.stdout,
+                expected,
+                "delta={delta} {variant:?}:\n got: {}",
+                stdout_of(&out)
+            );
+        }
+    }
+}
+
 #[test]
 fn golden_fig1_nodes_jsonl_is_byte_identical() {
     // Per-node mode: one JSON line per participating node, in ascending

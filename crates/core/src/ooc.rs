@@ -46,6 +46,18 @@
 //! Budgets only bound the *lane arenas*; the per-worker scratch and
 //! (for profiles) the dense profile accumulator remain O(|V|) resident,
 //! like every other driver in the crate.
+//!
+//! Sources: [`InMemorySource`] borrows a graph already in RAM;
+//! [`PackedEdges`], the bit-packed stream `hare-count --input F
+//! --chunk-budget B` reads `F` into, keeps the edges at a few bytes each
+//! (4.62 on the `batch_chunked` benchmark input, Email-Eu/2; 6.54 on
+//! WikiTalk/64, whose ids are wider); [`LaneFileSource`] keeps only a
+//! `HARELG01` file's block index. Besides the source and the budgeted
+//! lanes, each resident chunk graph holds its edge list (16 bytes per
+//! haloed edge), node offsets and `PairIndex`, and each chunk's halo
+//! list lives until its graph is built: on the `batch_chunked` input at
+//! its 0.66 MB budget on 2 workers, that working set peaked about
+//! 1.5 MB above the stream.
 
 use std::borrow::Cow;
 use std::io;
@@ -57,8 +69,8 @@ use crate::fingerprint::{fold_tally, NodeProfile, NodeProfiles};
 use crate::fused::count_node;
 use crate::scratch::NeighborScratch;
 use hare_obs::{NoopProbe, Phase, Probe};
-use temporal_graph::ooc::LaneFile;
-use temporal_graph::{stats, LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
+use temporal_graph::ooc::{LaneFile, PackedEdges};
+use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
 
 /// Resident lane bytes per temporal edge in a raw-layout chunk graph:
 /// every edge spawns two events, each holding an 8-byte timestamp, a
@@ -89,92 +101,91 @@ pub trait EdgeSource: Sync {
     fn node_rank(&self) -> Cow<'_, [u32]>;
 }
 
-/// An in-RAM chronological edge slice as an [`EdgeSource`] — the
-/// differential reference for the file-backed source, and the path the
-/// CLI takes to honour `--chunk-budget`: straight from a parsed edge
-/// list ([`InMemorySource::new`]), or borrowing a graph it already
-/// holds ([`InMemorySource::from_graph`]).
-#[derive(Debug, Clone)]
+/// A graph already in RAM as an [`EdgeSource`]: borrows its edge list
+/// and node rank, so out-of-core results are bit-identical to counting
+/// the graph directly, raw cells included. The differential reference
+/// for the other sources, and the route of a chunked plan run on a
+/// graph it already holds.
+#[derive(Debug, Clone, Copy)]
 pub struct InMemorySource<'a> {
-    num_nodes: usize,
-    edges: Cow<'a, [TemporalEdge]>,
-    node_rank: Cow<'a, [u32]>,
-}
-
-impl InMemorySource<'static> {
-    /// Own a chronologically sorted, self-loop-free edge list. The node
-    /// rank is derived from the edges' degrees, so it equals the rank of
-    /// the graph built from the same edges.
-    ///
-    /// # Panics
-    /// Panics if the edges are not sorted by timestamp or reference a
-    /// node `>= num_nodes`.
-    #[must_use]
-    pub fn new(num_nodes: usize, edges: Vec<TemporalEdge>) -> InMemorySource<'static> {
-        assert!(
-            edges.windows(2).all(|w| w[0].t <= w[1].t),
-            "edges must be sorted by timestamp"
-        );
-        let mut degree = vec![0usize; num_nodes];
-        for e in &edges {
-            degree[e.src as usize] += 1;
-            degree[e.dst as usize] += 1;
-        }
-        let node_rank = stats::degree_rank(num_nodes, |u| degree[u]);
-        InMemorySource {
-            num_nodes,
-            edges: Cow::Owned(edges),
-            node_rank: Cow::Owned(node_rank.into_vec()),
-        }
-    }
+    graph: &'a TemporalGraph,
 }
 
 impl<'a> InMemorySource<'a> {
-    /// Borrow an already-built graph's edge stream and node rank (shares
-    /// its total order and rank, so out-of-core results are
-    /// bit-identical to counting `g` directly, raw cells included).
+    /// Borrow an already-built graph's edge stream and node rank.
     #[must_use]
     pub fn from_graph(g: &'a TemporalGraph) -> InMemorySource<'a> {
-        InMemorySource {
-            num_nodes: g.num_nodes(),
-            edges: Cow::Borrowed(g.edges()),
-            node_rank: Cow::Borrowed(g.node_rank()),
-        }
+        InMemorySource { graph: g }
     }
 }
 
 impl EdgeSource for InMemorySource<'_> {
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.graph.num_nodes()
     }
 
     fn num_edges(&self) -> u64 {
-        self.edges.len() as u64
+        self.graph.num_edges() as u64
     }
 
     fn min_time(&self) -> Option<Timestamp> {
-        self.edges.first().map(|e| e.t)
+        self.graph.edges().first().map(|e| e.t)
     }
 
     fn max_time(&self) -> Option<Timestamp> {
-        self.edges.last().map(|e| e.t)
+        self.graph.edges().last().map(|e| e.t)
     }
 
     fn count_until(&self, t: Timestamp) -> io::Result<u64> {
-        Ok(self.edges.partition_point(|e| e.t < t) as u64)
+        Ok(self.graph.edges().partition_point(|e| e.t < t) as u64)
     }
 
     fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>> {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        let a = self.edges.partition_point(|e| e.t < lo);
-        let b = self.edges.partition_point(|e| e.t < hi);
-        Ok(self.edges[a..b].to_vec())
+        let edges = self.graph.edges();
+        let a = edges.partition_point(|e| e.t < lo);
+        let b = edges.partition_point(|e| e.t < hi);
+        Ok(edges[a..b].to_vec())
     }
 
     fn node_rank(&self) -> Cow<'_, [u32]> {
-        Cow::Borrowed(&self.node_rank)
+        Cow::Borrowed(self.graph.node_rank())
+    }
+}
+
+/// A bit-packed in-RAM edge stream ([`PackedEdges`], what
+/// `hare-count --input F --chunk-budget B` reads `F` into) as an
+/// [`EdgeSource`]. Its rank is the degree rank counted while reading, so
+/// the raw cells equal those of the graph built from the same file.
+impl EdgeSource for PackedEdges {
+    fn num_nodes(&self) -> usize {
+        PackedEdges::num_nodes(self)
+    }
+
+    fn num_edges(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn min_time(&self) -> Option<Timestamp> {
+        PackedEdges::min_time(self)
+    }
+
+    fn max_time(&self) -> Option<Timestamp> {
+        PackedEdges::max_time(self)
+    }
+
+    fn count_until(&self, t: Timestamp) -> io::Result<u64> {
+        Ok(PackedEdges::count_until(self, t) as u64)
+    }
+
+    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>> {
+        Ok(PackedEdges::load_range(self, lo, hi))
+    }
+
+    fn node_rank(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(PackedEdges::node_rank(self))
     }
 }
 
@@ -589,27 +600,36 @@ mod tests {
         }
     }
 
+    /// `g`'s edge stream, bit-packed.
+    fn packed(g: &TemporalGraph) -> PackedEdges {
+        PackedEdges::from_edges(g.num_nodes(), g.edges())
+    }
+
     #[test]
     fn in_memory_chunked_counts_match_in_ram() {
         for (g, delta) in [
             (paper_fig1_toy(), 10),
             (erdos_renyi_temporal(25, 600, 800, 3), 150),
             (hub_burst(30, 1_500, 8_000, 9), 800),
+            // More than one block of the packed stream.
+            (hub_burst(40, 3_000, 20_000, 5), 900),
         ] {
             check_counts(&InMemorySource::from_graph(&g), &g, delta);
+            check_counts(&packed(&g), &g, delta);
         }
     }
 
-    /// Borrowing a graph copies neither its edges nor its rank.
+    /// Borrowing a graph copies neither its edges nor its rank; the
+    /// packed stream ranks nodes like the graph.
     #[test]
     fn from_graph_borrows_the_edges_and_rank() {
         let g = erdos_renyi_temporal(25, 600, 800, 3);
         let src = InMemorySource::from_graph(&g);
-        assert!(matches!(src.edges, Cow::Borrowed(e) if std::ptr::eq(e, g.edges())));
-        assert!(matches!(src.node_rank, Cow::Borrowed(r) if std::ptr::eq(r, g.node_rank())));
-        let owned = InMemorySource::new(g.num_nodes(), g.edges().to_vec());
-        assert!(matches!(owned.edges, Cow::Owned(_)));
-        assert_eq!(&*owned.node_rank(), g.node_rank());
+        assert!(std::ptr::eq(src.graph, &g));
+        assert!(matches!(src.node_rank(), Cow::Borrowed(r) if std::ptr::eq(r, g.node_rank())));
+        let stream = packed(&g);
+        assert!(matches!(EdgeSource::node_rank(&stream), Cow::Borrowed(r) if r == g.node_rank()));
+        assert_eq!(stream.load_range(Timestamp::MIN, Timestamp::MAX), g.edges());
     }
 
     /// The budget is shared by the `W` workers: cuts are planned against
@@ -707,8 +727,8 @@ mod tests {
         let g = hub_burst(40, 6_000, 30_000, 12);
         let delta = 1_500;
         let want = crate::count_motifs(&g, delta);
-        let derived = InMemorySource::new(g.num_nodes(), g.edges().to_vec());
-        assert_eq!(&*derived.node_rank(), g.node_rank());
+        let derived = packed(&g);
+        assert_eq!(&*EdgeSource::node_rank(&derived), g.node_rank());
         let mut path = std::env::temp_dir();
         path.push(format!("hare-ooc-rank-{}.hlg", std::process::id()));
         write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
@@ -744,6 +764,7 @@ mod tests {
         let delta = 400;
         let want = NodeProfiles::compute(&g, delta, 1);
         let src = InMemorySource::from_graph(&g);
+        let stream = packed(&g);
         let mut path = std::env::temp_dir();
         path.push(format!("hare-ooc-profiles-{}.hlg", std::process::id()));
         write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
@@ -760,6 +781,9 @@ mod tests {
                     let (got, lane_stats) = node_profiles_ooc(&lane, config, threads).unwrap();
                     assert_eq!(got, want, "{ctx}");
                     assert_eq!(lane_stats, stats, "{ctx}");
+                    let (got, stream_stats) = node_profiles_ooc(&stream, config, threads).unwrap();
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(stream_stats, stats, "{ctx}");
                 }
             }
         }
@@ -768,14 +792,14 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_sources() {
-        let empty = InMemorySource::new(0, vec![]);
+        let empty = PackedEdges::from_edges(0, &[]);
         let (counts, stats) = count_motifs_ooc(&empty, OocConfig::new(10, 1_000), 0).unwrap();
         assert_eq!(counts.total(), 0);
         assert_eq!(stats.chunks, 0);
         let (profiles, _) = node_profiles_ooc(&empty, OocConfig::new(10, 1_000), 0).unwrap();
         assert!(profiles.is_empty());
 
-        let one = InMemorySource::new(2, vec![TemporalEdge::new(0, 1, 5)]);
+        let one = PackedEdges::from_edges(2, &[TemporalEdge::new(0, 1, 5)]);
         let (counts, stats) = count_motifs_ooc(&one, OocConfig::new(10, 1_000), 0).unwrap();
         assert_eq!(counts.total(), 0);
         assert_eq!(stats.chunks, 1);
@@ -815,6 +839,7 @@ mod tests {
     fn check_forced_cuts(g: &TemporalGraph, delta: Timestamp, ctx: &str) {
         let want = crate::count_motifs(g, delta);
         let src = InMemorySource::from_graph(g);
+        let stream = packed(g);
         let mut times: Vec<Timestamp> = g.edges().iter().map(|e| e.t).collect();
         times.dedup();
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -835,6 +860,7 @@ mod tests {
                 for (got, stats) in [
                     count_motifs_ooc(&src, config, threads).unwrap(),
                     count_motifs_ooc(&lane, config, threads).unwrap(),
+                    count_motifs_ooc(&stream, config, threads).unwrap(),
                 ] {
                     assert_eq!(got.matrix, want.matrix, "{ctx}");
                     assert_eq!(stats.chunks, times.len(), "{ctx}");
@@ -850,17 +876,13 @@ mod tests {
                     profiles,
                     "{ctx}"
                 );
+                assert_eq!(
+                    node_profiles_ooc(&stream, config, threads).unwrap().0,
+                    profiles,
+                    "{ctx}"
+                );
             }
         }
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted by timestamp")]
-    fn in_memory_source_rejects_unsorted_edges() {
-        let _ = InMemorySource::new(
-            3,
-            vec![TemporalEdge::new(0, 1, 9), TemporalEdge::new(1, 2, 3)],
-        );
     }
 }

@@ -23,12 +23,13 @@ use serde_json::Value;
 use temporal_graph::{LaneLayout, NodeId, TemporalGraph, Timestamp};
 
 use crate::fingerprint::{
-    rank_by_zscore, top_k_nodes, NodeProfile, NodeProfiles, ProfileDistribution,
+    profile_of, rank_by_zscore, top_k_nodes, NodeProfile, NodeProfiles, ProfileDistribution,
 };
 use crate::hare::{Hare, HareConfig};
 use crate::ooc::{count_motifs_ooc_on, EdgeSource, InMemorySource, OocConfig};
 use crate::report;
 use crate::sample::{SampleConfig, SampledCounter, SampledCounts};
+use crate::scratch::with_thread_scratch;
 use crate::stream_sample::{StreamSampleConfig, StreamingEstimator};
 use crate::windowed::{StreamError, WindowedCounter};
 use crate::{Motif, MotifCategory, MotifMatrix, Probe};
@@ -306,8 +307,11 @@ impl Plan {
                         num_nodes: g.num_nodes(),
                     });
                 }
-                let profiles = NodeProfiles::compute(g, delta, threads);
-                let profile = profiles.get(node).copied().unwrap_or_default();
+                // One node's scan: the row `NodeProfiles::compute` would
+                // hold for it, or the empty profile.
+                let profile = with_thread_scratch(g.num_nodes(), |scratch| {
+                    profile_of(g, node, delta, scratch)
+                });
                 Outcome::Node { node, profile }
             }
             Plan::TopByMotif { motif, k } => {
@@ -871,8 +875,8 @@ mod tests {
             exact.outcome,
             Outcome::Counts(crate::count_motifs(&g, 10).matrix)
         );
-        // Straight from an owned edge list, on one and two workers.
-        let src = InMemorySource::new(g.num_nodes(), g.edges().to_vec());
+        // Straight from a packed edge stream, on one and two workers.
+        let src = temporal_graph::ooc::PackedEdges::from_edges(g.num_nodes(), g.edges());
         let plan = Plan::Chunked {
             budget_bytes: 64,
             lane_layout: LaneLayout::Raw,
@@ -914,6 +918,35 @@ mod tests {
                 num_nodes: 5
             })
         );
+    }
+
+    /// The one-node scan gives every node the row the whole-graph pass
+    /// holds for it, or the empty profile.
+    #[test]
+    fn node_plan_equals_the_whole_graph_row() {
+        let g = temporal_graph::gen::hub_burst(30, 1_500, 8_000, 9);
+        let (mut full, mut empty) = (0, 0);
+        for delta in [0, 800] {
+            let all = NodeProfiles::compute(&g, delta, 1);
+            for node in g.node_ids() {
+                let want = all.get(node).copied().unwrap_or_default();
+                full += usize::from(!want.is_empty());
+                empty += usize::from(want.is_empty());
+                let got = Plan::Node { node }
+                    .execute(&g, delta, 2, &NoopProbe)
+                    .unwrap();
+                let ctx = format!("node {node} delta {delta}");
+                assert_eq!(
+                    got.outcome,
+                    Outcome::Node {
+                        node,
+                        profile: want
+                    },
+                    "{ctx}"
+                );
+            }
+        }
+        assert!(full > 0 && empty > 0, "{full} full and {empty} empty rows");
     }
 
     #[test]

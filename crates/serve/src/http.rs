@@ -220,23 +220,30 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete response (status line, headers, body) and flush.
-/// Every response closes the connection. `content_type` is
-/// `application/json` everywhere except the `/metrics` text exposition.
+/// Write a complete response (status line, headers, body) with one
+/// `write_all` of one buffer, and flush. Every response closes the
+/// connection. `content_type` is `application/json` everywhere except
+/// the `/metrics` text exposition.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    let head = format!(
+    stream.write_all(&response_bytes(status, content_type, body))?;
+    stream.flush()
+}
+
+/// The bytes [`write_response`] sends: head, then body.
+fn response_bytes(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    )
+    .into_bytes();
+    out.extend_from_slice(body);
+    out
 }
 
 pub mod client {
@@ -390,6 +397,28 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.json().unwrap()["ok"], serde_json::Value::Bool(true));
         server.join().unwrap();
+    }
+
+    /// The one buffer `write_response` sends is the head, then the body,
+    /// on every status the server emits.
+    #[test]
+    fn response_is_one_buffer_of_head_then_body() {
+        for (status, reason, body) in [
+            (200, "OK", &b"{\"ok\":true}\n"[..]),
+            (429, "Too Many Requests", b"{\"error\":\"busy\"}\n"),
+            (500, "Internal Server Error", b""),
+        ] {
+            let want = format!(
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{}",
+                body.len(),
+                std::str::from_utf8(body).unwrap()
+            );
+            assert_eq!(
+                response_bytes(status, "application/json", body),
+                want.as_bytes()
+            );
+        }
     }
 
     /// Serve one `read_request` on an ephemeral port; the client side

@@ -16,8 +16,11 @@
 //! graph: each line's ids are interned as soon as it is scanned, so no
 //! triple list is built, the stable sort by time is skipped when the
 //! file is already chronological. [`read_chronological_edges`] stops
-//! before the build, for counting straight from the sorted edge list.
-//! Both routes
+//! before the build with the sorted edge list, and [`read_packed_edges`]
+//! packs the same edges into a bit-packed [`PackedEdges`] stream as they
+//! are read, for out-of-core counting with no edge list at all. The
+//! lean readers share one ingest (interning, self-loop drop, limit
+//! checks). Both routes
 //! give the same edges, node count and fingerprint, and the same
 //! [`LoadError`] on a bad line. Only the lean route checks the graph's
 //! id spaces, returning [`LoadError::Limit`] where [`graph_from_raw`]
@@ -67,6 +70,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::path::Path;
 
 use crate::graph::{TemporalGraph, MAX_EDGES, MAX_NODES};
+use crate::ooc::{PackedEdges, PackedEdgesWriter};
 use crate::types::{NodeId, TemporalEdge, Timestamp};
 
 /// Error produced while loading a graph file.
@@ -530,15 +534,33 @@ pub fn read_graph<R: BufRead>(reader: R, opts: &LoadOptions) -> Result<TemporalG
 
 /// [`read_graph`]'s edge list and node count, before the build: the
 /// list [`chronological_edges`] makes of [`read_edges`]' triples.
-/// Counting straight from it (see `hare::InMemorySource::new`) needs no
-/// graph build at all.
 pub fn read_chronological_edges<R: BufRead>(
     reader: R,
     opts: &LoadOptions,
 ) -> Result<(usize, Vec<TemporalEdge>), LoadError> {
-    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES);
+    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES, Vec::new());
     scan_records(reader, opts, |e, line| ingest.push(e, line))?;
     Ok(ingest.finish())
+}
+
+/// [`read_chronological_edges`]' edges and node count as a bit-packed
+/// [`PackedEdges`] stream, ranked by the degrees counted while reading:
+/// the input `hare-count --chunk-budget` counts from. Same ids, order,
+/// self-loop drop and [`LoadError`]s as the list.
+///
+/// While the input stays chronological, each edge is packed as soon as
+/// it is read, so no edge list is built. At the first edge out of time
+/// order the stream falls back to the list's route: the edges so far
+/// are unpacked into a list, the rest appended, and the whole list
+/// stably sorted (input position breaks ties) and packed at the end.
+/// That fallback holds the list and saves no memory.
+pub fn read_packed_edges<R: BufRead>(
+    reader: R,
+    opts: &LoadOptions,
+) -> Result<PackedEdges, LoadError> {
+    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES, PackedSink::default());
+    scan_records(reader, opts, |e, line| ingest.push(e, line))?;
+    Ok(ingest.finish_packed())
 }
 
 /// Build a graph from raw 64-bit-id triples (the in-memory equivalent of
@@ -560,15 +582,13 @@ pub fn graph_from_raw(raw: Vec<(u64, u64, Timestamp)>, _opts: &LoadOptions) -> T
 /// first appearance ([`Interner`]); self-loops are dropped without
 /// taking an id (so `num_nodes` is stable across save/load round
 /// trips); edges are stably sorted by timestamp, so input order breaks
-/// ties. Counting straight from this list (see
-/// `hare::InMemorySource::new`) needs no graph build at all.
+/// ties.
 ///
 /// # Panics
 /// Panics past the graph's id spaces, like [`graph_from_raw`].
 #[must_use]
 pub fn chronological_edges(raw: Vec<(u64, u64, Timestamp)>) -> (usize, Vec<TemporalEdge>) {
-    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES);
-    ingest.edges.reserve(raw.len());
+    let mut ingest = Ingest::new(Interner::new(), MAX_EDGES, Vec::with_capacity(raw.len()));
     for (i, e) in raw.into_iter().enumerate() {
         if let Err(e) = ingest.push(e, i + 1) {
             // hare-lint: allow(panic, reason = "in-memory triples past the id spaces: the documented panic of this entry point")
@@ -720,21 +740,72 @@ fn limit_error(line: usize, max: usize, what: &str) -> LoadError {
     }
 }
 
-/// Interned edges in input order, on their way to a chronological list.
-struct Ingest {
+/// Where an [`Ingest`] puts the edges it interns, in input order.
+trait Sink {
+    /// Take `e`; `in_order` says whether it and every edge before it
+    /// came in time order.
+    fn push(&mut self, e: TemporalEdge, in_order: bool);
+}
+
+impl Sink for Vec<TemporalEdge> {
+    #[inline]
+    fn push(&mut self, e: TemporalEdge, _in_order: bool) {
+        Vec::push(self, e);
+    }
+}
+
+/// [`read_packed_edges`]' sink: packs edges while they come in time
+/// order, and holds them in `fallback` from the first that does not.
+#[derive(Default)]
+struct PackedSink {
+    packed: Option<PackedEdgesWriter>,
+    fallback: Vec<TemporalEdge>,
+    /// Per-node degree over every edge taken, for the stream's rank.
+    degree: Vec<u32>,
+}
+
+impl Sink for PackedSink {
+    #[inline]
+    fn push(&mut self, e: TemporalEdge, in_order: bool) {
+        for u in [e.src as usize, e.dst as usize] {
+            if u >= self.degree.len() {
+                // Ids are handed out densely, so this adds one slot.
+                self.degree.resize(u + 1, 0);
+            }
+            self.degree[u] += 1;
+        }
+        if in_order {
+            self.packed
+                .get_or_insert_with(PackedEdgesWriter::new)
+                .push(e);
+        } else {
+            if let Some(packed) = self.packed.take() {
+                self.fallback = packed.into_edges();
+            }
+            self.fallback.push(e);
+        }
+    }
+}
+
+/// Interned edges in input order, on their way to a chronological list
+/// or stream.
+struct Ingest<S> {
     ids: Interner,
-    edges: Vec<TemporalEdge>,
+    sink: S,
+    /// Edges taken so far.
+    len: usize,
     max_edges: usize,
     /// Whether the timestamps so far never decrease, and the last one.
     sorted: bool,
     last_t: Timestamp,
 }
 
-impl Ingest {
-    fn new(ids: Interner, max_edges: usize) -> Ingest {
+impl<S: Sink> Ingest<S> {
+    fn new(ids: Interner, max_edges: usize, sink: S) -> Ingest<S> {
         Ingest {
             ids,
-            edges: Vec::new(),
+            sink,
+            len: 0,
             max_edges,
             sorted: true,
             last_t: Timestamp::MIN,
@@ -752,7 +823,7 @@ impl Ingest {
             let what = "distinct node ids (the packed-lane node space)";
             return Err(limit_error(line, self.ids.max_nodes, what));
         };
-        if self.edges.len() >= self.max_edges {
+        if self.len >= self.max_edges {
             return Err(limit_error(
                 line,
                 self.max_edges,
@@ -761,18 +832,43 @@ impl Ingest {
         }
         self.sorted &= t >= self.last_t;
         self.last_t = t;
-        self.edges.push(TemporalEdge::new(s, d, t));
+        self.len += 1;
+        self.sink.push(TemporalEdge::new(s, d, t), self.sorted);
         Ok(())
     }
+}
 
+impl Ingest<Vec<TemporalEdge>> {
     /// The node count and the edges, stably sorted by time unless they
     /// came in that order.
     fn finish(self) -> (usize, Vec<TemporalEdge>) {
-        let mut edges = self.edges;
+        let mut edges = self.sink;
         if !self.sorted {
             edges.sort_by_key(|e| e.t); // stable: input order breaks ties
         }
         (self.ids.len(), edges)
+    }
+}
+
+impl Ingest<PackedSink> {
+    /// The packed stream over every node, sorting the fallback list
+    /// first if the input left time order.
+    fn finish_packed(self) -> PackedEdges {
+        let PackedSink {
+            packed,
+            mut fallback,
+            mut degree,
+        } = self.sink;
+        degree.resize(self.ids.len(), 0);
+        let packed = packed.unwrap_or_else(|| {
+            fallback.sort_by_key(|e| e.t); // stable: input order breaks ties
+            let mut w = PackedEdgesWriter::new();
+            for e in fallback {
+                w.push(e);
+            }
+            w
+        });
+        packed.finish(&degree)
     }
 }
 
@@ -978,13 +1074,28 @@ mod tests {
         }
     }
 
-    /// Read `text` through a fresh [`Ingest`] with the given limits.
-    fn ingest_text(text: &str, ids: Interner, max_edges: usize) -> (Ingest, Result<(), LoadError>) {
-        let mut ingest = Ingest::new(ids, max_edges);
+    /// Read `text` through a fresh [`Ingest`] into `sink`, with the
+    /// given limits.
+    fn ingest_into<S: Sink>(
+        text: &str,
+        ids: Interner,
+        max_edges: usize,
+        sink: S,
+    ) -> (Ingest<S>, Result<(), LoadError>) {
+        let mut ingest = Ingest::new(ids, max_edges, sink);
         let res = scan_records(Cursor::new(text), &LoadOptions::default(), |e, line| {
             ingest.push(e, line)
         });
         (ingest, res)
+    }
+
+    /// [`ingest_into`] an edge list.
+    fn ingest_text(
+        text: &str,
+        ids: Interner,
+        max_edges: usize,
+    ) -> (Ingest<Vec<TemporalEdge>>, Result<(), LoadError>) {
+        ingest_into(text, ids, max_edges, Vec::new())
     }
 
     #[test]
@@ -1025,7 +1136,59 @@ mod tests {
             matches!(&res, Err(LoadError::Limit { line: 3, message }) if message.contains("edge-id")),
             "{res:?}"
         );
-        assert_eq!(ingest.edges.len(), 1);
+        assert_eq!(ingest.len, 1);
+        assert_eq!(ingest.sink.len(), 1);
+        // The packed stream's reader stops on the same lines with the
+        // same errors.
+        for (max_nodes, max_edges) in [(3, MAX_EDGES), (4, MAX_EDGES), (MAX_NODES, 1)] {
+            let list = ingest_text(text, Interner::with_max_nodes(max_nodes), max_edges).1;
+            let ids = Interner::with_max_nodes(max_nodes);
+            let (ingest, stream) = ingest_into(text, ids, max_edges, PackedSink::default());
+            assert_eq!(
+                stream.map_err(|e| e.to_string()),
+                list.map_err(|e| e.to_string()),
+                "max_nodes={max_nodes} max_edges={max_edges}"
+            );
+            if max_nodes == 4 {
+                assert_eq!(ingest.finish_packed().len(), 3);
+            }
+        }
+    }
+
+    /// The packed reader holds the edges, node count and degree rank of
+    /// the list and graph readers: packed while read when the input is
+    /// chronological, sorted and packed at the end when it is not.
+    #[test]
+    fn packed_reader_matches_the_list_and_graph_readers() {
+        let rows: Vec<(u64, u64, Timestamp)> = (0..3_000u64)
+            .map(|i| (i % 37 * 1_000, (i * 7 + 3) % 41, (i / 5) as Timestamp - 200))
+            .collect();
+        let sorted: String = rows
+            .iter()
+            .map(|(s, d, t)| format!("{s} {d} {t}\n"))
+            .collect();
+        let mut shuffled = rows.clone();
+        // In order for two whole blocks and more, then not.
+        shuffled.swap(2_100, 2_999);
+        shuffled.swap(2_050, 2_500);
+        let shuffled: String = shuffled
+            .iter()
+            .map(|(s, d, t)| format!("{s} {d} {t}\n"))
+            .collect();
+        for (text, in_order) in [(&sorted, true), (&shuffled, false)] {
+            let opts = LoadOptions::default();
+            let (ingest, res) =
+                ingest_into(text, Interner::new(), MAX_EDGES, PackedSink::default());
+            res.unwrap();
+            assert_eq!(ingest.sink.packed.is_some(), in_order);
+            assert_eq!(ingest.sink.fallback.is_empty(), in_order);
+            let stream = read_packed_edges(text.as_bytes(), &opts).unwrap();
+            let (num_nodes, edges) = read_chronological_edges(text.as_bytes(), &opts).unwrap();
+            let g = read_graph(text.as_bytes(), &opts).unwrap();
+            assert_eq!(stream.num_nodes(), num_nodes);
+            assert_eq!(stream.load_range(Timestamp::MIN, Timestamp::MAX), edges);
+            assert_eq!(stream.node_rank(), g.node_rank());
+        }
     }
 
     #[test]

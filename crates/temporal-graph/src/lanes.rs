@@ -16,7 +16,9 @@
 //! Three layers:
 //!
 //! * [`PackedTs`] — whole-graph storage: one bit-packed words arena plus
-//!   per-node `(anchor, width, bit_start)` metadata.
+//!   per-run `(anchor, width, bit_start)` metadata, one run per node
+//!   (the out-of-core edge stream reuses it with one run per block of
+//!   edges).
 //! * [`PackedRun`] — the borrowed per-node view; decodes one timestamp
 //!   with a shift/mask pair (no branches beyond the word-boundary
 //!   blend).
@@ -113,6 +115,40 @@ impl PackedRun<'_> {
             ..self
         }
     }
+
+    /// The value whose delta starts at absolute bit `bit`.
+    #[inline]
+    fn value_at_bit(&self, bit: u64) -> Timestamp {
+        let word = (bit >> 6) as usize;
+        let shift = (bit & 63) as u32;
+        let lo = self.words[word] >> shift;
+        // High part from the next word; `(x << (63 - s)) << 1` is
+        // `x << (64 - s)` for `s > 0` and exactly 0 for `s == 0`, so the
+        // blend is branch-free and never shifts by 64.
+        let hi = (self.words[word + 1] << (63 - shift)) << 1;
+        self.anchor
+            .wrapping_add(((lo | hi) & self.mask) as Timestamp)
+    }
+
+    /// Decode `out.len()` values from position `start` on into `out`:
+    /// the sequential form of [`TsRead::at`], with no multiply per value.
+    ///
+    /// # Panics
+    /// Panics if the values run past the words arena.
+    #[inline]
+    pub(crate) fn unpack(&self, start: usize, out: &mut [Timestamp]) {
+        debug_assert!(start + out.len() <= self.len);
+        if self.width == 0 {
+            out.fill(self.anchor);
+            return;
+        }
+        let width = u64::from(self.width);
+        let mut bit = self.bit_start + start as u64 * width;
+        for slot in out {
+            *slot = self.value_at_bit(bit);
+            bit += width;
+        }
+    }
 }
 
 impl TsRead for PackedRun<'_> {
@@ -127,16 +163,7 @@ impl TsRead for PackedRun<'_> {
         if self.width == 0 {
             return self.anchor;
         }
-        let bit = self.bit_start + i as u64 * u64::from(self.width);
-        let word = (bit >> 6) as usize;
-        let shift = (bit & 63) as u32;
-        let lo = self.words[word] >> shift;
-        // High part from the next word; `(x << (63 - s)) << 1` is
-        // `x << (64 - s)` for `s > 0` and exactly 0 for `s == 0`, so the
-        // blend is branch-free and never shifts by 64.
-        let hi = (self.words[word + 1] << (63 - shift)) << 1;
-        self.anchor
-            .wrapping_add(((lo | hi) & self.mask) as Timestamp)
+        self.value_at_bit(self.bit_start + i as u64 * u64::from(self.width))
     }
 }
 
@@ -230,83 +257,130 @@ impl<'a> TsLane<'a> {
     }
 }
 
-/// Whole-graph storage for the compressed timestamp lane: per-node
-/// `(anchor, width, bit_start)` metadata over one shared bit-packed
-/// words arena. Built by `PackedTs::encode` from the raw lane and the
-/// CSR offsets; decoded on the fly through [`PackedRun`].
+/// Runs of bit-packed values: per-run `(anchor, width, bit_start)`
+/// metadata over one shared words arena, decoded on the fly through
+/// [`PackedRun`]. Each run is stored as `value − anchor` at one bit
+/// width, the anchor being the run's smallest value; for a sorted run
+/// that is its first. The graph keeps one run per node, encoded at
+/// once; the out-of-core edge stream ([`crate::ooc::PackedEdges`])
+/// keeps one per block of edges, appended as the blocks fill.
 #[derive(Debug, Clone)]
 pub struct PackedTs {
-    anchors: Box<[Timestamp]>,
-    widths: Box<[u8]>,
-    bit_starts: Box<[u64]>,
-    words: Box<[u64]>,
+    anchors: Vec<Timestamp>,
+    widths: Vec<u8>,
+    bit_starts: Vec<u64>,
+    /// Ends with one zero pad word, so the decode blend can always read
+    /// `word + 1`.
+    words: Vec<u64>,
+    /// Bits used by the runs so far.
+    end_bit: u64,
+}
+
+/// Bits needed for `span` (0 for 0).
+#[inline]
+fn width_of(span: u64) -> u32 {
+    64 - span.leading_zeros()
 }
 
 impl PackedTs {
-    /// Encode the raw timestamp lane `ts` (CSR runs delimited by
-    /// `node_offsets`, each run sorted ascending) into per-run
-    /// delta-from-anchor fixed-width packing.
-    pub(crate) fn encode(node_offsets: &[usize], ts: &[Timestamp]) -> PackedTs {
-        let num_nodes = node_offsets.len().saturating_sub(1);
+    /// No runs yet.
+    pub(crate) fn new() -> PackedTs {
         // hare-lint: allow(alloc, reason = "one-time lane encoding, not the scan path")
-        let mut anchors = vec![0 as Timestamp; num_nodes];
-        // hare-lint: allow(alloc, reason = "one-time lane encoding, not the scan path")
-        let mut widths = vec![0u8; num_nodes];
-        // hare-lint: allow(alloc, reason = "one-time lane encoding, not the scan path")
-        let mut bit_starts = vec![0u64; num_nodes];
-
-        let mut total_bits = 0u64;
-        for u in 0..num_nodes {
-            let (lo, hi) = (node_offsets[u], node_offsets[u + 1]);
-            bit_starts[u] = total_bits;
-            if lo == hi {
-                continue;
-            }
-            let anchor = ts[lo];
-            anchors[u] = anchor;
-            debug_assert!(ts[lo..hi].windows(2).all(|w| w[0] <= w[1]));
-            let max_delta = ts[hi - 1].wrapping_sub(anchor) as u64;
-            let width = if max_delta == 0 {
-                0
-            } else {
-                64 - max_delta.leading_zeros()
-            };
-            widths[u] = width as u8;
-            total_bits += (hi - lo) as u64 * u64::from(width);
-        }
-
-        // One zero pad word so the decode blend can always read word+1.
-        // hare-lint: allow(alloc, reason = "one-time lane encoding, not the scan path")
-        let mut words = vec![0u64; (total_bits as usize).div_ceil(64) + 1];
-        for u in 0..num_nodes {
-            let (lo, hi) = (node_offsets[u], node_offsets[u + 1]);
-            let width = u64::from(widths[u]);
-            if width == 0 {
-                continue;
-            }
-            let anchor = anchors[u];
-            let mut bit = bit_starts[u];
-            for &t in &ts[lo..hi] {
-                let delta = t.wrapping_sub(anchor) as u64;
-                let word = (bit >> 6) as usize;
-                let shift = (bit & 63) as u32;
-                words[word] |= delta << shift;
-                if u64::from(shift) + width > 64 {
-                    words[word + 1] |= delta >> (64 - shift);
-                }
-                bit += width;
-            }
-        }
-
+        let (anchors, widths, bit_starts, words) = (Vec::new(), Vec::new(), Vec::new(), vec![0]);
         PackedTs {
-            anchors: anchors.into_boxed_slice(),
-            widths: widths.into_boxed_slice(),
-            bit_starts: bit_starts.into_boxed_slice(),
-            words: words.into_boxed_slice(),
+            anchors,
+            widths,
+            bit_starts,
+            words,
+            end_bit: 0,
         }
     }
 
-    /// The packed run of node `u` (`len` from the CSR offsets).
+    /// Encode the raw timestamp lane `ts` (CSR runs delimited by
+    /// `node_offsets`, each run sorted ascending) into one run per node.
+    pub(crate) fn encode(node_offsets: &[usize], ts: &[Timestamp]) -> PackedTs {
+        let runs = || node_offsets.windows(2).map(|w| &ts[w[0]..w[1]]);
+        // Size the arena up front: a sorted run spans first to last.
+        let bits: u64 = runs()
+            .filter_map(|r| Some((r.len(), r.last()?.wrapping_sub(r[0]) as u64)))
+            .map(|(len, span)| len as u64 * u64::from(width_of(span)))
+            .sum();
+        let mut packed = PackedTs::new();
+        let num_runs = node_offsets.len().saturating_sub(1);
+        packed.anchors.reserve_exact(num_runs);
+        packed.widths.reserve_exact(num_runs);
+        packed.bit_starts.reserve_exact(num_runs);
+        packed.words.reserve_exact((bits as usize).div_ceil(64));
+        for run in runs() {
+            packed.push_run(run, true);
+        }
+        packed
+    }
+
+    /// Append one run holding `values` in order: its anchor is their
+    /// minimum and its width fits their span (both 0 when empty).
+    /// `sorted` says the values ascend, so their ends are the bounds.
+    pub(crate) fn push_run(&mut self, values: &[Timestamp], sorted: bool) {
+        debug_assert!(!sorted || values.windows(2).all(|w| w[0] <= w[1]));
+        let bounds = if sorted {
+            values.first().zip(values.last())
+        } else {
+            values.iter().min().zip(values.iter().max())
+        };
+        let (anchor, width) = match bounds {
+            Some((&min, &max)) => (min, width_of(max.wrapping_sub(min) as u64)),
+            None => (0, 0),
+        };
+        self.anchors.push(anchor);
+        self.widths.push(width as u8);
+        self.bit_starts.push(self.end_bit);
+        let start = self.end_bit;
+        self.end_bit += values.len() as u64 * u64::from(width);
+        if width == 0 {
+            return;
+        }
+        // Fill the words in order through an accumulator that starts
+        // with the bits the previous run left in its last word; the
+        // word after the run stays the zero pad.
+        let first = (start >> 6) as usize;
+        let words = (self.end_bit as usize).div_ceil(64) + 1;
+        // hare-lint: allow(alloc, reason = "one-time lane encoding, not the scan path")
+        self.words.resize(words, 0);
+        let out = &mut self.words[first..];
+        let mut acc = out[0];
+        let mut filled = (start & 63) as u32;
+        let mut k = 0;
+        for &v in values {
+            let delta = v.wrapping_sub(anchor) as u64;
+            acc |= delta << filled;
+            filled += width;
+            if filled >= 64 {
+                out[k] = acc;
+                k += 1;
+                filled -= 64;
+                // The bits that did not fit: `delta >> (width - filled)`,
+                // 0 when none are left over (and never a shift by 64).
+                acc = (delta >> 1) >> (width - filled - 1);
+            }
+        }
+        out[k] = acc;
+    }
+
+    /// Release the spare capacity left by appending.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.anchors.shrink_to_fit();
+        self.widths.shrink_to_fit();
+        self.bit_starts.shrink_to_fit();
+        self.words.shrink_to_fit();
+    }
+
+    /// Each run's anchor: its smallest value (0 if empty).
+    #[inline]
+    pub(crate) fn anchors(&self) -> &[Timestamp] {
+        &self.anchors
+    }
+
+    /// The packed run `u` (`len` from the caller's own offsets).
     #[inline]
     pub(crate) fn run(&self, u: usize, len: usize) -> PackedRun<'_> {
         let width = u32::from(self.widths[u]);
@@ -324,7 +398,8 @@ impl PackedTs {
         }
     }
 
-    /// Heap bytes held by the packed lane (metadata + words arena).
+    /// Heap bytes held by the packed runs (metadata + words arena):
+    /// 17 bytes per run plus 8 per word, the pad word included.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.anchors.len() * std::mem::size_of::<Timestamp>()
             + self.widths.len()

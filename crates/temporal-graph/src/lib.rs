@@ -19,10 +19,11 @@
 //! * [`lanes`] — the selectable timestamp-lane layouts ([`LaneLayout`]):
 //!   raw 8-byte slices or delta-from-anchor bit-packed runs with O(1)
 //!   random-access decode,
-//! * [`ooc`] — the out-of-core edge file (`HARELG01`): chronological
-//!   varint-delta edges plus a sparse time index, read back in
-//!   time-range chunks via `pread` so counting never materialises the
-//!   full graph,
+//! * [`ooc`] — chronological edge streams read by time range, so
+//!   counting never materialises the full graph: the out-of-core edge
+//!   file (`HARELG01`, varint-delta edges plus a sparse time index, read
+//!   via `pread`) and its in-RAM counterpart, the bit-packed
+//!   [`ooc::PackedEdges`],
 //! * [`gen`] — deterministic synthetic generators used as calibrated
 //!   stand-ins for datasets that cannot be downloaded in this environment,
 //! * [`stats`] — degree/time statistics backing Table II and Fig. 9.

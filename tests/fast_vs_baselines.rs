@@ -182,3 +182,49 @@ fn counts_monotone_in_delta() {
         prev = total;
     }
 }
+
+/// The dynetworkx `count_temporal_motif` test graph
+/// (`crates/cli/tests/data/dnx_ties.txt`, the file `hare-count`'s goldens
+/// pin): FAST agrees with the enumeration oracle, and the oracle's
+/// instances give dynetworkx's published counts once the instances
+/// that order tied timestamps are left out. This repository breaks a
+/// tie by input position and counts such instances; dynetworkx does
+/// not (its test counts 0 for three edges that share t = 30).
+#[test]
+fn dynetworkx_tie_fixture_matches_the_oracle() {
+    use temporal_graph::io::{load_graph, LoadOptions};
+    use temporal_graph::TemporalEdge;
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../cli/tests/data/dnx_ties.txt"
+    );
+    let g = load_graph(path, &LoadOptions::default()).unwrap();
+    assert_eq!((g.num_nodes(), g.num_edges()), (5, 16));
+    for delta in [3, 5] {
+        assert_eq!(
+            hare::count_motifs(&g, delta).matrix,
+            hare_baselines::enumerate_all(&g, delta),
+            "delta={delta}"
+        );
+    }
+    // Dense ids follow first appearance: dynetworkx node k is k − 1.
+    let e = |s, d| TemporalEdge::new(s, d, 0);
+    // `((1, 2), (1, 3), (1, 2))` at δ = 5, and `((1, 2), (2, 3), (2, 3))`
+    // at δ = 3: (all instances, instances with a tie, dynetworkx).
+    let cases = [
+        (e(0, 1), e(0, 2), e(0, 1), 5, (3, 1, 2)),
+        (e(0, 1), e(1, 2), e(1, 2), 3, (3, 0, 3)),
+    ];
+    for (e1, e2, e3, delta, want) in cases {
+        let motif = hare::motif::classify_instance(e1, e2, e3).unwrap();
+        let (mut all, mut tied) = (0, 0);
+        hare_baselines::enumerate::enumerate_instances(&g, delta, |a, b, c, m| {
+            if m == motif {
+                let [a, b, c] = [a, b, c].map(|id| g.edge(id).t);
+                all += 1;
+                tied += usize::from(a == b || b == c);
+            }
+        });
+        assert_eq!((all, tied, all - tied), want, "{motif} at delta={delta}");
+    }
+}

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use hare::{EdgeSource, InMemorySource, LaneFileSource, MotifCounts, OocConfig, OocStats};
 use temporal_graph::gen::arb;
-use temporal_graph::io::{chronological_edges, graph_from_raw, LoadOptions};
+use temporal_graph::io::{chronological_edges, graph_from_raw, read_packed_edges, LoadOptions};
 use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph};
 
 /// `g` with every timestamp moved by `by`: negative shifts put the
@@ -141,11 +141,12 @@ proptest! {
         }
     }
 
-    /// The route `hare-count --chunk-budget --input` takes: the parsed
-    /// edge list, never built into a graph, counts exactly like the
-    /// graph `graph_from_raw` builds from the same triples (self-loops,
-    /// sparse 64-bit ids, ties, out-of-order rows, negative times), under
-    /// the same node rank.
+    /// The route `hare-count --chunk-budget --input` takes: the text read
+    /// into a packed edge stream, never built into a graph or an edge
+    /// list, holds the list `chronological_edges` makes and counts
+    /// exactly like the graph `graph_from_raw` builds from the same
+    /// triples (self-loops, sparse 64-bit ids, ties, out-of-order rows,
+    /// negative times), under the same node rank.
     #[test]
     fn edge_list_source_counts_like_the_built_graph(
         rows in proptest::collection::vec((0u64..12, 0u64..12, -30i64..30), 0..70),
@@ -157,10 +158,13 @@ proptest! {
         let raw: Vec<(u64, u64, i64)> =
             rows.iter().map(|&(s, d, t)| (s * spread, d * spread, t)).collect();
         let g = graph_from_raw(raw.clone(), &LoadOptions::default());
-        let (num_nodes, edges) = chronological_edges(raw);
-        let src = InMemorySource::new(num_nodes, edges);
+        let text: String = raw.iter().map(|(s, d, t)| format!("{s} {d} {t}\n")).collect();
+        let src = read_packed_edges(text.as_bytes(), &LoadOptions::default()).unwrap();
         prop_assert_eq!(src.num_nodes(), g.num_nodes());
-        prop_assert_eq!(&*src.node_rank(), g.node_rank());
+        prop_assert_eq!(&*EdgeSource::node_rank(&src), g.node_rank());
+        let (num_nodes, edges) = chronological_edges(raw);
+        prop_assert_eq!(num_nodes, g.num_nodes());
+        prop_assert_eq!(src.load_range(i64::MIN, i64::MAX), edges);
         let full = g.num_edges() * hare::ooc::LANE_BYTES_PER_EDGE;
         let cfg = OocConfig::new(delta, full / budget_divisor + 1);
         let (counts, _) = hare::count_motifs_ooc(&src, cfg, threads).unwrap();
