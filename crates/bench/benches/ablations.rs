@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for FAST's and HARE's design choices:
 //!
 //! * stamped scratch array vs literal HashMaps in FAST-Star,
 //! * δ-window binary search vs linear scan in FAST-Tri,

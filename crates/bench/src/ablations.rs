@@ -1,6 +1,6 @@
 //! Alternative implementations of FAST's design choices, used by the
-//! `ablations` criterion bench to quantify each choice called out in
-//! DESIGN.md:
+//! `ablations` and `windowed_streaming` criterion benches to quantify
+//! each choice:
 //!
 //! * [`fast_star_hashmap`] — Algorithm 1 with literal `HashMap`s for
 //!   `m_in`/`m_out` (the paper's pseudocode) instead of the stamped

@@ -1,27 +1,40 @@
-//! Observability-overhead harness: measures what the [`hare::Probe`]
-//! seams cost on the FAST hot path and writes one JSON snapshot
-//! (`BENCH_OBS_<n>.json` at the repo root; schema `hare-bench/obs/v1`,
-//! documented in the `hare_bench` crate docs).
+//! Wall-clock gates: the checks that need a timer, and so cannot be a
+//! deterministic test.
 //!
-//! Three modes of the same CollegeMsg workload are timed interleaved:
-//! the unprobed [`hare::count_motifs`], [`hare::count_motifs_probed`]
-//! with [`hare::NoopProbe`] (must monomorphize away), and the same with
-//! the wall-clock [`hare::WallClockProbe`]. Before any timing, the
-//! binary asserts the three count matrices are **bit-identical** — a
-//! probe that perturbs counts fails CI regardless of its speed.
+//! 1. **Probe overhead.** The same CollegeMsg workload is timed in three
+//!    modes: the unprobed [`hare::count_motifs`],
+//!    [`hare::count_motifs_probed`] with [`hare::NoopProbe`] (must
+//!    monomorphize away), and the same with the wall-clock
+//!    [`hare::WallClockProbe`]. Before any timing, the binary asserts the
+//!    three count matrices are **bit-identical** — a probe that perturbs
+//!    counts fails regardless of its speed. Full runs gate the overhead
+//!    on min-of-samples: ≤ 2% for the no-op probe, ≤ 5% for the timing
+//!    probe.
+//! 2. **Oversubscription.** HARE at 1, 2, 4 and 8 threads on a
+//!    hub-skewed synthetic graph (40 000 edges with `--quick`, 200 000
+//!    otherwise; δ = 2000): every thread count's throughput, from
+//!    min-of-samples, stays at or above 0.9× HARE/1's.
+//! 3. **Cache hit** (full runs only). An in-process `hare-serve` answers
+//!    `GET /count` cold (its result cache cleared first) and from its
+//!    cache; the median hit is at least 10× faster than the median cold
+//!    answer.
 //!
 //! ```text
 //! cargo run --release -p hare-bench --bin exp_obs -- \
-//!     [--out BENCH_OBS.json] [--samples N] [--scale N] [--delta N] \
-//!     [--baseline BENCH_PERF_8.json] [--quick]
+//!     [--samples N] [--scale N] [--delta N] [--quick]
 //! ```
 //!
-//! `--quick` drops to 5 samples on CollegeMsg at scale 8 (the CI obs-
-//! smoke configuration) and skips the overhead gates, which are only
-//! meaningful on release-built, lightly-loaded hardware.
+//! `--quick` drops to 5 samples on CollegeMsg at scale 8 and the
+//! 40 000-edge synthetic graph, and skips the probe-overhead and
+//! cache-hit gates, which are only meaningful on release-built,
+//! lightly-loaded hardware. The bit-identity and oversubscription gates
+//! run in both modes.
 
-use hare_bench::{resident_set_bytes, time};
-use serde_json::{json, Value};
+use std::time::Instant;
+
+use hare_bench::time;
+use hare_serve::http::client;
+use hare_serve::{Server, ServerConfig};
 
 /// Relative overhead ceilings for full (non-`--quick`) runs, checked on
 /// min-of-samples: the no-op probe must vanish in the monomorphized
@@ -30,64 +43,57 @@ use serde_json::{json, Value};
 const NOOP_OVERHEAD_CEILING: f64 = 0.02;
 const TIMING_OVERHEAD_CEILING: f64 = 0.05;
 
-struct Mode {
-    name: &'static str,
-    times: Vec<f64>,
-}
-
-impl Mode {
-    fn min_s(&self) -> f64 {
-        self.times.iter().copied().fold(f64::INFINITY, f64::min)
+/// Times `slots` modes in interleaved rounds, returning each mode's
+/// samples. Every round runs each mode once, starting at a rotated
+/// position, so slow drift in background load on a shared box and fixed
+/// per-round effects (cache state after the round boundary, periodic
+/// daemons) hit every mode equally. A fixed sample count can strand one
+/// mode's estimate above its true value purely because interference
+/// bursts missed the others, so after `samples` rounds more are added,
+/// at most 3 × `samples`, until `converged` holds; the caller then
+/// gates, and fails on a real gap rather than on a short run. `run`
+/// returns the seconds it measured, so untimed set-up stays out.
+fn interleave(
+    slots: usize,
+    samples: usize,
+    mut run: impl FnMut(usize) -> f64,
+    converged: impl Fn(&[Vec<f64>]) -> bool,
+) -> Vec<Vec<f64>> {
+    for slot in 0..slots {
+        run(slot); // warm-up (untimed)
     }
-
-    fn row(&self, unprobed_min: f64) -> Value {
-        let mut sorted = self.times.clone();
-        sorted.sort_by(f64::total_cmp);
-        let min_s = sorted[0];
-        json!({
-            "mode": self.name,
-            "mean_s": sorted.iter().sum::<f64>() / sorted.len() as f64,
-            "min_s": min_s,
-            "median_s": sorted[sorted.len() / 2],
-            "samples": sorted.len(),
-            "overhead_vs_unprobed": min_s / unprobed_min - 1.0,
-        })
+    let mut times = vec![Vec::with_capacity(samples); slots];
+    let mut round = 0;
+    while round < samples || (round < 4 * samples && !converged(&times)) {
+        for k in 0..slots {
+            let slot = (round + k) % slots;
+            times[slot].push(run(slot));
+        }
+        round += 1;
     }
+    times
 }
 
-/// The PR 8 perf snapshot's FAST row for the same workload, if the
-/// snapshot is on disk — recorded for trajectory context, not gated on
-/// (absolute seconds from another machine/session are not comparable).
-fn baseline_row(path: &str, name: &str) -> Option<Value> {
-    let doc: Value = serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()?;
-    let row = doc["benches"]
-        .as_array()?
-        .iter()
-        .find(|r| r["name"].as_str() == Some(name))?;
-    Some(json!({
-        "file": path,
-        "name": name,
-        "min_s": row["min_s"].clone(),
-        "median_s": row["median_s"].clone(),
-    }))
+fn min(xs: &[f64]) -> f64 {
+    xs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-fn main() {
-    let args = hare_bench::Args::parse();
-    let quick = args.flag("quick");
-    let samples: usize = args.get_num("samples", if quick { 5 } else { 30 });
-    let out = args.get("out").unwrap_or("BENCH_OBS.json").to_string();
-    let delta: i64 = args.get_num("delta", 600);
-    let scale: usize = args.get_num("scale", if quick { 8 } else { 1 });
-    let baseline_file = args
-        .get("baseline")
-        .unwrap_or("BENCH_PERF_8.json")
-        .to_string();
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
 
-    let spec = hare_datasets::by_name("CollegeMsg").expect("registry");
-    let g = spec.generate(scale);
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
 
-    // --- determinism gate: probes must not perturb counts ---
+/// Gate 1: probes leave the counts bit-identical and, in full runs, cost
+/// at most their overhead ceilings.
+fn probe_overhead(quick: bool, samples: usize, scale: usize, delta: i64) {
+    let g = hare_datasets::by_name("CollegeMsg")
+        .expect("registry")
+        .generate(scale);
     let unprobed = hare::count_motifs(&g, delta);
     let nooped = hare::count_motifs_probed(&g, delta, &hare::NoopProbe);
     let timing_probe = hare::WallClockProbe::new();
@@ -100,131 +106,181 @@ fn main() {
         unprobed.matrix, timed.matrix,
         "WallClockProbe perturbed the count matrix"
     );
-    let phases: Vec<Value> = timing_probe
-        .snapshot()
-        .iter()
-        .map(|p| {
-            json!({
-                "phase": p.phase.name(),
-                "total_us": p.total_ns / 1_000,
-                "spans": p.spans,
-            })
-        })
-        .collect();
     assert!(
-        !phases.is_empty(),
+        !timing_probe.snapshot().is_empty(),
         "timing probe recorded no phase spans on a real workload"
     );
 
-    // --- timing: the three modes interleaved round-robin, rotated, so
-    // background-load drift on a shared box hits each mode equally ---
-    let mut modes = [
-        Mode {
-            name: "unprobed",
-            times: Vec::new(),
+    let modes = ["unprobed", "noop_probe", "timing_probe"];
+    let times = interleave(
+        modes.len(),
+        samples,
+        |slot| {
+            time(|| match slot {
+                0 => {
+                    std::hint::black_box(hare::count_motifs(&g, delta));
+                }
+                1 => {
+                    std::hint::black_box(hare::count_motifs_probed(&g, delta, &hare::NoopProbe));
+                }
+                _ => {
+                    let probe = hare::WallClockProbe::new();
+                    std::hint::black_box(hare::count_motifs_probed(&g, delta, &probe));
+                }
+            })
+            .1
         },
-        Mode {
-            name: "noop_probe",
-            times: Vec::new(),
+        // The probed modes run the very same monomorphized kernel, so
+        // their true minima match the unprobed floor (plus a handful of
+        // clock reads for the timing probe).
+        |t| {
+            min(&t[1]) <= (1.0 + NOOP_OVERHEAD_CEILING) * min(&t[0])
+                && min(&t[2]) <= (1.0 + TIMING_OVERHEAD_CEILING) * min(&t[0])
         },
-        Mode {
-            name: "timing_probe",
-            times: Vec::new(),
-        },
-    ];
-    let run_mode = |slot: usize| match slot {
-        0 => {
-            std::hint::black_box(hare::count_motifs(&g, delta));
-        }
-        1 => {
-            std::hint::black_box(hare::count_motifs_probed(&g, delta, &hare::NoopProbe));
-        }
-        _ => {
-            let probe = hare::WallClockProbe::new();
-            std::hint::black_box(hare::count_motifs_probed(&g, delta, &probe));
-        }
-    };
-    for slot in 0..modes.len() {
-        run_mode(slot); // warm-up (untimed)
-    }
-    let round = |round: usize, modes: &mut [Mode]| {
-        for k in 0..modes.len() {
-            let slot = (round + k) % modes.len();
-            let ((), s) = time(|| run_mode(slot));
-            modes[slot].times.push(s);
-        }
-    };
-    for r in 0..samples {
-        round(r, &mut modes);
-    }
-    // The probed modes run the very same monomorphized kernel, so their
-    // true minima match the unprobed floor (plus a handful of clock
-    // reads for the timing probe). On a noisy box a fixed sample count
-    // can strand one mode's empirical min above the floor; keep adding
-    // interleaved rounds (bounded at 4x the base count) until the
-    // probed minima are inside the ceilings or the budget runs out —
-    // then gate, so full runs fail on real overhead, not on short runs.
-    for extra in 0..3 * samples {
-        let floor = modes[0].min_s();
-        if modes[1].min_s() <= (1.0 + NOOP_OVERHEAD_CEILING) * floor
-            && modes[2].min_s() <= (1.0 + TIMING_OVERHEAD_CEILING) * floor
-        {
-            break;
-        }
-        round(samples + extra, &mut modes);
-    }
+    );
 
-    let floor = modes[0].min_s();
-    let noop_overhead = modes[1].min_s() / floor - 1.0;
-    let timing_overhead = modes[2].min_s() / floor - 1.0;
-    if !quick {
-        assert!(
-            noop_overhead <= NOOP_OVERHEAD_CEILING,
-            "NoopProbe overhead {:.2}% exceeds {:.0}% ceiling",
-            noop_overhead * 100.0,
-            NOOP_OVERHEAD_CEILING * 100.0
-        );
-        assert!(
-            timing_overhead <= TIMING_OVERHEAD_CEILING,
-            "WallClockProbe overhead {:.2}% exceeds {:.0}% ceiling",
-            timing_overhead * 100.0,
-            TIMING_OVERHEAD_CEILING * 100.0
-        );
-    }
-
-    // --- report ---
+    let floor = min(&times[0]);
+    println!("CollegeMsg/{scale}  delta={delta}  FAST under the probe seams");
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>8} {:>10}",
         "mode", "mean", "min", "median", "samples", "overhead"
     );
-    for m in &modes {
-        let row = m.row(floor);
+    for (mode, ts) in modes.iter().zip(&times) {
         println!(
-            "{:<16} {:>10} {:>10} {:>10} {:>8} {:>9.2}%",
-            m.name,
-            hare_bench::human_secs(row["mean_s"].as_f64().unwrap_or(0.0)),
-            hare_bench::human_secs(row["min_s"].as_f64().unwrap_or(0.0)),
-            hare_bench::human_secs(row["median_s"].as_f64().unwrap_or(0.0)),
-            row["samples"],
-            row["overhead_vs_unprobed"].as_f64().unwrap_or(0.0) * 100.0,
+            "{mode:<16} {:>10} {:>10} {:>10} {:>8} {:>9.2}%",
+            hare_bench::human_secs(mean(ts)),
+            hare_bench::human_secs(min(ts)),
+            hare_bench::human_secs(median(ts)),
+            ts.len(),
+            (min(ts) / floor - 1.0) * 100.0,
         );
     }
+    if !quick {
+        for (slot, ceiling) in [(1, NOOP_OVERHEAD_CEILING), (2, TIMING_OVERHEAD_CEILING)] {
+            let overhead = min(&times[slot]) / floor - 1.0;
+            assert!(
+                overhead <= ceiling,
+                "{} overhead {:.2}% exceeds {:.0}% ceiling",
+                modes[slot],
+                overhead * 100.0,
+                ceiling * 100.0
+            );
+        }
+    }
+}
 
-    let workload = format!("full_collegemsg_s{scale}/fast/{delta}");
-    let doc = json!({
-        "schema": "hare-bench/obs/v1",
-        "dataset": "CollegeMsg",
-        "scale": scale,
-        "delta": delta,
-        "quick": quick,
-        "samples": samples,
-        "baseline": baseline_row(&baseline_file, &workload)
-            .unwrap_or(Value::Null),
-        "workload": workload,
-        "rows": modes.iter().map(|m| m.row(floor)).collect::<Vec<Value>>(),
-        "phases": phases,
-        "rss_bytes": resident_set_bytes().map_or(Value::Null, Value::from),
-    });
-    std::fs::write(&out, format!("{doc}\n")).expect("write obs snapshot");
-    println!("\nwrote {out}");
+/// Gate 2: no thread count falls more than 10% below HARE/1's throughput.
+fn oversubscription(samples: usize, edges: usize) {
+    let g = temporal_graph::gen::scaling_workload(edges);
+    assert!(
+        2 * g.num_edges() >= hare::hare::SEQ_FALLBACK_EVENTS,
+        "synthetic workload too small to exercise the scheduler"
+    );
+    let delta = 2_000;
+    let threads = [1usize, 2, 4, 8];
+    let engines: Vec<hare::Hare> = threads
+        .iter()
+        .map(|&t| hare::Hare::with_threads(t))
+        .collect();
+    let times = interleave(
+        engines.len(),
+        samples,
+        |slot| time(|| std::hint::black_box(engines[slot].count_all(&g, delta))).1,
+        // The clamp and the sequential fallback put every config's true
+        // floor at or below HARE/1's, so the oversubscribed minima
+        // converge to it from above.
+        |t| t.iter().all(|ts| min(ts) <= min(&t[0])),
+    );
+
+    // Throughput from min-of-samples: the most repeatable figure on a
+    // shared box (the least-interrupted iteration).
+    let throughput = |ts: &[f64]| g.num_edges() as f64 / min(ts);
+    let base = throughput(&times[0]);
+    println!("\nsynthetic_e{edges}  delta={delta}  HARE thread sweep");
+    println!(
+        "{:>8} {:>10} {:>10} {:>8} {:>14}",
+        "threads", "effective", "min", "samples", "edges/s"
+    );
+    for ((engine, &t), ts) in engines.iter().zip(&threads).zip(&times) {
+        println!(
+            "{t:>8} {:>10} {:>10} {:>8} {:>14.0}",
+            engine.effective_threads(),
+            hare_bench::human_secs(min(ts)),
+            ts.len(),
+            throughput(ts)
+        );
+    }
+    // A >10% shortfall is the old oversubscription regression, not noise.
+    for (&t, ts) in threads.iter().zip(&times) {
+        let thr = throughput(ts);
+        assert!(
+            thr >= 0.9 * base,
+            "HARE/{t} throughput {thr:.0} e/s fell >10% below HARE/1 {base:.0} e/s"
+        );
+    }
+}
+
+/// Gate 3: a result-cache hit is at least 10× faster than a cold count.
+fn cache_hit(samples: usize, scale: usize, delta: i64) {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        preload: vec![("CollegeMsg".into(), scale)],
+        ..ServerConfig::default()
+    })
+    .expect("bind server");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn();
+    let target = format!("/count?dataset=CollegeMsg&delta={delta}");
+    // One request, cold (the cache cleared first, untimed) or a hit.
+    let request = |cold: bool| {
+        if cold {
+            let clear = client::post(addr, "/cache/clear", "").expect("clear");
+            assert_eq!(clear.status, 200);
+        }
+        let t0 = Instant::now();
+        let resp = client::get(addr, &target).expect("GET /count");
+        let s = t0.elapsed().as_secs_f64();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        s
+    };
+    let times = interleave(
+        2,
+        samples,
+        // Each timed request follows an untimed one of its own kind, so
+        // neither pays for the state the other left behind (a hit read
+        // right after a cold count is slower).
+        |slot| {
+            request(slot == 0);
+            request(slot == 0)
+        },
+        // Exactly `samples` rounds: the gate reads medians, and adding
+        // rounds until the gate's own statistic passes would bias it.
+        |_| true,
+    );
+    let (cold, hit) = (median(&times[0]), median(&times[1]));
+    let speedup = cold / hit;
+    println!(
+        "\nCollegeMsg/{scale}  delta={delta}  GET /count: cold {} | cache hit {} | {speedup:.1}x",
+        hare_bench::human_secs(cold),
+        hare_bench::human_secs(hit),
+    );
+    assert!(
+        speedup >= 10.0,
+        "cache-hit latency only {speedup:.1}x below cold"
+    );
+    handle.shutdown_and_wait().expect("clean shutdown");
+}
+
+fn main() {
+    let args = hare_bench::Args::parse();
+    let quick = args.flag("quick");
+    let samples: usize = args.get_num("samples", if quick { 5 } else { 30 });
+    let delta: i64 = args.get_num("delta", 600);
+    let scale: usize = args.get_num("scale", if quick { 8 } else { 1 });
+
+    probe_overhead(quick, samples, scale, delta);
+    oversubscription(samples, if quick { 40_000 } else { 200_000 });
+    if !quick {
+        cache_hit(samples, scale, delta);
+    }
 }

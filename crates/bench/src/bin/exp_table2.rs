@@ -63,6 +63,6 @@ fn main() {
     println!("{:-<110}", "");
     println!(
         "note: stand-ins are generated at 1/scale of the paper's size with the time span preserved,\n\
-         so per-δ event densities match the full datasets (DESIGN.md §3)."
+         so per-δ event densities match the full datasets."
     );
 }

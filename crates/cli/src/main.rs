@@ -44,7 +44,10 @@ OPTIONS:
     --chunk-budget B    out-of-core exact counting: stream delta-haloed
                         time chunks through the fused kernel, one chunk
                         per --threads worker at a time, keeping their
-                        resident lane arenas under B bytes together.
+                        resident raw lane arenas under B bytes together
+                        (compressed chunks also hold per-node run
+                        metadata for the whole graph, which B does not
+                        count).
                         With --input, the file is held as a bit-packed
                         edge stream (about 5 bytes per edge) and no
                         whole graph or edge list is built; B bounds the

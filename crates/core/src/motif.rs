@@ -19,7 +19,8 @@
 //! * the all-outward stars of types I/III are `M13`/`M53` (§V.D compares
 //!   their near-equal counts on WikiTalk);
 //! * the four pair isomorphism classes (§IV.A.3, with the paper's obvious
-//!   typo in the last identity corrected — see DESIGN.md §2.1);
+//!   typo in the last identity corrected so that every class is one
+//!   direction pattern and its mirror — see [`pair_motif`]);
 //! * all 24 triangle cells of Fig. 8, cross-validated against the three
 //!   worked instances of Fig. 1 (`M63`, `M46`, `M65`, `M25`).
 
@@ -172,7 +173,7 @@ impl TriType {
 /// `d1..d3` are the directions (w.r.t. the center) of the three edges in
 /// time order.
 ///
-/// Convention (DESIGN.md §2.1): the *isolated* edge's direction picks the
+/// Convention: the *isolated* edge's direction picks the
 /// row inside the type's row block (`Out` → first row); the two bonded
 /// edges `(d_a, d_b)` in time order pick the column
 /// `2·[d_a = Out] + [d_b = In] + 1`.
@@ -398,7 +399,7 @@ mod tests {
 
     #[test]
     fn pair_mapping_matches_paper_identities() {
-        // §IV.A.3 (typo-corrected; see DESIGN.md §2.1).
+        // §IV.A.3, typo-corrected: each class is a pattern and its mirror.
         assert_eq!(pair_motif(In, In, In), m(5, 5));
         assert_eq!(pair_motif(Out, Out, Out), m(5, 5));
         assert_eq!(pair_motif(In, Out, Out), m(5, 6));

@@ -251,10 +251,15 @@ pub struct OocConfig {
     /// Motif window δ.
     pub delta: Timestamp,
     /// Upper bound on the lane arenas of the chunk graphs resident at
-    /// once, in bytes ([`LANE_BYTES_PER_EDGE`] per haloed edge under the
-    /// raw layout; the compressed layout typically lands well under
-    /// it). The run's `W` workers share it: each chunk is planned
-    /// against `budget_bytes / W`.
+    /// once, in bytes. The planner charges [`LANE_BYTES_PER_EDGE`] per
+    /// haloed edge, so the bound holds for the raw layout (when no cut
+    /// is forced). It does not hold for the compressed layout on graphs
+    /// with many nodes: each compressed chunk graph also carries packed
+    /// run metadata for every node of the whole graph, which the
+    /// planner does not charge (WikiTalk at scale 64, 14 241 nodes,
+    /// peaked at 805 090 bytes against a 489 568-byte budget with no
+    /// forced cut). The run's `W` workers share the budget: each chunk
+    /// is planned against `budget_bytes / W`.
     pub budget_bytes: usize,
     /// Timestamp-lane layout of the chunk graphs.
     pub lane_layout: LaneLayout,

@@ -2,8 +2,8 @@
 //!
 //! Registry of the sixteen real-world temporal networks of the paper's
 //! Table II, each backed by a **calibrated synthetic generator**
-//! (DESIGN.md §3: the real files are not downloadable in this
-//! environment; the generators match the workload properties that drive
+//! (the repository ships no copy of the real files; the generators
+//! match the workload properties that drive
 //! every algorithm's cost — |E|, degree skew, δ-window density, pair
 //! multiplicity and wedge closure — at the paper's node/edge/time-span
 //! scale).

@@ -8,8 +8,8 @@
 //!
 //! [`read_request`] parses a request head + body with hard limits on
 //! both, [`write_response`] emits a complete response, and [`client`]
-//! is the matching blocking client used by the end-to-end suite and the
-//! `exp_serve` benchmark.
+//! is the matching blocking client used by the end-to-end suite and
+//! `exp_obs`'s cache-hit gate.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -250,7 +250,7 @@ pub mod client {
     //! Blocking one-shot HTTP client matching the server's dialect.
     //!
     //! One request per connection, `Content-Length` framing. Used by the
-    //! end-to-end tests and `exp_serve`; handy for quick library
+    //! end-to-end tests and `exp_obs`; handy for quick library
     //! consumers too.
 
     use std::io::{BufRead, BufReader, Read, Write};

@@ -150,6 +150,20 @@ fn exact_count_bodies_are_byte_identical_to_cli() {
             String::from_utf8_lossy(&cli.stdout)
         );
     }
+    // And to the library's own rendering of the exact count.
+    let g = hare_datasets::by_name("CollegeMsg").unwrap().generate(8);
+    let report = hare::report::exact_body(
+        g.num_nodes(),
+        g.num_edges(),
+        600,
+        &hare::count_motifs(&g, 600).matrix,
+        None,
+    );
+    assert_eq!(
+        server.get("/count?dataset=CollegeMsg&delta=600").text(),
+        hare::report::render(&report),
+        "serve body != hare::report bytes"
+    );
     server.shutdown_and_wait();
 }
 
@@ -315,6 +329,11 @@ fn concurrent_clients_get_identical_bodies_and_cache_hits() {
         "--json",
         "--no-timing",
     ]);
+    // The cold (computed) body and every cached one are the same bytes.
+    assert_eq!(
+        warm.body, cli.stdout,
+        "cold response differs from CLI stdout"
+    );
     for handle in clients {
         let resp = handle.join().unwrap();
         assert_eq!(resp.status, 200);

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on 16 public datasets that cannot be downloaded in
 //! this environment, so the benchmark harness substitutes **calibrated
-//! synthetic stand-ins** (DESIGN.md §3). The cost of every algorithm in the
+//! synthetic stand-ins** (the `hare-datasets` registry). The cost of every algorithm in the
 //! workspace is governed by four workload properties, all of which these
 //! generators control:
 //!
@@ -244,6 +244,24 @@ pub fn hub_burst(spokes: usize, events: usize, time_span: Timestamp, seed: u64) 
         }
     }
     b.build()
+}
+
+/// The thread-scaling and out-of-core workload: `edges` hub-skewed,
+/// bursty, triangle- and star-rich edges over `(edges / 40).max(64)`
+/// nodes and a span of `4 · edges`. From 40 000 edges on it is large
+/// enough that HARE runs its parallel scheduler, not its small-graph
+/// fallback.
+#[must_use]
+pub fn scaling_workload(edges: usize) -> TemporalGraph {
+    GenConfig {
+        nodes: (edges / 40).max(64),
+        edges,
+        time_span: 4 * edges as Timestamp,
+        zipf_exponent: 1.15,
+        seed: 0x5CA1E,
+        ..GenConfig::default()
+    }
+    .generate()
 }
 
 /// Reusable `proptest` strategies over temporal-graph inputs, shared by

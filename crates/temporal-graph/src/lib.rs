@@ -34,7 +34,8 @@
 //! sort by `(t, input_position)`. After [`GraphBuilder::build`] the edge id
 //! *is* the rank in this order, so `e1.id < e2.id ⟺ e1 ≤ e2` chronologically
 //! with deterministic tie-breaking. This makes "exact counting" well defined
-//! on real data where timestamps collide (see DESIGN.md §2).
+//! on real data where timestamps collide (docs/ARCHITECTURE.md, "One total
+//! order", says how this differs from counters that skip tied instances).
 //!
 //! ## Example
 //!

@@ -6,14 +6,16 @@
 //! graph fingerprint must be bit-identical. The `arb::graph` streams
 //! include self-loops (dropped by the builder) and heavy timestamp
 //! ties, the cases where chunk cuts and packed decoding are most likely
-//! to drift.
+//! to drift. Fixed inputs join them: CollegeMsg for the compressed
+//! round trip, and two larger synthetic graphs whose lane files must
+//! count under a budget without a forced cut.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use hare::{EdgeSource, InMemorySource, LaneFileSource, MotifCounts, OocConfig, OocStats};
-use temporal_graph::gen::arb;
+use temporal_graph::gen::{arb, scaling_workload};
 use temporal_graph::io::{chronological_edges, graph_from_raw, read_packed_edges, LoadOptions};
 use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph};
 
@@ -70,6 +72,30 @@ impl Drop for TempLaneFile {
     }
 }
 
+/// Compressed lanes are a storage change only: counts, per-node
+/// profiles and the content fingerprint of `g` all survive a round trip
+/// through the packed representation bit-for-bit.
+fn compressed_round_trip(g: &TemporalGraph, delta: i64) -> Result<(), TestCaseError> {
+    let packed = g.clone().into_lane_layout(LaneLayout::Compressed);
+    prop_assert_eq!(packed.fingerprint(), g.fingerprint());
+    prop_assert_eq!(
+        hare::count_motifs(&packed, delta).matrix,
+        hare::count_motifs(g, delta).matrix
+    );
+    prop_assert_eq!(
+        hare::NodeProfiles::compute(&packed, delta, 1),
+        hare::NodeProfiles::compute(g, delta, 1)
+    );
+    // And back: unpacking restores the raw path exactly.
+    let raw_again = packed.into_lane_layout(LaneLayout::Raw);
+    prop_assert_eq!(raw_again.fingerprint(), g.fingerprint());
+    prop_assert_eq!(
+        hare::count_motifs(&raw_again, delta).matrix,
+        hare::count_motifs(g, delta).matrix
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -81,23 +107,7 @@ proptest! {
         g in arb::graph(10, 60, 90),
         delta in 0i64..120,
     ) {
-        let packed = g.clone().into_lane_layout(LaneLayout::Compressed);
-        prop_assert_eq!(packed.fingerprint(), g.fingerprint());
-        prop_assert_eq!(
-            hare::count_motifs(&packed, delta).matrix,
-            hare::count_motifs(&g, delta).matrix
-        );
-        prop_assert_eq!(
-            hare::NodeProfiles::compute(&packed, delta, 1),
-            hare::NodeProfiles::compute(&g, delta, 1)
-        );
-        // And back: unpacking restores the raw path exactly.
-        let raw_again = packed.into_lane_layout(LaneLayout::Raw);
-        prop_assert_eq!(raw_again.fingerprint(), g.fingerprint());
-        prop_assert_eq!(
-            hare::count_motifs(&raw_again, delta).matrix,
-            hare::count_motifs(&g, delta).matrix
-        );
+        compressed_round_trip(&g, delta)?;
     }
 
     /// Chunk-loaded counting equals the in-RAM kernel for every budget,
@@ -198,5 +208,50 @@ proptest! {
         prop_assert_eq!(&in_memory.0, &reference);
         prop_assert_eq!(&from_file.0, &reference);
         prop_assert_eq!(in_memory.1, from_file.1);
+    }
+}
+
+/// The compressed-lane round trip on CollegeMsg at scale 8 and at full
+/// size, δ = 600.
+#[test]
+fn collegemsg_compressed_lanes_round_trip() {
+    let spec = hare_datasets::by_name("CollegeMsg").unwrap();
+    for scale in [8, 1] {
+        compressed_round_trip(&spec.generate(scale), 600).unwrap();
+    }
+}
+
+/// A `HARELG01` lane file of the 40 000- and 200 000-edge synthetic
+/// graphs, counted at δ = 2000 on two workers (which share the budget)
+/// under a raw-lane budget of an eighth of the whole graph's lanes plus
+/// one byte: the counts equal in-RAM FAST, no cut is forced, and the
+/// resident lanes never exceed the budget.
+#[test]
+fn synthetic_lane_file_counts_within_an_eighth_budget() {
+    let delta = 2_000;
+    for edges in [40_000, 200_000] {
+        let g = scaling_workload(edges);
+        let budget = g.num_edges() * hare::ooc::LANE_BYTES_PER_EDGE / 8 + 1;
+        let cfg = OocConfig {
+            delta,
+            budget_bytes: budget,
+            lane_layout: LaneLayout::Raw,
+        };
+        let file = TempLaneFile::write(&g);
+        let (counts, stats) = hare::count_motifs_ooc(&file.open(), cfg, 2).unwrap();
+        assert_eq!(
+            counts.matrix,
+            hare::count_motifs(&g, delta).matrix,
+            "{edges} edges"
+        );
+        assert_eq!(
+            stats.forced_cuts, 0,
+            "{edges} edges: budget too small for the halo"
+        );
+        assert!(
+            stats.peak_resident_lane_bytes <= budget,
+            "{edges} edges: resident lanes {} exceed budget {budget}",
+            stats.peak_resident_lane_bytes
+        );
     }
 }

@@ -13,7 +13,8 @@
 //! streams that include self-loops and duplicate timestamps — and pins
 //! the documented invariants: column sums = 1×/2×/3× the global grid,
 //! node-permutation equivariance, and thread-count bit-identity of the
-//! parallel drivers (dense and sparse).
+//! parallel drivers (dense and sparse). The two-pass differential and
+//! the thread-count invariance also run on CollegeMsg.
 
 use proptest::prelude::*;
 
@@ -56,6 +57,44 @@ fn enumerate_profiles(g: &TemporalGraph, delta: i64) -> Vec<[u64; 36]> {
     profiles
 }
 
+/// The fused single-scan attribution is bit-identical to the two-pass
+/// (STARS, then TRIS) path on every node of `g`.
+fn fused_matches_separate(g: &TemporalGraph, delta: i64) -> Result<(), TestCaseError> {
+    let mut scratch = NeighborScratch::new(g.num_nodes());
+    for u in g.node_ids() {
+        prop_assert_eq!(
+            hare::fingerprint::profile_of(g, u, delta, &mut scratch),
+            hare::fingerprint::profile_of_separate(g, u, delta, &mut scratch)
+        );
+    }
+    Ok(())
+}
+
+/// The parallel HARE drivers (dense and sparse) on `threads` workers
+/// equal their one-worker runs, and the sparse collection is exactly the
+/// nonzero rows of the dense table.
+fn drivers_match_one_thread(
+    g: &TemporalGraph,
+    delta: i64,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let dense1 = hare::node_profiles(g, delta, 1);
+    let densen = hare::node_profiles(g, delta, threads);
+    prop_assert_eq!(&dense1, &densen);
+    let sparse1 = hare::NodeProfiles::compute(g, delta, 1);
+    let sparsen = hare::NodeProfiles::compute(g, delta, threads);
+    prop_assert_eq!(&sparse1, &sparsen);
+    let nonzero: Vec<(u32, hare::NodeProfile)> = dense1
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| !p.is_empty())
+        .map(|(u, p)| (u as u32, *p))
+        .collect();
+    let got: Vec<(u32, hare::NodeProfile)> = sparse1.iter().map(|(u, p)| (u, *p)).collect();
+    prop_assert_eq!(got, nonzero);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -65,13 +104,7 @@ proptest! {
     /// raw stream; the builder's ingestion policy is part of the path).
     #[test]
     fn fused_profiles_match_separate_kernels(g in arb::graph(8, 40, 60), delta in 0i64..80) {
-        let mut scratch = NeighborScratch::new(g.num_nodes());
-        for u in g.node_ids() {
-            prop_assert_eq!(
-                hare::fingerprint::profile_of(&g, u, delta, &mut scratch),
-                hare::fingerprint::profile_of_separate(&g, u, delta, &mut scratch)
-            );
-        }
+        fused_matches_separate(&g, delta)?;
     }
 
     /// Tentpole differential #2: fused profiles equal brute-force
@@ -168,21 +201,7 @@ proptest! {
     /// nonzero rows of the dense table.
     #[test]
     fn parallel_drivers_are_thread_count_invariant(g in arb::graph(8, 40, 60), delta in 0i64..80, threads in 2usize..5) {
-        let dense1 = hare::node_profiles(&g, delta, 1);
-        let densen = hare::node_profiles(&g, delta, threads);
-        prop_assert_eq!(&dense1, &densen);
-        let sparse1 = hare::NodeProfiles::compute(&g, delta, 1);
-        let sparsen = hare::NodeProfiles::compute(&g, delta, threads);
-        prop_assert_eq!(&sparse1, &sparsen);
-        let nonzero: Vec<(u32, hare::NodeProfile)> = dense1
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(u, p)| (u as u32, *p))
-            .collect();
-        let got: Vec<(u32, hare::NodeProfile)> =
-            sparse1.iter().map(|(u, p)| (u, *p)).collect();
-        prop_assert_eq!(got, nonzero);
+        drivers_match_one_thread(&g, delta, threads)?;
     }
 
     /// Top-k and z-score rankings are deterministic: recomputation from
@@ -205,6 +224,20 @@ proptest! {
             hare::rank_by_zscore(&a, &da, k),
             hare::rank_by_zscore(&b, &db, k)
         );
+    }
+}
+
+/// Both differentials on a calibrated dataset, at both of its sizes:
+/// CollegeMsg at scale 8 and at full size, δ = 600, on 2 and 4 workers.
+#[test]
+fn collegemsg_profiles_are_fused_and_thread_count_invariant() {
+    let spec = hare_datasets::by_name("CollegeMsg").unwrap();
+    for scale in [8, 1] {
+        let g = spec.generate(scale);
+        fused_matches_separate(&g, 600).unwrap();
+        for threads in [2, 4] {
+            drivers_match_one_thread(&g, 600, threads).unwrap();
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 
 use hare::hare::SEQ_FALLBACK_EVENTS;
 use hare::{DegreeThreshold, Hare, HareConfig, MotifCategory, MotifMatrix, Scheduling};
-use temporal_graph::gen::{hub_burst, GenConfig};
+use temporal_graph::gen::{hub_burst, scaling_workload, GenConfig};
 use temporal_graph::TemporalGraph;
 
 fn at_pool_scale(g: TemporalGraph) -> TemporalGraph {
@@ -55,16 +55,23 @@ fn splitting_engine(threads: usize) -> Hare {
 
 #[test]
 fn thread_count_never_changes_results() {
-    let g = skewed_graph(1);
     let delta = 2_000;
-    let reference = hare::count_motifs(&g, delta);
-    for threads in [1, 2, 3, 4, 8] {
-        let counts = Hare::with_threads(threads).count_all(&g, delta);
-        assert_eq!(counts.matrix, reference.matrix, "{threads} threads");
-        // Raw counters match too — merging is exact, not just the fold.
-        assert_eq!(counts.star, reference.star, "{threads} threads");
-        assert_eq!(counts.pair, reference.pair, "{threads} threads");
-        assert_eq!(counts.tri, reference.tri, "{threads} threads");
+    for g in [
+        skewed_graph(1),
+        at_pool_scale(scaling_workload(40_000)),
+        at_pool_scale(scaling_workload(200_000)),
+    ] {
+        let reference = hare::count_motifs(&g, delta);
+        let edges = g.num_edges();
+        for threads in [1, 2, 3, 4, 8] {
+            let counts = Hare::with_threads(threads).count_all(&g, delta);
+            let at = format!("{edges} edges, {threads} threads");
+            assert_eq!(counts.matrix, reference.matrix, "{at}");
+            // Raw counters match too — merging is exact, not just the fold.
+            assert_eq!(counts.star, reference.star, "{at}");
+            assert_eq!(counts.pair, reference.pair, "{at}");
+            assert_eq!(counts.tri, reference.tri, "{at}");
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 //!    budget at any tick, for any stream.
 
 use hare::sample::MotifEstimate;
-use hare::stream_sample::{StreamSampleConfig, StreamingEstimator, EDGE_BYTES};
+use hare::stream_sample::{StreamEstimates, StreamSampleConfig, StreamingEstimator, EDGE_BYTES};
 use hare::windowed::WindowedCounter;
 use hare::StreamError;
 use hare_baselines::ews::EwsConfig;
@@ -201,6 +201,162 @@ fn ci_coverage_is_at_least_90_percent_in_aggregate() {
         rate * 100.0,
         cells
     );
+}
+
+/// Minimum exact count for a motif to enter the supported coverage of
+/// [`collegemsg_budget_ladder`]: below it the 95% normal interval is not
+/// claimed. A count-1 motif at p = 1/8 is estimated as 0 seven times in
+/// eight, so no unbiased sampler's interval can cover it 95% of the time.
+const SUPPORT: u64 = 30;
+
+/// Replay `arrivals` through one estimator, asserting its accounted
+/// retained bytes after every push and at the flush; the final tick.
+fn replay_within_budget(
+    arrivals: &[(NodeId, NodeId, Timestamp)],
+    cfg: StreamSampleConfig,
+) -> StreamEstimates {
+    let budget = cfg.budget_bytes;
+    let mut est = StreamingEstimator::new(cfg);
+    for &(s, d, t) in arrivals {
+        est.push(s, d, t).unwrap();
+        let retained = est.retained_bytes();
+        assert!(retained <= budget, "{retained} > {budget} bytes at t = {t}");
+    }
+    est.flush();
+    assert!(est.retained_bytes() <= budget, "over budget at flush");
+    est.estimates()
+}
+
+/// The final ticks of seeds `0..seeds`, in seed order, replayed on every
+/// core. Not on `hare::exec::map`: its tasks hold their thread's counting
+/// scratch, which every tick of the replay borrows again.
+fn replay_seeds(
+    arrivals: &[(NodeId, NodeId, Timestamp)],
+    seeds: u64,
+    cfg: impl Fn(u64) -> StreamSampleConfig + Sync,
+) -> Vec<StreamEstimates> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    let cfg = &cfg;
+    let mut ticks: Vec<(u64, StreamEstimates)> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    (w..seeds)
+                        .step_by(workers as usize)
+                        .map(|seed| (seed, replay_within_budget(arrivals, cfg(seed))))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .flat_map(|run| run.join().unwrap())
+            .collect()
+    });
+    ticks.sort_by_key(|&(seed, _)| seed);
+    ticks.into_iter().map(|(_, tick)| tick).collect()
+}
+
+/// The budget ladder on CollegeMsg at full size: δ = 600, c = 8, 95%
+/// intervals, a window longer than the stream (nothing expires, so the
+/// final tick is comparable to the batch count), and budgets of 1/1,
+/// 1/2, 1/8 and 1/32 of the full retained footprint.
+///
+/// * Every replay stays within its budget after every push and at the
+///   flush: seeds 0..50 at 1/1 and 1/8, seeds 0..8 at 1/2 and 1/32.
+/// * The whole footprint never samples: `p = 1` and the exact counts.
+/// * At 1/8 the intervals are honest and the estimate unbiased: the
+///   supported coverage (motifs with exact count ≥ [`SUPPORT`]) is at
+///   least 0.5 over seeds 0..8 and 0.90 over seeds 0..50, and the mean
+///   total drifts less than 15% from exact over either seed range.
+/// * At 1/8 the coin tier samples (`p < 1`), and over seeds 0..50 the
+///   mean reported variance of the supported motifs lies within a factor
+///   of 2 of the variance of their estimates across seeds.
+#[test]
+fn collegemsg_budget_ladder() {
+    let g = hare_datasets::by_name("CollegeMsg").unwrap().generate(1);
+    let arrivals = arrivals_of(&g);
+    let delta = 600;
+    let window: Timestamp = g.time_span().max(delta) + delta;
+    let footprint = arrivals.len() as u64 * EDGE_BYTES;
+    let exact = {
+        let mut wc = WindowedCounter::new(delta, window);
+        for &(s, d, t) in &arrivals {
+            wc.push(s, d, t).unwrap();
+        }
+        wc.flush();
+        wc.counts()
+    };
+    let exact_total = exact.total() as f64;
+    for (frac, seeds) in [(1, 50), (2, 8), (8, 50), (32, 8)] {
+        let budget = (footprint / frac).max(EDGE_BYTES);
+        let cfg = |seed| StreamSampleConfig {
+            window_factor: 8,
+            confidence: 0.95,
+            seed,
+            ..StreamSampleConfig::new(delta, window, budget)
+        };
+        let reference = replay_within_budget(&arrivals, cfg(0x5EED));
+        let ticks = replay_seeds(&arrivals, seeds, cfg);
+        if frac == 1 {
+            assert_eq!(reference.prob, 1.0, "the whole footprint must never sample");
+            for tick in std::iter::once(&reference).chain(&ticks) {
+                assert_eq!(tick.as_exact(), Some(exact));
+            }
+        }
+        if frac == 8 {
+            for ticks in [&ticks[..8], &ticks[..]] {
+                let (mut covered, mut cells) = (0u64, 0u64);
+                for tick in ticks {
+                    for (m, n) in exact.iter().filter(|&(_, n)| n >= SUPPORT) {
+                        cells += 1;
+                        covered += u64::from(tick.get(m).covers(n));
+                    }
+                }
+                let coverage = covered as f64 / cells as f64;
+                let floor = if ticks.len() == 8 { 0.5 } else { 0.90 };
+                assert!(
+                    coverage >= floor,
+                    "1/8 budget, {} seeds: supported coverage {coverage:.3} below {floor}",
+                    ticks.len()
+                );
+                let mean_total = ticks
+                    .iter()
+                    .map(StreamEstimates::total_estimate)
+                    .sum::<f64>()
+                    / ticks.len() as f64;
+                let drift = (mean_total - exact_total).abs() / exact_total;
+                assert!(
+                    drift < 0.15,
+                    "1/8 budget, {} seeds: mean total {mean_total:.1} drifts {drift:.3} from {exact_total}",
+                    ticks.len()
+                );
+            }
+            // The reported variance matches the spread of the estimates
+            // over the seeds. Coverage alone cannot show it: the exact
+            // tiers and the deterministic widenings cover most cells with
+            // no variance at all.
+            assert!(
+                ticks.iter().all(|t| t.prob < 1.0),
+                "the coin tier must sample"
+            );
+            let (mut reported, mut spread) = (0.0, 0.0);
+            for (m, _) in exact.iter().filter(|&(_, n)| n >= SUPPORT) {
+                let n = ticks.len() as f64;
+                let mean = ticks.iter().map(|t| t.get(m).estimate).sum::<f64>() / n;
+                spread += ticks
+                    .iter()
+                    .map(|t| (t.get(m).estimate - mean).powi(2))
+                    .sum::<f64>()
+                    / (n - 1.0);
+                reported += ticks.iter().map(|t| t.get(m).stderr.powi(2)).sum::<f64>() / n;
+            }
+            let ratio = reported / spread;
+            assert!(
+                (0.5..=2.0).contains(&ratio),
+                "1/8 budget: mean reported variance is {ratio:.3} x the variance over seeds"
+            );
+        }
+    }
 }
 
 // ---- 3. agreement with the revived EWS baseline on batch prefixes ----

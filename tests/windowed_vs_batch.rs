@@ -223,6 +223,28 @@ mod fixed {
         }
     }
 
+    /// A window longer than the whole stream never expires an edge, so
+    /// the final counts are batch FAST over everything: on CollegeMsg at
+    /// scale 8 and at full size, δ = 600.
+    #[test]
+    fn collegemsg_full_span_window_equals_batch() {
+        let spec = hare_datasets::by_name("CollegeMsg").unwrap();
+        let delta = 600;
+        for scale in [8, 1] {
+            let g = spec.generate(scale);
+            let mut wc = WindowedCounter::new(delta, g.time_span() + 1);
+            for e in g.edges() {
+                wc.push(e.src, e.dst, e.t).unwrap();
+            }
+            wc.flush();
+            assert_eq!(
+                wc.counts(),
+                hare::count_motifs(&g, delta).matrix,
+                "CollegeMsg/{scale}"
+            );
+        }
+    }
+
     #[test]
     fn late_arrival_beyond_slack_is_rejected_and_ignored() {
         let mut wc = WindowedCounter::with_slack(10, 100, 5);
