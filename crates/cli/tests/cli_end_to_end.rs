@@ -228,6 +228,70 @@ fn golden_collegemsg_json_is_byte_identical() {
     );
 }
 
+/// CollegeMsg/64 at δ = its time span + 1: every window runs to the end
+/// of its lane, the star/pair kernel's most expensive case (the shape of
+/// the service's cold `/count` requests). The goldens were written by the
+/// rescanning kernel before the sliding window replaced it; every thread
+/// count, lane layout and chunk budget must reproduce them byte for byte.
+#[test]
+fn golden_collegemsg_whole_span_is_byte_identical() {
+    let base = [
+        "--dataset",
+        "CollegeMsg",
+        "--scale",
+        "64",
+        "--delta",
+        "15403239",
+    ];
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/collegemsg_scale64_whole_span.json"
+    );
+    let expected = std::fs::read(golden).expect("golden file present");
+    for variant in [
+        ["--threads", "1"].as_slice(),
+        &["--threads", "2"],
+        &["--chunk-budget", "4096"],
+        &["--lanes", "compressed", "--chunk-budget", "4096"],
+    ] {
+        let args: Vec<&str> = base
+            .iter()
+            .copied()
+            .chain(["--json", "--no-timing"])
+            .chain(variant.iter().copied())
+            .collect();
+        let out = hare_count(&args);
+        assert!(out.status.success(), "{variant:?}");
+        assert_eq!(
+            out.stdout,
+            expected,
+            "whole-span golden drifted under {variant:?}:\n got: {}",
+            stdout_of(&out)
+        );
+    }
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/collegemsg_scale64_whole_span_top_m66.jsonl"
+    );
+    let expected = std::fs::read(golden).expect("golden file present");
+    for threads in ["1", "2"] {
+        let args: Vec<&str> = base
+            .iter()
+            .copied()
+            .chain(["--json", "--no-timing", "--threads", threads])
+            .chain(["--nodes", "--rank-motif", "M66", "--top-k", "10"])
+            .collect();
+        let out = hare_count(&args);
+        assert!(out.status.success());
+        assert_eq!(
+            out.stdout,
+            expected,
+            "whole-span top-M66 golden drifted at --threads {threads}:\n got: {}",
+            stdout_of(&out)
+        );
+    }
+}
+
 #[test]
 fn lanes_and_chunk_budget_bodies_are_byte_identical() {
     // The lane layout and the out-of-core chunk budget are execution

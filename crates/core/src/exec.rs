@@ -17,7 +17,8 @@
 //!   count. It runs inline on the calling thread when there is one
 //!   worker or one task, and hands each task its worker's thread-local
 //!   scratch ([`crate::scratch::with_thread_scratch`]), so no task
-//!   allocates per-call scratch;
+//!   allocates per-call scratch. A task may itself count (or run a
+//!   nested `map`): the nested call takes a scratch of its own;
 //! * [`chunks`] cuts an index space into the usual task list.
 //!
 //! The workers are `std::thread::scope` threads started for each call;
@@ -112,9 +113,12 @@ pub fn chunks(len: usize, size: usize) -> impl Iterator<Item = Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::CenterTally;
+    use crate::fused::count_node;
     use std::sync::mpsc;
     use std::thread::{self, ThreadId};
     use std::time::Duration;
+    use temporal_graph::{TemporalEdge, TemporalGraph};
 
     fn avail() -> usize {
         thread::available_parallelism().map_or(1, std::num::NonZero::get)
@@ -195,12 +199,43 @@ mod tests {
 
     #[test]
     fn tasks_get_scratch_covering_the_node_space() {
-        let got = map(2, 50, (0..8u32).collect(), |i, scratch| {
-            scratch.reset();
-            scratch.bump(49 - i, 0);
-            scratch.get(49 - i)
-        });
-        assert!(got.iter().all(|&c| c == [1, 0]));
+        // A hub whose neighbours reach id 49: the kernel indexes the
+        // scratch by neighbour, so a task scratch short of 50 nodes would
+        // panic, and one left dirty by an earlier task would miscount.
+        let g = TemporalGraph::from_edges(
+            (0..200u32)
+                .map(|k| TemporalEdge::new(0, 1 + k % 49, i64::from(k)))
+                .collect(),
+        );
+        let star_at_hub = |delta, scratch: &mut NeighborScratch| {
+            let mut t = CenterTally::default();
+            count_node::<true, false, false>(&g, 0, 0..200, delta, &[], scratch, &mut t);
+            t
+        };
+        let deltas: Vec<i64> = (0..8).map(|k| 40 + 10 * k).collect();
+        let got = map(2, 50, deltas.clone(), star_at_hub);
+        for (t, delta) in got.iter().zip(deltas) {
+            assert_eq!(*t, star_at_hub(delta, &mut NeighborScratch::new(50)));
+        }
+    }
+
+    #[test]
+    fn tasks_may_count() {
+        // Each task runs a whole sequential count (which takes a scratch
+        // of its own on the task's thread) and a parallel HARE count
+        // (which runs a nested map).
+        let graphs: Vec<TemporalGraph> = (0..6)
+            .map(|seed| temporal_graph::gen::erdos_renyi_temporal(30, 800, 2_000, seed))
+            .collect();
+        let want: Vec<_> = graphs.iter().map(|g| crate::count_motifs(g, 300)).collect();
+        for threads in [1, 2, 0] {
+            let got = map(threads, 30, graphs.iter().collect(), |g, _| {
+                let seq = crate::count_motifs(g, 300);
+                assert_eq!(seq, crate::Hare::with_threads(2).count_all(g, 300));
+                seq
+            });
+            assert_eq!(got, want, "threads={threads}");
+        }
     }
 
     #[test]

@@ -1,21 +1,37 @@
 //! The FAST kernel: Algorithms 1 and 2 in one window scan per center
 //! node, generic over the motif categories it counts.
 //!
-//! Algorithms 1 and 2 enumerate exactly the same `(e_i, e_j)` pairs of
-//! `S_u` — a first edge and a later edge within δ — and differ only in
-//! what they do per pair: Algorithm 1 answers second-edge queries from
-//! the [`NeighborScratch`] counters (star and pair motifs), Algorithm 2
-//! probes the pair edge list `E(v, w)` (triangle motifs). One scan
-//! serves both:
+//! Algorithms 1 and 2 enumerate the same `(e_i, e_j)` pairs of `S_u` — a
+//! first edge and a later edge within δ — and differ in what they do
+//! with them: Algorithm 1 counts star and pair motifs from per-neighbour
+//! counters of the window, Algorithm 2 probes the pair edge list
+//! `E(v, w)` (triangle motifs). One scan serves both:
 //!
-//! * one traversal of the SoA timestamp lane per first edge, sharing the
-//!   `t ≤ t_1 + δ` window bound and the scratch population between the
-//!   star/pair and triangle updates;
+//! * one sliding window `(i, j_end)` per lane: both ends only move
+//!   forward, each event enters once at the right end and leaves once at
+//!   the left, and the window's per-neighbour aggregates (the
+//!   [`NeighborScratch`] entries plus one 2×2 pair total) answer every
+//!   star and pair cell of a first edge in O(1). The paper's
+//!   Algorithm 1 rescans the whole δ-window after each first edge
+//!   instead; Paranjape, Benson and Leskovec count 2-node and star
+//!   motifs in time linear in each center's events, and so does this
+//!   scan;
+//! * a walk of the window only for first edges whose triangle half runs
+//!   (`v` ranks above `u` in oriented passes), sharing the window bound;
 //! * the [`CenterTally`]'s flat cells (`[u64; 24]` star, `[u64; 8]` pair,
-//!   `[u64; 24]` triangle) as accumulators, with `(d1, d3)`-hoisted
-//!   offsets instead of per-step indexed counter calls;
+//!   `[u64; 24]` triangle) as accumulators, with the first edge's
+//!   direction offset hoisted instead of per-step indexed counter calls;
 //! * branch-free triangle type classification (two total-order
 //!   comparisons summed).
+//!
+//! **Cost model.** The star/pair half is O(|S_u|) per center: O(1) per
+//! event entering or leaving the window and O(1) per first edge, whatever
+//! δ. The triangle half costs the wedges it walks — the window events of
+//! every first edge that can close a triangle — plus their pair-list
+//! probes. A sub-range call also pays for filling and draining the
+//! window it starts and ends in. The rescanning loop, O(Σ |window|), is
+//! kept only as the test oracle the sliding window is checked against
+//! cell for cell (`kernel_tests/rescan_oracle.rs`).
 //!
 //! The scan is generic over a compile-time category mask. `STARS`
 //! counts star and pair motifs, `TRIS` triangle motifs, and a false flag
@@ -59,7 +75,7 @@
 //! hare-lint: no-alloc
 
 use crate::counters::CenterTally;
-use crate::scratch::NeighborScratch;
+use crate::scratch::{Entry, NeighborScratch, Word, NARROW_MAX_EVENTS};
 use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
 
 /// Count the masked categories centered at `u` into `tally`, restricted
@@ -73,8 +89,9 @@ use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
 /// lowest-rank vertex). Three-view callers pass `&[]`: the slice is not
 /// read.
 ///
-/// `scratch` must cover the graph's node count; it is reset internally
-/// (and untouched when `STARS` is false).
+/// `scratch` must cover the graph's node count. The `STARS` scan fills
+/// it and empties it again before returning (`TRIS` alone leaves it
+/// untouched).
 #[allow(clippy::too_many_arguments)]
 pub fn count_node<const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     g: &TemporalGraph,
@@ -89,18 +106,61 @@ pub fn count_node<const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
         !ORIENTED || rank.len() >= g.num_nodes(),
         "rank must cover every node"
     );
-    let rank_u = if ORIENTED { rank[u as usize] } else { 0 };
-    // One layout dispatch per node; the generic scan monomorphises so the
-    // raw path compiles to plain slice indexing and the compressed path
-    // inlines the O(1) bit-unpack.
     let s = g.node_events(u);
     let range = first_edge_range;
+    // `u32` window words are exact up to NARROW_MAX_EVENTS lane events;
+    // a longer lane runs the same scan over `u64` words.
+    if STARS && s.len() > NARROW_MAX_EVENTS {
+        let entries = u64::entries(scratch);
+        scan_lane::<u64, STARS, TRIS, ORIENTED>(g, u, &s, range, delta, rank, entries, tally);
+    } else {
+        let entries = u32::entries(scratch);
+        scan_lane::<u32, STARS, TRIS, ORIENTED>(g, u, &s, range, delta, rank, entries, tally);
+    }
+}
+
+/// One layout dispatch per node; the generic scan monomorphises so the
+/// raw path compiles to plain slice indexing and the compressed path
+/// inlines the O(1) bit-unpack.
+#[allow(clippy::too_many_arguments)]
+fn scan_lane<W: Word, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
+    g: &TemporalGraph,
+    u: NodeId,
+    s: &temporal_graph::NodeEvents<'_>,
+    range: std::ops::Range<usize>,
+    delta: Timestamp,
+    rank: &[u32],
+    entries: &mut [Entry<W>],
+    tally: &mut CenterTally,
+) {
+    let rank_u = if ORIENTED { rank[u as usize] } else { 0 };
+    let mut window = Window::new(entries);
     match s.ts_lane() {
         TsLane::Raw(ts) => {
-            scan::<_, STARS, TRIS, ORIENTED>(g, &s, ts, range, delta, rank, rank_u, scratch, tally);
+            scan::<_, W, STARS, TRIS, ORIENTED>(
+                g,
+                s,
+                ts,
+                range,
+                delta,
+                rank,
+                rank_u,
+                &mut window,
+                tally,
+            );
         }
         TsLane::Packed(p) => {
-            scan::<_, STARS, TRIS, ORIENTED>(g, &s, p, range, delta, rank, rank_u, scratch, tally);
+            scan::<_, W, STARS, TRIS, ORIENTED>(
+                g,
+                s,
+                p,
+                range,
+                delta,
+                rank,
+                rank_u,
+                &mut window,
+                tally,
+            );
         }
     }
 }
@@ -128,17 +188,123 @@ pub fn count_graph<const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     tally
 }
 
-/// The scan proper, generic over the timestamp lane representation and
-/// the category mask.
+/// The sliding δ-window of one center's lane: its events' per-neighbour
+/// aggregates (see [`crate::scratch`]) plus six lane-wide sums, updated
+/// in O(1) per event entering or leaving.
 ///
-/// The window upper bound `t_hi = t_1 + δ` is non-decreasing in `i`, so
-/// its end position `j_end` is maintained by a monotone two-pointer
-/// advance instead of a per-`j` compare-and-break: the inner loops below
-/// run over `i+1..j_end` with a hoisted trip count, which keeps them
-/// branch-minimal and auto-vectorisation-friendly, and makes the window
-/// bound derivation O(2|E|) amortised per node instead of O(Σ window²).
+/// Prefix counts `N_e(p)` count the direction-`e` events that entered
+/// the window before position `p`. The formulas read only differences
+/// of them inside one window's lifetime, so their origin is immaterial.
+struct Window<'s, W> {
+    entries: &'s mut [Entry<W>],
+    /// `A[d][e]`: ordered pairs of window events to one neighbour, the
+    /// earlier in direction `d` and the later in `e`, summed over every
+    /// neighbour.
+    pairs: [[W; 2]; 2],
+    /// `N(lo)`: prefix counts at the window's first position (events
+    /// that have left it).
+    at_lo: [W; 2],
+    /// `N(hi)`: prefix counts one past its last position (events that
+    /// have entered it).
+    at_hi: [W; 2],
+}
+
+impl<'s, W: Word> Window<'s, W> {
+    fn new(entries: &'s mut [Entry<W>]) -> Self {
+        Window {
+            entries,
+            pairs: Default::default(),
+            at_lo: Default::default(),
+            at_hi: Default::default(),
+        }
+    }
+
+    /// The event `packed` (neighbour `<< 1 | dir`) enters at the right end.
+    #[inline]
+    fn push(&mut self, packed: u32) {
+        let d = (packed & 1) as usize;
+        let e = &mut self.entries[(packed >> 1) as usize];
+        e.m[d][0] = e.m[d][0].plus(self.at_hi[0]);
+        e.m[d][1] = e.m[d][1].plus(self.at_hi[1]);
+        // It is the later event of a pair with every window event to the
+        // same neighbour.
+        e.q01 = e.q01.plus(e.c[0].times(W::of(d)));
+        self.pairs[0][d] = self.pairs[0][d].plus(e.c[0]);
+        self.pairs[1][d] = self.pairs[1][d].plus(e.c[1]);
+        e.c[d] = e.c[d].plus(W::of(1));
+        self.at_hi[d] = self.at_hi[d].plus(W::of(1));
+    }
+
+    /// The window's first event, `packed`, leaves at the left end.
+    #[inline]
+    fn pop(&mut self, packed: u32) {
+        let d = (packed & 1) as usize;
+        let e = &mut self.entries[(packed >> 1) as usize];
+        e.c[d] = e.c[d].minus(W::of(1));
+        e.m[d][0] = e.m[d][0].minus(self.at_lo[0]);
+        e.m[d][1] = e.m[d][1].minus(self.at_lo[1]);
+        // It was the earlier event of a pair with every other window
+        // event to the same neighbour.
+        e.q01 = e.q01.minus(e.c[1].times(W::of(1 - d)));
+        self.pairs[d][0] = self.pairs[d][0].minus(e.c[0]);
+        self.pairs[d][1] = self.pairs[d][1].minus(e.c[1]);
+        self.at_lo[d] = self.at_lo[d].plus(W::of(1));
+    }
+
+    /// Zero the entry of `packed`'s neighbour: the end-of-scan drain.
+    #[inline]
+    fn clear(&mut self, packed: u32) {
+        self.entries[(packed >> 1) as usize] = Entry::default();
+    }
+
+    /// Add the star and pair cells of a first edge to neighbour `v` whose
+    /// window this is, at cell base `b1 = d1·4`. With `Q` the ordered
+    /// pairs of the window's events to `v`, for second-edge direction `d`
+    /// and third-edge direction `e`:
+    ///
+    /// * pair `= Q[d][e]`;
+    /// * Star-I (second and third edge at one `w ≠ v`) `= A[d][e] − Q[d][e]`;
+    /// * Star-II (first and third edge at `v`) `= m[e][d] − c[e]·N_d(lo)
+    ///   − Q[d][e]`: each third edge at `v` sees `N_d(k) − N_d(lo)`
+    ///   direction-`d` events before it, `Q` of them at `v`;
+    /// * Star-III (first and second edge at `v`) `= c[d]·N_e(hi) − m[d][e]
+    ///   − [d = e]·c[d] − Q[d][e]`: each second edge at `v` sees
+    ///   `N_e(hi) − N_e(j + 1)` direction-`e` events after it.
+    #[inline]
+    fn add_first_edge(&self, v: NodeId, b1: usize, star: &mut [u64; 24], pair: &mut [u64; 8]) {
+        let e = self.entries[v as usize];
+        let [c0, c1] = e.c;
+        let q = [
+            [c0.choose2(), e.q01],
+            [c0.times(c1).minus(e.q01), c1.choose2()],
+        ];
+        for d2 in 0..2 {
+            for d3 in 0..2 {
+                let k = b1 | d2 << 1 | d3;
+                let q = q[d2][d3];
+                let tie = if d2 == d3 { e.c[d2] } else { W::default() };
+                pair[k] += q.widen();
+                star[k] += self.pairs[d2][d3].minus(q).widen();
+                let star_ii = e.m[d3][d2].minus(e.c[d3].times(self.at_lo[d2]));
+                star[8 + k] += star_ii.minus(q).widen();
+                let star_iii = e.c[d2].times(self.at_hi[d3]).minus(e.m[d2][d3]);
+                star[16 + k] += star_iii.minus(tie).minus(q).widen();
+            }
+        }
+    }
+}
+
+/// The scan proper, generic over the timestamp lane representation, the
+/// window word and the category mask.
+///
+/// The window `(i, hi)` holds the events after the first edge `e_i` up
+/// to the δ bound `t_i + δ`. Both ends only move forward: each event is
+/// pushed once at the right end and popped once at the left (when it
+/// becomes the first edge), so the star/pair half costs O(|S_u|) plus
+/// O(1) per first edge. Triangles still walk each window whose first
+/// edge can close one.
 #[allow(clippy::too_many_arguments)]
-fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
+fn scan<T: TsRead, W: Word, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     g: &TemporalGraph,
     s: &temporal_graph::NodeEvents<'_>,
     ts: T,
@@ -146,7 +312,7 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     delta: Timestamp,
     rank: &[u32],
     rank_u: u32,
-    scratch: &mut NeighborScratch,
+    window: &mut Window<'_, W>,
     tally: &mut CenterTally,
 ) {
     let packed = s.packed_lane();
@@ -157,123 +323,97 @@ fn scan<T: TsRead, const STARS: bool, const TRIS: bool, const ORIENTED: bool>(
     let star_acc = &mut tally.star.cells;
     let pair_acc = &mut tally.pair.cells;
     let tri_acc = &mut tally.tri.cells;
+    let end = first_edge_range.end;
 
-    let mut j_end = first_edge_range.start;
+    let mut hi = first_edge_range.start;
     for i in first_edge_range {
+        // Slide the left end past e_i, which was the window's first event
+        // unless the window was empty (then both ends jump past it).
+        if hi <= i {
+            hi = i + 1;
+        } else if STARS {
+            window.pop(packed[i]);
+        }
         let t1 = ts.at(i);
         let t_hi = t1.saturating_add(delta);
-        if j_end <= i {
-            j_end = i + 1;
-        }
-        while j_end < n_events && ts.at(j_end) <= t_hi {
-            j_end += 1;
+        while hi < n_events && ts.at(hi) <= t_hi {
+            if STARS {
+                window.push(packed[hi]);
+            }
+            hi += 1;
         }
         // Empty δ-window: nothing can complete — skip all setup. Bursty
         // real graphs leave most windows empty at paper-scale δ.
-        if i + 1 >= j_end {
+        if i + 1 >= hi {
             continue;
         }
         let p1 = packed[i];
         let v = p1 >> 1;
+        // d1·4, the first edge's cell base.
+        let b1 = ((p1 & 1) as usize) << 2;
+        if STARS {
+            window.add_first_edge(v, b1, star_acc, pair_acc);
+        }
         // Oriented: only a higher-rank v can close a triangle owned by u.
         let tri_first = TRIS && (!ORIENTED || rank[v as usize] > rank_u);
-        if !STARS && !tri_first {
+        if !tri_first {
             continue;
         }
-        let d1 = (p1 & 1) as usize;
-        // d1·4, hoisted over the window.
-        let b1 = d1 << 2;
         // Edge ids are chronological ranks under the global (t, input
         // position) total order, so bare id compares replace (t, edge)
         // tuple compares everywhere below.
         let e1_id = eids[i];
         // v's neighbour signature: one register test rejects the frequent
         // wedges with no closing edge before any pair lookup.
-        let bloom_v = if tri_first { pairs.bloom_of(v) } else { 0 };
-        if STARS {
-            scratch.reset();
-        }
-        // Running totals of second-edge candidates per direction (the
-        // paper's #e_in / #e_out).
-        let mut n = [0u64; 2];
-        // v's in-window counts, tracked in registers: v is fixed for the
-        // whole window, so events to v never touch the scratch array at
-        // all and the Star-III read is free.
-        let mut cv = [0u64; 2];
+        let bloom_v = pairs.bloom_of(v);
         // One-entry pair-slot memo: bursty sequences hit the same far
         // endpoint in runs, making consecutive lookups of E(v, w) free.
         let mut memo_w = u32::MAX;
         let mut memo_slot = None;
 
-        for j in i + 1..j_end {
+        for j in i + 1..hi {
             let p3 = packed[j];
             let w = p3 >> 1;
-            let d3 = (p3 & 1) as usize;
-            let base = b1 | d3; // d1·4 + d3; d2 contributes ·2
-
-            if w == v {
-                // Pair motifs + Star-II (second edge elsewhere). No
-                // triangle can span (u, v, v).
-                if STARS {
-                    pair_acc[base] += cv[0];
-                    pair_acc[base | 2] += cv[1];
-                    star_acc[8 + base] += n[0] - cv[0];
-                    star_acc[8 + (base | 2)] += n[1] - cv[1];
-                    cv[d3] += 1;
-                }
-            } else {
-                // Star-I (second edge at w) + Star-III (second edge at v).
-                if STARS {
-                    let cw = scratch.get(w);
-                    star_acc[base] += cw[0];
-                    star_acc[base | 2] += cw[1];
-                    star_acc[16 + base] += cv[0];
-                    star_acc[16 + (base | 2)] += cv[1];
-                }
-
-                // Triangles: opposite edges from E(v, w) inside the
-                // [t_j − δ, t_i + δ] window (Algorithm 2's trick). The
-                // bloom test is an exact negative for unconnected pairs;
-                // oriented passes also leave lower-rank w to that vertex.
-                if tri_first
-                    && temporal_graph::PairIndex::bloom_may_connect(bloom_v, w)
-                    && (!ORIENTED || rank[w as usize] > rank_u)
-                {
-                    if w != memo_w {
-                        memo_w = w;
-                        memo_slot = pairs.slot_between(v, w);
+            // Triangles: opposite edges from E(v, w) inside the
+            // [t_j − δ, t_i + δ] window (Algorithm 2's trick). No
+            // triangle spans (u, v, v). The bloom test is an exact
+            // negative for unconnected pairs; oriented passes also leave
+            // lower-rank w to that vertex.
+            if w == v
+                || !temporal_graph::PairIndex::bloom_may_connect(bloom_v, w)
+                || (ORIENTED && rank[w as usize] <= rank_u)
+            {
+                continue;
+            }
+            if w != memo_w {
+                memo_w = w;
+                memo_slot = pairs.slot_between(v, w);
+            }
+            if let Some(slot) = memo_slot {
+                let evs = pairs.events_of_slot(slot as usize);
+                let dk_flip = usize::from(v >= w); // dirs stored relative to lo
+                let tbase = b1 | (((p3 & 1) as usize) << 1); // di·4 + dj·2
+                let ej_id = eids[j];
+                let t_lo = ts.at(j).saturating_sub(delta);
+                let start = evs.ts().partition_point(|&t| t < t_lo);
+                for p in evs.slice(start..evs.len()) {
+                    if p.t > t_hi {
+                        break;
                     }
-                    if let Some(slot) = memo_slot {
-                        let evs = pairs.events_of_slot(slot as usize);
-                        let dk_flip = usize::from(v >= w); // dirs stored relative to lo
-                        let tbase = b1 | (d3 << 1); // di·4 + dj·2
-                        let ej_id = eids[j];
-                        let t_lo = ts.at(j).saturating_sub(delta);
-                        let start = evs.ts().partition_point(|&t| t < t_lo);
-                        for p in evs.slice(start..evs.len()) {
-                            if p.t > t_hi {
-                                break;
-                            }
-                            let dk = p.dir_from_lo.index() ^ dk_flip;
-                            // Type by position in the chronological total
-                            // order: before e_i → I (0), between → II (1),
-                            // after e_j → III (2).
-                            let ty = usize::from(p.edge >= e1_id) + usize::from(p.edge >= ej_id);
-                            tri_acc[(ty << 3) | tbase | dk] += 1;
-                        }
-                    }
-                }
-
-                if STARS {
-                    // e3 becomes a second-edge candidate for later third
-                    // edges (events to v are covered by the register pair).
-                    scratch.bump(w, d3);
+                    let dk = p.dir_from_lo.index() ^ dk_flip;
+                    // Type by position in the chronological total
+                    // order: before e_i → I (0), between → II (1),
+                    // after e_j → III (2).
+                    let ty = usize::from(p.edge >= e1_id) + usize::from(p.edge >= ej_id);
+                    tri_acc[(ty << 3) | tbase | dk] += 1;
                 }
             }
-
-            if STARS {
-                n[d3] += 1;
-            }
+        }
+    }
+    // Drain: leave every entry empty for the next call.
+    if STARS {
+        for &p in &packed[end..hi] {
+            window.clear(p);
         }
     }
 }

@@ -10,11 +10,11 @@
 //!
 //! ## Components
 //!
-//! * [`fused`] — the FAST kernel: one δ-window scan per center node
-//!   running Algorithm 1 (every star **and** pair motif, O(1) per
-//!   (first, third)-edge combination via per-neighbour counters) and
-//!   Algorithm 2 (triangles via the per-pair edge index, δ-windowed by
-//!   binary search). A compile-time category mask picks stars, triangles
+//! * [`fused`] — the FAST kernel: one sliding δ-window scan per center
+//!   node running Algorithm 1 (every star **and** pair motif, O(1) per
+//!   first edge from per-neighbour window aggregates, so linear in the
+//!   center's events) and Algorithm 2 (triangles via the per-pair edge
+//!   index, δ-windowed by binary search). A compile-time category mask picks stars, triangles
 //!   or both, and an orientation flag counts each triangle once (at its
 //!   lowest-rank vertex, for whole-graph counts) or from all three
 //!   vertices (for per-vertex attribution); every instantiation fills
@@ -233,3 +233,7 @@ mod fast_star;
 #[cfg(test)]
 #[path = "kernel_tests/fast_tri.rs"]
 mod fast_tri;
+// The rescanning kernel as an oracle for the sliding-window one.
+#[cfg(test)]
+#[path = "kernel_tests/rescan_oracle.rs"]
+mod rescan_oracle;

@@ -228,32 +228,15 @@ fn replay_within_budget(
 }
 
 /// The final ticks of seeds `0..seeds`, in seed order, replayed on every
-/// core. Not on `hare::exec::map`: its tasks hold their thread's counting
-/// scratch, which every tick of the replay borrows again.
+/// core.
 fn replay_seeds(
     arrivals: &[(NodeId, NodeId, Timestamp)],
     seeds: u64,
     cfg: impl Fn(u64) -> StreamSampleConfig + Sync,
 ) -> Vec<StreamEstimates> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let cfg = &cfg;
-    let mut ticks: Vec<(u64, StreamEstimates)> = std::thread::scope(|scope| {
-        let runs: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..seeds)
-                        .step_by(workers as usize)
-                        .map(|seed| (seed, replay_within_budget(arrivals, cfg(seed))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        runs.into_iter()
-            .flat_map(|run| run.join().unwrap())
-            .collect()
-    });
-    ticks.sort_by_key(|&(seed, _)| seed);
-    ticks.into_iter().map(|(_, tick)| tick).collect()
+    hare::exec::map(0, 0, (0..seeds).collect(), |seed, _| {
+        replay_within_budget(arrivals, cfg(seed))
+    })
 }
 
 /// The budget ladder on CollegeMsg at full size: δ = 600, c = 8, 95%
