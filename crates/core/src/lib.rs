@@ -43,8 +43,8 @@
 //!   retain everything each tick is bit-identical to
 //!   [`windowed::WindowedCounter`].
 //! * [`ooc`] — out-of-core exact counting: δ-haloed time chunks of an
-//!   [`ooc::EdgeSource`] (in-RAM slice or `HARELG01` lane file) are
-//!   streamed through the fused kernel under a resident lane-byte
+//!   [`ooc::EdgeSource`] (a graph in RAM or a bit-packed edge stream)
+//!   are streamed through the fused kernel under a resident lane-byte
 //!   budget, bit-identical to the in-RAM drivers.
 //! * [`query`] — the one query layer both front-ends execute: a
 //!   validated [`query::Plan`] per batch query (with its cache key and
@@ -104,7 +104,7 @@ pub use hare_obs::{NoopProbe, Phase, Probe, WallClockProbe};
 pub use motif::{Motif, MotifCategory, StarType, TriType};
 pub use ooc::{
     count_motifs_ooc, count_motifs_ooc_probed, node_profiles_ooc, EdgeSource, InMemorySource,
-    LaneFileSource, OocConfig, OocStats,
+    OocConfig, OocStats,
 };
 pub use sample::{MotifEstimate, SampleConfig, SampledCounter, SampledCounts};
 pub use scratch::NeighborScratch;

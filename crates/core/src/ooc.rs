@@ -1,5 +1,6 @@
-//! Out-of-core counting: exact motif counts and node profiles for
-//! graphs whose event lanes do not fit in RAM.
+//! Out-of-core counting: exact motif counts and node profiles with the
+//! event lanes of the graph held under a byte budget, a few time chunks
+//! at a time.
 //!
 //! The driver never materialises the whole graph. It plans every
 //! timestamp cut up front against an [`EdgeSource`]'s time index, then
@@ -51,16 +52,15 @@
 //! [`PackedEdges`], the bit-packed stream `hare-count --input F
 //! --chunk-budget B` reads `F` into, keeps the edges at a few bytes each
 //! (4.62 on the `batch_chunked` benchmark input, Email-Eu/2; 6.54 on
-//! WikiTalk/64, whose ids are wider); [`LaneFileSource`] keeps only a
-//! `HARELG01` file's block index. Besides the source and the budgeted
-//! lanes, each resident chunk graph holds its edge list (16 bytes per
+//! WikiTalk/64, whose ids are wider). Either source stays resident:
+//! the budget bounds the chunk lanes, not the stream. Besides the
+//! source and the budgeted lanes, each resident chunk graph holds its edge list (16 bytes per
 //! haloed edge), node offsets and `PairIndex`, and each chunk's halo
 //! list lives until its graph is built: on the `batch_chunked` input at
 //! its 0.66 MB budget on 2 workers, that working set peaked about
 //! 1.5 MB above the stream.
 
-use std::borrow::Cow;
-use std::io;
+use std::convert::Infallible;
 use std::sync::Mutex;
 
 use crate::counters::{CenterTally, MotifCounts};
@@ -69,7 +69,7 @@ use crate::fingerprint::{fold_tally, NodeProfile, NodeProfiles};
 use crate::fused::count_node;
 use crate::scratch::NeighborScratch;
 use hare_obs::{NoopProbe, Phase, Probe};
-use temporal_graph::ooc::{LaneFile, PackedEdges};
+use temporal_graph::ooc::PackedEdges;
 use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
 
 /// Resident lane bytes per temporal edge in a raw-layout chunk graph:
@@ -85,20 +85,21 @@ pub trait EdgeSource: Sync {
     /// Node id space (`max id + 1`) of the stream.
     fn num_nodes(&self) -> usize;
     /// Total number of edges.
-    fn num_edges(&self) -> u64;
+    fn num_edges(&self) -> usize;
     /// Earliest timestamp, or `None` when empty.
     fn min_time(&self) -> Option<Timestamp>;
     /// Latest timestamp, or `None` when empty.
     fn max_time(&self) -> Option<Timestamp>;
     /// Number of edges with timestamp strictly before `t`.
-    fn count_until(&self, t: Timestamp) -> io::Result<u64>;
-    /// All edges with timestamp in `[lo, hi)`, in stream order.
-    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>>;
+    fn count_until(&self, t: Timestamp) -> usize;
+    /// All edges with timestamp in `[lo, hi)`, in stream order; empty
+    /// when `lo >= hi`.
+    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> Vec<TemporalEdge>;
     /// One distinct rank per node id (a permutation of
     /// `0..num_nodes()`), fixed for the whole stream. The oriented
     /// triangle count is exact under any total order; ascending
     /// `(degree, id)` over the whole stream makes it cheapest.
-    fn node_rank(&self) -> Cow<'_, [u32]>;
+    fn node_rank(&self) -> &[u32];
 }
 
 /// A graph already in RAM as an [`EdgeSource`]: borrows its edge list
@@ -124,8 +125,8 @@ impl EdgeSource for InMemorySource<'_> {
         self.graph.num_nodes()
     }
 
-    fn num_edges(&self) -> u64 {
-        self.graph.num_edges() as u64
+    fn num_edges(&self) -> usize {
+        self.graph.num_edges()
     }
 
     fn min_time(&self) -> Option<Timestamp> {
@@ -136,22 +137,20 @@ impl EdgeSource for InMemorySource<'_> {
         self.graph.edges().last().map(|e| e.t)
     }
 
-    fn count_until(&self, t: Timestamp) -> io::Result<u64> {
-        Ok(self.graph.edges().partition_point(|e| e.t < t) as u64)
+    fn count_until(&self, t: Timestamp) -> usize {
+        self.graph.edges().partition_point(|e| e.t < t)
     }
 
-    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>> {
+    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> Vec<TemporalEdge> {
         if lo >= hi {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let edges = self.graph.edges();
-        let a = edges.partition_point(|e| e.t < lo);
-        let b = edges.partition_point(|e| e.t < hi);
-        Ok(edges[a..b].to_vec())
+        edges[self.count_until(lo)..self.count_until(hi)].to_vec()
     }
 
-    fn node_rank(&self) -> Cow<'_, [u32]> {
-        Cow::Borrowed(self.graph.node_rank())
+    fn node_rank(&self) -> &[u32] {
+        self.graph.node_rank()
     }
 }
 
@@ -164,8 +163,8 @@ impl EdgeSource for PackedEdges {
         PackedEdges::num_nodes(self)
     }
 
-    fn num_edges(&self) -> u64 {
-        self.len() as u64
+    fn num_edges(&self) -> usize {
+        self.len()
     }
 
     fn min_time(&self) -> Option<Timestamp> {
@@ -176,72 +175,16 @@ impl EdgeSource for PackedEdges {
         PackedEdges::max_time(self)
     }
 
-    fn count_until(&self, t: Timestamp) -> io::Result<u64> {
-        Ok(PackedEdges::count_until(self, t) as u64)
+    fn count_until(&self, t: Timestamp) -> usize {
+        PackedEdges::count_until(self, t)
     }
 
-    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>> {
-        Ok(PackedEdges::load_range(self, lo, hi))
+    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> Vec<TemporalEdge> {
+        PackedEdges::load_range(self, lo, hi)
     }
 
-    fn node_rank(&self) -> Cow<'_, [u32]> {
-        Cow::Borrowed(PackedEdges::node_rank(self))
-    }
-}
-
-/// A `HARELG01` lane file ([`temporal_graph::ooc::LaneFile`]) as an
-/// [`EdgeSource`]: only the block index stays resident; edge ranges are
-/// `pread` off disk per chunk.
-#[derive(Debug)]
-pub struct LaneFileSource {
-    file: LaneFile,
-}
-
-impl LaneFileSource {
-    /// Open a lane file as an edge source.
-    pub fn open(path: &std::path::Path) -> io::Result<LaneFileSource> {
-        Ok(LaneFileSource {
-            file: LaneFile::open(path)?,
-        })
-    }
-
-    /// Wrap an already-open lane file.
-    #[must_use]
-    pub fn from_file(file: LaneFile) -> LaneFileSource {
-        LaneFileSource { file }
-    }
-}
-
-impl EdgeSource for LaneFileSource {
-    fn num_nodes(&self) -> usize {
-        self.file.num_nodes()
-    }
-
-    fn num_edges(&self) -> u64 {
-        self.file.num_edges()
-    }
-
-    fn min_time(&self) -> Option<Timestamp> {
-        self.file.min_time()
-    }
-
-    fn max_time(&self) -> Option<Timestamp> {
-        self.file.max_time()
-    }
-
-    fn count_until(&self, t: Timestamp) -> io::Result<u64> {
-        self.file.count_until(t)
-    }
-
-    fn load_range(&self, lo: Timestamp, hi: Timestamp) -> io::Result<Vec<TemporalEdge>> {
-        self.file.load_range(lo, hi)
-    }
-
-    /// Id order: exact like any total order. A `HARELG01` file does not
-    /// store degrees, and deriving them would cost a full pass over the
-    /// file.
-    fn node_rank(&self) -> Cow<'_, [u32]> {
-        Cow::Owned((0..self.num_nodes() as u32).collect())
+    fn node_rank(&self) -> &[u32] {
+        PackedEdges::node_rank(self)
     }
 }
 
@@ -306,49 +249,49 @@ fn plan_cut(
     max_t: Timestamp,
     delta: Timestamp,
     budget_bytes: usize,
-) -> io::Result<(Timestamp, bool)> {
-    let base = src.count_until(lo.saturating_sub(delta))?;
-    let fits = |edges: u64| -> bool {
+) -> (Timestamp, bool) {
+    let base = src.count_until(lo.saturating_sub(delta));
+    let fits = |edges: usize| -> bool {
         (edges as u128) * (LANE_BYTES_PER_EDGE as u128) <= budget_bytes as u128
     };
     let mut a = lo.saturating_add(1);
     let mut b = max_t.saturating_add(1);
-    if fits(src.count_until(b.saturating_add(delta))? - base) {
-        return Ok((b, false));
+    if fits(src.count_until(b.saturating_add(delta)) - base) {
+        return (b, false);
     }
-    if !fits(src.count_until(a.saturating_add(delta))? - base) {
-        return Ok((a, true));
+    if !fits(src.count_until(a.saturating_add(delta)) - base) {
+        return (a, true);
     }
     // Largest feasible hi in [a, b). The ceiling midpoint lies in
     // (a, b]; i128 avoids overflow on full-span timestamp ranges, and
     // `div_euclid` rounds down for negative sums too.
     while a < b {
         let mid = (i128::from(a) + i128::from(b) + 1).div_euclid(2) as Timestamp;
-        if fits(src.count_until(mid.saturating_add(delta))? - base) {
+        if fits(src.count_until(mid.saturating_add(delta)) - base) {
             a = mid;
         } else {
             b = mid - 1;
         }
     }
-    Ok((a, false))
+    (a, false)
 }
 
 /// The earliest edge timestamp `>= t`, for `t <= max_t`: the smallest
 /// `s` with an edge in `[t, s]`.
-fn next_time(src: &impl EdgeSource, t: Timestamp, max_t: Timestamp) -> io::Result<Timestamp> {
-    let before = src.count_until(t)?;
+fn next_time(src: &impl EdgeSource, t: Timestamp, max_t: Timestamp) -> Timestamp {
+    let before = src.count_until(t);
     let (mut a, mut b) = (t, max_t);
     while a < b {
         // Floor midpoint in [a, b), negative timestamps included:
         // truncating division would round a negative sum up to `b`.
         let mid = (i128::from(a) + i128::from(b)).div_euclid(2) as Timestamp;
-        if src.count_until(mid.saturating_add(1))? > before {
+        if src.count_until(mid.saturating_add(1)) > before {
             b = mid;
         } else {
             a = mid + 1;
         }
     }
-    Ok(a)
+    a
 }
 
 /// Every cut `[lo, hi)` of the stream, in time order, each planned
@@ -361,22 +304,22 @@ fn plan_cuts(
     src: &impl EdgeSource,
     delta: Timestamp,
     budget_bytes: usize,
-) -> io::Result<(Vec<(Timestamp, Timestamp)>, usize)> {
+) -> (Vec<(Timestamp, Timestamp)>, usize) {
     let mut cuts = Vec::new();
     let mut forced_cuts = 0;
     let (Some(min_t), Some(max_t)) = (src.min_time(), src.max_time()) else {
-        return Ok((cuts, forced_cuts));
+        return (cuts, forced_cuts);
     };
     let mut lo = min_t;
     loop {
-        let (hi, forced) = plan_cut(src, lo, max_t, delta, budget_bytes)?;
+        let (hi, forced) = plan_cut(src, lo, max_t, delta, budget_bytes);
         forced_cuts += usize::from(forced);
         cuts.push((lo, hi));
         if hi > max_t {
-            return Ok((cuts, forced_cuts));
+            return (cuts, forced_cuts);
         }
         lo = if forced {
-            next_time(src, hi, max_t)?
+            next_time(src, hi, max_t)
         } else {
             hi
         };
@@ -398,32 +341,31 @@ fn drive_chunks<P: Probe>(
     threads: usize,
     probe: &P,
     scan: impl Fn(&TemporalGraph, Timestamp, Timestamp, &mut NeighborScratch) + Sync,
-) -> io::Result<OocStats> {
+) -> OocStats {
     let workers = exec::workers(threads);
     let (cuts, forced_cuts) = probe.span(Phase::ChunkLoad, || {
         plan_cuts(src, config.delta, config.budget_bytes / workers)
-    })?;
+    });
     // At most W threads, so at most W chunk graphs are ever resident.
-    let arenas: Vec<io::Result<usize>> = probe.span(Phase::Scan, || {
+    let mut arenas: Vec<usize> = probe.span(Phase::Scan, || {
         exec::map(workers, src.num_nodes(), cuts, |(lo, hi), scratch| {
             let halo = src.load_range(
                 lo.saturating_sub(config.delta),
                 hi.saturating_add(config.delta),
-            )?;
+            );
             let g = TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
                 .into_lane_layout(config.lane_layout);
             scan(&g, lo, hi, scratch);
-            Ok(g.resident_lane_bytes())
+            g.resident_lane_bytes()
         })
     });
-    let mut arenas = arenas.into_iter().collect::<io::Result<Vec<usize>>>()?;
     arenas.sort_unstable_by(|a, b| b.cmp(a));
-    Ok(OocStats {
+    OocStats {
         chunks: arenas.len(),
         peak_resident_lane_bytes: arenas.iter().take(workers).sum(),
         budget_bytes: config.budget_bytes,
         forced_cuts,
-    })
+    }
 }
 
 /// Per-node first-edge position range owned by chunk `[lo, hi)`.
@@ -464,12 +406,16 @@ fn for_owned_nodes(
 /// [`InMemorySource`]). Chunks run on [`crate::exec::workers`]`(threads)`
 /// workers, so `0` = all cores (see the module docs for how they share
 /// the budget).
+///
+/// Every source is infallible, so the result is always `Ok`; the
+/// `Result` keeps one signature shape with [`count_motifs_ooc_probed`]
+/// and [`node_profiles_ooc`] for callers that `?` or `expect` it.
 pub fn count_motifs_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
     threads: usize,
-) -> io::Result<(MotifCounts, OocStats)> {
-    count_motifs_ooc_on(src, config, threads, &NoopProbe)
+) -> Result<(MotifCounts, OocStats), Infallible> {
+    Ok(count_motifs_ooc_on(src, config, threads, &NoopProbe))
 }
 
 /// [`count_motifs_ooc`] on all cores with a [`Probe`] observing the
@@ -477,13 +423,14 @@ pub fn count_motifs_ooc(
 /// the cut planning, [`Phase::Scan`] the parallel section in which every
 /// chunk is loaded, built, scanned and merged into the shared tally,
 /// [`Phase::Fold`] the conversion of that tally into the grid. Counts
-/// and stats are bit-identical across probe implementations.
+/// and stats are bit-identical across probe implementations. Always
+/// `Ok`, like [`count_motifs_ooc`].
 pub fn count_motifs_ooc_probed<P: Probe>(
     src: &impl EdgeSource,
     config: OocConfig,
     probe: &P,
-) -> io::Result<(MotifCounts, OocStats)> {
-    count_motifs_ooc_on(src, config, 0, probe)
+) -> Result<(MotifCounts, OocStats), Infallible> {
+    Ok(count_motifs_ooc_on(src, config, 0, probe))
 }
 
 /// [`count_motifs_ooc`] with a [`Probe`]: the one body of both.
@@ -492,19 +439,19 @@ pub(crate) fn count_motifs_ooc_on<P: Probe>(
     config: OocConfig,
     threads: usize,
     probe: &P,
-) -> io::Result<(MotifCounts, OocStats)> {
+) -> (MotifCounts, OocStats) {
     let rank = src.node_rank();
     let total = Mutex::new(CenterTally::default());
     let stats = drive_chunks(src, config, threads, probe, |g, lo, hi, scratch| {
         let mut tally = CenterTally::default();
         for_owned_nodes(g, lo, hi, |u, range| {
-            count_node::<true, true, true>(g, u, range, config.delta, &rank, scratch, &mut tally);
+            count_node::<true, true, true>(g, u, range, config.delta, rank, scratch, &mut tally);
         });
         total.lock().expect("tally lock poisoned").merge(&tally);
-    })?;
+    });
     let total = total.into_inner().expect("tally lock poisoned");
     let counts = probe.span(Phase::Fold, || total.into_counts_oriented());
-    Ok((counts, stats))
+    (counts, stats)
 }
 
 /// Sparse per-node motif profiles computed out of core. Bit-identical
@@ -513,12 +460,13 @@ pub(crate) fn count_motifs_ooc_on<P: Probe>(
 /// 288-byte accumulator per node resident (the node space must fit in
 /// RAM — the same assumption every scratch-based kernel makes). Each
 /// chunk gathers its non-empty profiles locally and merges them into it
-/// under one lock; only the *edge* lanes are budget-bounded.
+/// under one lock; only the *edge* lanes are budget-bounded. Always
+/// `Ok`, like [`count_motifs_ooc`].
 pub fn node_profiles_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
     threads: usize,
-) -> io::Result<(NodeProfiles, OocStats)> {
+) -> Result<(NodeProfiles, OocStats), Infallible> {
     let num_nodes = src.num_nodes();
     let dense = Mutex::new(vec![NodeProfile::default(); num_nodes]);
     let stats = drive_chunks(src, config, threads, &NoopProbe, |g, lo, hi, scratch| {
@@ -535,7 +483,7 @@ pub fn node_profiles_ooc(
         for (u, profile) in &found {
             dense[*u as usize].merge_from(profile);
         }
-    })?;
+    });
     let entries = dense
         .into_inner()
         .expect("profile lock poisoned")
@@ -551,7 +499,6 @@ pub fn node_profiles_ooc(
 mod tests {
     use super::*;
     use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, paper_fig1_toy, GenConfig};
-    use temporal_graph::ooc::write_lane_file;
 
     /// Per-worker budget shares: a seventh (tight enough to force cuts
     /// where δ-halos are wide), a half, and twice the graph's lanes (one
@@ -582,7 +529,7 @@ mod tests {
                     let (got, stats) = count_motifs_ooc(src, config, threads).unwrap();
                     assert_eq!(got.matrix, want.matrix, "{ctx}");
                     assert_eq!(got.star, want.star, "{ctx}");
-                    if *src.node_rank() == *g.node_rank() {
+                    if src.node_rank() == g.node_rank() {
                         assert_eq!(got.tri, want.tri, "{ctx}");
                     } else {
                         assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
@@ -631,9 +578,9 @@ mod tests {
         let g = erdos_renyi_temporal(25, 600, 800, 3);
         let src = InMemorySource::from_graph(&g);
         assert!(std::ptr::eq(src.graph, &g));
-        assert!(matches!(src.node_rank(), Cow::Borrowed(r) if std::ptr::eq(r, g.node_rank())));
+        assert!(std::ptr::eq(src.node_rank(), g.node_rank()));
         let stream = packed(&g);
-        assert!(matches!(EdgeSource::node_rank(&stream), Cow::Borrowed(r) if r == g.node_rank()));
+        assert_eq!(EdgeSource::node_rank(&stream), g.node_rank());
         assert_eq!(stream.load_range(Timestamp::MIN, Timestamp::MAX), g.edges());
     }
 
@@ -651,12 +598,12 @@ mod tests {
             let w = exec::workers(threads);
             let (_, stats) =
                 count_motifs_ooc(&src, OocConfig::new(delta, budget), threads).unwrap();
-            let (cuts, forced) = plan_cuts(&src, delta, budget / w).unwrap();
+            let (cuts, forced) = plan_cuts(&src, delta, budget / w);
             assert_eq!((stats.chunks, stats.forced_cuts), (cuts.len(), forced));
             let mut arenas: Vec<usize> = cuts
                 .iter()
                 .map(|&(lo, hi)| {
-                    let halo = src.load_range(lo - delta, hi + delta).unwrap();
+                    let halo = src.load_range(lo - delta, hi + delta);
                     TemporalGraph::from_chronological_edges(g.num_nodes(), halo)
                         .resident_lane_bytes()
                 })
@@ -696,15 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn lane_file_source_counts_match_in_ram() {
+    fn packed_source_counts_match_in_ram() {
         let g = erdos_renyi_temporal(25, 700, 900, 4);
         let delta = 120;
         let want = crate::count_motifs(&g, delta);
-        let mut path = std::env::temp_dir();
-        path.push(format!("hare-ooc-count-{}.hlg", std::process::id()));
-        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
-        let src = LaneFileSource::open(&path).unwrap();
-        assert_eq!(src.num_edges(), g.num_edges() as u64);
+        let src = packed(&g);
+        assert_eq!(EdgeSource::num_edges(&src), g.num_edges());
         for threads in THREADS {
             let w = exec::workers(threads);
             // Each worker's share is half the graph's lanes.
@@ -720,26 +664,67 @@ mod tests {
             );
         }
         check_counts(&src, &g, delta);
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A graph's edge stream ranked in id order instead of by degree:
+    /// exact like any total order, but not the graph's own rank.
+    struct IdOrder<'a> {
+        edges: InMemorySource<'a>,
+        rank: Vec<u32>,
+    }
+
+    impl<'a> IdOrder<'a> {
+        fn of(g: &'a TemporalGraph) -> IdOrder<'a> {
+            IdOrder {
+                edges: InMemorySource::from_graph(g),
+                rank: (0..g.num_nodes() as u32).collect(),
+            }
+        }
+    }
+
+    impl EdgeSource for IdOrder<'_> {
+        fn num_nodes(&self) -> usize {
+            self.edges.num_nodes()
+        }
+
+        fn num_edges(&self) -> usize {
+            self.edges.num_edges()
+        }
+
+        fn min_time(&self) -> Option<Timestamp> {
+            self.edges.min_time()
+        }
+
+        fn max_time(&self) -> Option<Timestamp> {
+            self.edges.max_time()
+        }
+
+        fn count_until(&self, t: Timestamp) -> usize {
+            self.edges.count_until(t)
+        }
+
+        fn load_range(&self, lo: Timestamp, hi: Timestamp) -> Vec<TemporalEdge> {
+            self.edges.load_range(lo, hi)
+        }
+
+        fn node_rank(&self) -> &[u32] {
+            &self.rank
+        }
     }
 
     /// Chunk graphs hold only local degrees; the driver must orient
     /// every chunk by the source's global rank. On a hub graph under
     /// tight budgets, a derived in-memory rank reproduces the in-RAM raw
-    /// cells, and a lane file's id order reproduces the grid.
+    /// cells, and id order reproduces the grid.
     #[test]
     fn chunks_are_oriented_by_the_source_rank() {
         let g = hub_burst(40, 6_000, 30_000, 12);
         let delta = 1_500;
         let want = crate::count_motifs(&g, delta);
         let derived = packed(&g);
-        assert_eq!(&*EdgeSource::node_rank(&derived), g.node_rank());
-        let mut path = std::env::temp_dir();
-        path.push(format!("hare-ooc-rank-{}.hlg", std::process::id()));
-        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
-        let lane = LaneFileSource::open(&path).unwrap();
-        let identity: Vec<u32> = (0..g.num_nodes() as u32).collect();
-        assert_eq!(&*lane.node_rank(), &identity[..]);
+        assert_eq!(EdgeSource::node_rank(&derived), g.node_rank());
+        let id_order = IdOrder::of(&g);
+        assert_ne!(id_order.node_rank(), g.node_rank());
         for threads in THREADS {
             let w = exec::workers(threads);
             for share in &shares_for(&g) {
@@ -750,7 +735,7 @@ mod tests {
                     config.lane_layout = layout;
                     let (got, stats) = count_motifs_ooc(&derived, config, threads).unwrap();
                     assert_eq!(got, want, "{ctx}");
-                    let (got, _) = count_motifs_ooc(&lane, config, threads).unwrap();
+                    let (got, _) = count_motifs_ooc(&id_order, config, threads).unwrap();
                     assert_eq!(got.matrix, want.matrix, "{ctx}");
                     assert_eq!(got.star, want.star, "{ctx}");
                     assert_eq!(got.tri.total(), want.tri.total(), "{ctx}");
@@ -760,7 +745,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -770,10 +754,6 @@ mod tests {
         let want = NodeProfiles::compute(&g, delta, 1);
         let src = InMemorySource::from_graph(&g);
         let stream = packed(&g);
-        let mut path = std::env::temp_dir();
-        path.push(format!("hare-ooc-profiles-{}.hlg", std::process::id()));
-        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
-        let lane = LaneFileSource::open(&path).unwrap();
         for threads in THREADS {
             let w = exec::workers(threads);
             for share in shares_for(&g) {
@@ -783,16 +763,12 @@ mod tests {
                     config.lane_layout = layout;
                     let (got, stats) = node_profiles_ooc(&src, config, threads).unwrap();
                     assert_eq!(got, want, "{ctx}");
-                    let (got, lane_stats) = node_profiles_ooc(&lane, config, threads).unwrap();
-                    assert_eq!(got, want, "{ctx}");
-                    assert_eq!(lane_stats, stats, "{ctx}");
                     let (got, stream_stats) = node_profiles_ooc(&stream, config, threads).unwrap();
                     assert_eq!(got, want, "{ctx}");
                     assert_eq!(stream_stats, stats, "{ctx}");
                 }
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -847,15 +823,6 @@ mod tests {
         let stream = packed(g);
         let mut times: Vec<Timestamp> = g.edges().iter().map(|e| e.t).collect();
         times.dedup();
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "hare-ooc-degenerate-{}-{}.hlg",
-            std::process::id(),
-            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
-        let lane = LaneFileSource::open(&path).unwrap();
         let profiles = NodeProfiles::compute(g, delta, 1);
         for threads in THREADS {
             for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
@@ -864,7 +831,7 @@ mod tests {
                 config.lane_layout = layout;
                 for (got, stats) in [
                     count_motifs_ooc(&src, config, threads).unwrap(),
-                    count_motifs_ooc(&lane, config, threads).unwrap(),
+                    count_motifs_ooc(&IdOrder::of(g), config, threads).unwrap(),
                     count_motifs_ooc(&stream, config, threads).unwrap(),
                 ] {
                     assert_eq!(got.matrix, want.matrix, "{ctx}");
@@ -877,17 +844,11 @@ mod tests {
                     "{ctx}"
                 );
                 assert_eq!(
-                    node_profiles_ooc(&lane, config, threads).unwrap().0,
-                    profiles,
-                    "{ctx}"
-                );
-                assert_eq!(
                     node_profiles_ooc(&stream, config, threads).unwrap().0,
                     profiles,
                     "{ctx}"
                 );
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -94,8 +94,6 @@ pub enum PlanError {
         /// The graph's node count.
         num_nodes: usize,
     },
-    /// The out-of-core edge source failed.
-    Source(String),
 }
 
 impl std::fmt::Display for PlanError {
@@ -105,7 +103,6 @@ impl std::fmt::Display for PlanError {
             PlanError::UnknownNode { node, num_nodes } => {
                 write!(f, "no such node: {node} (dataset has {num_nodes} nodes)")
             }
-            PlanError::Source(e) => write!(f, "out-of-core counting: {e}"),
         }
     }
 }
@@ -258,9 +255,8 @@ impl Plan {
     /// answer is bit-identical for every probe and thread count.
     ///
     /// # Errors
-    /// [`PlanError::Invalid`] from [`Plan::validate`],
-    /// [`PlanError::UnknownNode`] for a node outside the graph, and
-    /// [`PlanError::Source`] if the out-of-core source fails.
+    /// [`PlanError::Invalid`] from [`Plan::validate`], and
+    /// [`PlanError::UnknownNode`] for a node outside the graph.
     pub fn execute<P: Probe>(
         &self,
         g: &TemporalGraph,
@@ -350,8 +346,7 @@ impl Plan {
     ///
     /// # Errors
     /// [`PlanError::Invalid`] from [`Plan::validate`], or naming
-    /// [`Param::ChunkBudget`] for a plan that is not [`Plan::Chunked`];
-    /// [`PlanError::Source`] if the source fails.
+    /// [`Param::ChunkBudget`] for a plan that is not [`Plan::Chunked`].
     pub fn execute_chunked<P: Probe>(
         &self,
         src: &impl EdgeSource,
@@ -375,12 +370,11 @@ impl Plan {
             budget_bytes,
             lane_layout,
         };
-        let (counts, _) = count_motifs_ooc_on(src, cfg, threads, probe)
-            .map_err(|e| PlanError::Source(e.to_string()))?;
+        let (counts, _) = count_motifs_ooc_on(src, cfg, threads, probe);
         Ok(Answer {
             delta,
             num_nodes: src.num_nodes(),
-            num_edges: src.num_edges() as usize,
+            num_edges: src.num_edges(),
             outcome: Outcome::Counts(counts.matrix),
         })
     }

@@ -364,12 +364,11 @@ fn count_plan(req: &Request) -> Result<Plan, Box<ApiResponse>> {
 }
 
 /// The response for a query-layer error: bad parameters are 400, an
-/// unknown node 404, a failing source 500.
+/// unknown node 404.
 fn plan_error(e: &PlanError) -> ApiResponse {
     let status = match e {
         PlanError::Invalid { .. } => 400,
         PlanError::UnknownNode { .. } => 404,
-        PlanError::Source(_) => 500,
     };
     error_response(status, &e.to_string())
 }

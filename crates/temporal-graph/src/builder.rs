@@ -2,7 +2,6 @@
 
 use crate::graph::TemporalGraph;
 use crate::io::Interner;
-use crate::lanes::LaneLayout;
 use crate::types::{NodeId, TemporalEdge, Timestamp};
 
 /// Incremental builder for [`TemporalGraph`].
@@ -32,7 +31,6 @@ pub struct GraphBuilder {
     edges: Vec<TemporalEdge>,
     dropped_self_loops: usize,
     compact: bool,
-    layout: LaneLayout,
 }
 
 impl GraphBuilder {
@@ -57,16 +55,6 @@ impl GraphBuilder {
     #[must_use]
     pub fn compact_ids(mut self, yes: bool) -> GraphBuilder {
         self.compact = yes;
-        self
-    }
-
-    /// Timestamp-lane layout of the built graph (see [`LaneLayout`]).
-    /// Default [`LaneLayout::Raw`]; [`LaneLayout::Compressed`] trades a
-    /// small decode cost for a much smaller resident timestamp lane.
-    /// Counts are bit-identical either way.
-    #[must_use]
-    pub fn lane_layout(mut self, layout: LaneLayout) -> GraphBuilder {
-        self.layout = layout;
         self
     }
 
@@ -113,10 +101,7 @@ impl GraphBuilder {
     #[must_use]
     pub fn build(self) -> TemporalGraph {
         let GraphBuilder {
-            mut edges,
-            compact,
-            layout,
-            ..
+            mut edges, compact, ..
         } = self;
 
         if compact {
@@ -138,13 +123,14 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0);
 
-        TemporalGraph::from_sorted_edges(num_nodes, edges).into_lane_layout(layout)
+        TemporalGraph::from_sorted_edges(num_nodes, edges)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::LaneLayout;
     use crate::types::Dir;
 
     #[test]
@@ -220,15 +206,11 @@ mod tests {
         let edges: Vec<TemporalEdge> = (0..300)
             .map(|i| TemporalEdge::new(i % 17, (i * 5 + 2) % 17, (i as i64 * 11) % 200))
             .collect();
-        let base = {
-            let mut b = GraphBuilder::new();
-            b.extend(edges.clone());
-            b.build()
-        };
+        let mut b = GraphBuilder::new();
+        b.extend(edges);
+        let base = b.build();
         for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-            let mut b = GraphBuilder::new().lane_layout(layout);
-            b.extend(edges.clone());
-            let g = b.build();
+            let g = base.clone().into_lane_layout(layout);
             assert_eq!(g.lane_layout(), layout);
             assert_eq!(g.fingerprint(), base.fingerprint(), "layout={layout}");
         }

@@ -7,16 +7,15 @@
 //! include self-loops (dropped by the builder) and heavy timestamp
 //! ties, the cases where chunk cuts and packed decoding are most likely
 //! to drift. Fixed inputs join them: CollegeMsg for the compressed
-//! round trip, and two larger synthetic graphs whose lane files must
-//! count under a budget without a forced cut.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! round trip, and two larger synthetic graphs whose packed edge
+//! streams must count under a budget without a forced cut.
 
 use proptest::prelude::*;
 
-use hare::{EdgeSource, InMemorySource, LaneFileSource, MotifCounts, OocConfig, OocStats};
+use hare::{EdgeSource, InMemorySource, MotifCounts, OocConfig, OocStats};
 use temporal_graph::gen::{arb, scaling_workload};
 use temporal_graph::io::{chronological_edges, graph_from_raw, read_packed_edges, LoadOptions};
+use temporal_graph::ooc::PackedEdges;
 use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph};
 
 /// `g` with every timestamp moved by `by`: negative shifts put the
@@ -45,31 +44,9 @@ fn count_twice(
     )
 }
 
-/// `g`'s edge stream as a `HARELG01` lane file in the temp directory,
-/// removed on drop.
-struct TempLaneFile(std::path::PathBuf);
-
-impl TempLaneFile {
-    fn write(g: &TemporalGraph) -> TempLaneFile {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "hare-lane-ooc-{}-{}.hlg",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        temporal_graph::ooc::write_lane_file(&path, g.num_nodes(), g.edges()).unwrap();
-        TempLaneFile(path)
-    }
-
-    fn open(&self) -> LaneFileSource {
-        LaneFileSource::open(&self.0).unwrap()
-    }
-}
-
-impl Drop for TempLaneFile {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
-    }
+/// `g`'s edge stream, bit-packed.
+fn packed(g: &TemporalGraph) -> PackedEdges {
+    PackedEdges::from_edges(g.num_nodes(), g.edges())
 }
 
 /// Compressed lanes are a storage change only: counts, per-node
@@ -124,7 +101,7 @@ proptest! {
         budget_divisor in 1usize..12,
         compressed in 0usize..2,
         threads in 1usize..5,
-        from_file in 0usize..2,
+        from_stream in 0usize..2,
     ) {
         let g = shifted(&g, shift);
         let reference = hare::count_motifs(&g, delta);
@@ -135,15 +112,14 @@ proptest! {
             budget_bytes: full / budget_divisor + 1,
             lane_layout: layout,
         };
-        let (counts, stats, again) = if from_file == 1 {
-            count_twice(&TempLaneFile::write(&g).open(), cfg, threads)
+        let (counts, stats, again) = if from_stream == 1 {
+            count_twice(&packed(&g), cfg, threads)
         } else {
-            let runs = count_twice(&InMemorySource::from_graph(&g), cfg, threads);
-            // The borrowed source carries the graph's rank: the raw
-            // oriented triangle cells match as well.
-            prop_assert_eq!(&runs.0.tri, &reference.tri);
-            runs
+            count_twice(&InMemorySource::from_graph(&g), cfg, threads)
         };
+        // Both sources carry the graph's rank: the raw oriented triangle
+        // cells match as well.
+        prop_assert_eq!(&counts.tri, &reference.tri);
         prop_assert_eq!(counts.matrix, reference.matrix);
         prop_assert_eq!(again, stats);
         if layout == LaneLayout::Raw && stats.forced_cuts == 0 {
@@ -171,7 +147,7 @@ proptest! {
         let text: String = raw.iter().map(|(s, d, t)| format!("{s} {d} {t}\n")).collect();
         let src = read_packed_edges(text.as_bytes(), &LoadOptions::default()).unwrap();
         prop_assert_eq!(src.num_nodes(), g.num_nodes());
-        prop_assert_eq!(&*EdgeSource::node_rank(&src), g.node_rank());
+        prop_assert_eq!(EdgeSource::node_rank(&src), g.node_rank());
         let (num_nodes, edges) = chronological_edges(raw);
         prop_assert_eq!(num_nodes, g.num_nodes());
         prop_assert_eq!(src.load_range(i64::MIN, i64::MAX), edges);
@@ -201,13 +177,12 @@ proptest! {
         if compressed == 1 {
             cfg.lane_layout = LaneLayout::Compressed;
         }
-        let file = TempLaneFile::write(&g);
         let src = InMemorySource::from_graph(&g);
         let in_memory = hare::node_profiles_ooc(&src, cfg, threads).unwrap();
-        let from_file = hare::node_profiles_ooc(&file.open(), cfg, threads).unwrap();
+        let streamed = hare::node_profiles_ooc(&packed(&g), cfg, threads).unwrap();
         prop_assert_eq!(&in_memory.0, &reference);
-        prop_assert_eq!(&from_file.0, &reference);
-        prop_assert_eq!(in_memory.1, from_file.1);
+        prop_assert_eq!(&streamed.0, &reference);
+        prop_assert_eq!(in_memory.1, streamed.1);
     }
 }
 
@@ -221,13 +196,13 @@ fn collegemsg_compressed_lanes_round_trip() {
     }
 }
 
-/// A `HARELG01` lane file of the 40 000- and 200 000-edge synthetic
+/// The packed edge streams of the 40 000- and 200 000-edge synthetic
 /// graphs, counted at δ = 2000 on two workers (which share the budget)
 /// under a raw-lane budget of an eighth of the whole graph's lanes plus
 /// one byte: the counts equal in-RAM FAST, no cut is forced, and the
 /// resident lanes never exceed the budget.
 #[test]
-fn synthetic_lane_file_counts_within_an_eighth_budget() {
+fn synthetic_packed_stream_counts_within_an_eighth_budget() {
     let delta = 2_000;
     for edges in [40_000, 200_000] {
         let g = scaling_workload(edges);
@@ -237,8 +212,7 @@ fn synthetic_lane_file_counts_within_an_eighth_budget() {
             budget_bytes: budget,
             lane_layout: LaneLayout::Raw,
         };
-        let file = TempLaneFile::write(&g);
-        let (counts, stats) = hare::count_motifs_ooc(&file.open(), cfg, 2).unwrap();
+        let (counts, stats) = hare::count_motifs_ooc(&packed(&g), cfg, 2).unwrap();
         assert_eq!(
             counts.matrix,
             hare::count_motifs(&g, delta).matrix,
