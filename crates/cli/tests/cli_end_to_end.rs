@@ -1103,6 +1103,40 @@ fn approx_prob_one_reproduces_exact_counts_bit_identically() {
 }
 
 #[test]
+fn golden_window_collegemsg_jsonl_is_byte_identical() {
+    // The exact sliding-window counter over CollegeMsg:8, one tick per
+    // day of a one-day window with ten minutes of reorder slack. The
+    // golden pins every tick's bytes: live edges, drops and all 36
+    // cells as edges arrive and expire.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/collegemsg_scale8_window.jsonl"
+    );
+    let out = hare_count(&[
+        "--dataset",
+        "CollegeMsg",
+        "--scale",
+        "8",
+        "--delta",
+        "600",
+        "--window",
+        "86400",
+        "--slack",
+        "600",
+        "--tick",
+        "86400",
+        "--json",
+    ]);
+    assert!(out.status.success());
+    let expected = std::fs::read(golden).expect("golden file present");
+    assert_eq!(
+        out.stdout, expected,
+        "CollegeMsg --window golden mismatch (run the command in this \
+         test and diff against the golden to inspect)"
+    );
+}
+
+#[test]
 fn golden_memory_budget_fig1_jsonl_is_byte_identical() {
     // Bounded-memory streaming over the Fig. 1 toy with a roomy budget:
     // everything is retained (prob stays 1.0), so the single tick is the

@@ -104,22 +104,13 @@ impl NodeProfile {
             self.counts[(m.row() as usize - 1) * 6 + (m.col() as usize - 1)] += n;
         }
     }
-
-    /// Element-wise accumulate (the out-of-core driver folds one chunk's
-    /// per-node attribution at a time; u64 addition is commutative, so
-    /// chunked accumulation is bit-identical to one whole-graph fold).
-    pub(crate) fn merge_from(&mut self, other: &NodeProfile) {
-        for (o, &c) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *o += c;
-        }
-    }
 }
 
 /// Fold one node's per-center tally into its attribution profile.
 /// Shared by the fused and the two-pass path: bit-identity of the two
 /// paths reduces to bit-identity of the kernel's instantiations (which
 /// `fused.rs` pins).
-pub(crate) fn fold_tally(t: &CenterTally) -> NodeProfile {
+fn fold_tally(t: &CenterTally) -> NodeProfile {
     let mut profile = NodeProfile::default();
     let mut mx = MotifMatrix::default();
     t.star.add_to_matrix(&mut mx);
@@ -225,16 +216,6 @@ impl NodeProfiles {
             entries: chunks.into_iter().flatten().collect(),
             num_nodes: g.num_nodes(),
         }
-    }
-
-    /// Assemble from pre-computed sparse rows (ascending node id) — the
-    /// out-of-core driver's exit point.
-    pub(crate) fn from_entries(
-        entries: Vec<(NodeId, NodeProfile)>,
-        num_nodes: usize,
-    ) -> NodeProfiles {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        NodeProfiles { entries, num_nodes }
     }
 
     /// The profile of `u`: `None` when the node participates in no

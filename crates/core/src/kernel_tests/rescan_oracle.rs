@@ -261,8 +261,8 @@ mod tests {
     /// * HARE's hub split, equal position chunks ([`exec::chunks`]);
     /// * the out-of-core owned ranges and the samplers' runs, the
     ///   positions whose timestamps fall in consecutive aligned time
-    ///   intervals of `width` (`partition_point` cuts, as `owned_range`
-    ///   and `lane_runs` make them), including intervals holding no
+    ///   intervals of `width` (`partition_point` cuts, as the
+    ///   out-of-core driver and `lane_runs` make them), including intervals holding no
     ///   event.
     fn driver_ranges(
         g: &TemporalGraph,

@@ -103,8 +103,7 @@ pub use hare::{DegreeThreshold, Hare, HareConfig, Scheduling};
 pub use hare_obs::{NoopProbe, Phase, Probe, WallClockProbe};
 pub use motif::{Motif, MotifCategory, StarType, TriType};
 pub use ooc::{
-    count_motifs_ooc, count_motifs_ooc_probed, node_profiles_ooc, EdgeSource, InMemorySource,
-    OocConfig, OocStats,
+    count_motifs_ooc, count_motifs_ooc_probed, EdgeSource, InMemorySource, OocConfig, OocStats,
 };
 pub use sample::{MotifEstimate, SampleConfig, SampledCounter, SampledCounts};
 pub use scratch::NeighborScratch;

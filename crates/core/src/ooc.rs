@@ -1,6 +1,6 @@
-//! Out-of-core counting: exact motif counts and node profiles with the
-//! event lanes of the graph held under a byte budget, a few time chunks
-//! at a time.
+//! Out-of-core counting: exact whole-graph motif counts with the event
+//! lanes of the graph held under a byte budget, a few time chunks at a
+//! time.
 //!
 //! The driver never materialises the whole graph. It plans every
 //! timestamp cut up front against an [`EdgeSource`]'s time index, then
@@ -18,22 +18,20 @@
 //!    so every `(e_1, …)` contribution group is counted exactly once,
 //!    with timestamp ties never straddling a cut.
 //!
-//! Each task merges its chunk's tally (or per-node profiles) into one
-//! shared accumulator as soon as the chunk is scanned, so no chunk's
-//! result outlives its task.
+//! Each task merges its chunk's tally into one shared accumulator as
+//! soon as the chunk is scanned, so no chunk's result outlives its task.
 //!
 //! Whole-graph counts run the oriented kernel under the source's
 //! **global** node rank ([`EdgeSource::node_rank`]), never a chunk
 //! graph's own: a chunk sees only local degrees, and a rank that
 //! changed from chunk to chunk could count an instance at two vertices
-//! (or none). Node profiles keep the three-view kernel, which needs no
-//! rank.
+//! (or none).
 //!
 //! Every counter cell is a `u64` sum and integer addition commutes, so
 //! the merge order does not matter and the chunked accumulation is
-//! **bit-identical** to the in-RAM [`crate::count_motifs`] /
-//! [`NodeProfiles::compute`] for every worker count — pinned by the
-//! tests below and the `lane_ooc_equivalence` differential suite.
+//! **bit-identical** to the in-RAM [`crate::count_motifs`] for every
+//! worker count — pinned by the tests below and the
+//! `lane_ooc_equivalence` differential suite.
 //!
 //! Workers and budget: a run uses `W` workers, its `threads` argument
 //! (`0` = all cores) clamped to the machine's available parallelism
@@ -44,9 +42,8 @@
 //! largest `hi` whose haloed edge count keeps one chunk's lane arenas
 //! (at [`LANE_BYTES_PER_EDGE`] per edge) within that share, degrading to
 //! minimum progress (`hi = lo + 1`) when even one time unit exceeds it.
-//! Budgets only bound the *lane arenas*; the per-worker scratch and
-//! (for profiles) the dense profile accumulator remain O(|V|) resident,
-//! like every other driver in the crate.
+//! Budgets only bound the *lane arenas*; the per-worker scratch remains
+//! O(|V|) resident, like every other driver in the crate.
 //!
 //! Sources: [`InMemorySource`] borrows a graph already in RAM;
 //! [`PackedEdges`], the bit-packed stream `hare-count --input F
@@ -65,9 +62,7 @@ use std::sync::Mutex;
 
 use crate::counters::{CenterTally, MotifCounts};
 use crate::exec;
-use crate::fingerprint::{fold_tally, NodeProfile, NodeProfiles};
 use crate::fused::count_node;
-use crate::scratch::NeighborScratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::ooc::PackedEdges;
 use temporal_graph::{LaneLayout, TemporalEdge, TemporalGraph, Timestamp};
@@ -326,78 +321,6 @@ fn plan_cuts(
     }
 }
 
-/// Plan every chunk against `budget / workers`, then load, build and
-/// `scan` each one as one task of a single [`exec::map`] on at most
-/// `workers` threads. `scan` gets the chunk graph, the `[lo, hi)`
-/// first-edge time range it owns and the worker's scratch, and merges
-/// what it finds into the caller's accumulator before the task ends.
-///
-/// The probe stays on the calling thread: [`Phase::ChunkLoad`] brackets
-/// the cut planning and [`Phase::Scan`] the parallel section (every
-/// chunk's load, build, scan and merge).
-fn drive_chunks<P: Probe>(
-    src: &impl EdgeSource,
-    config: OocConfig,
-    threads: usize,
-    probe: &P,
-    scan: impl Fn(&TemporalGraph, Timestamp, Timestamp, &mut NeighborScratch) + Sync,
-) -> OocStats {
-    let workers = exec::workers(threads);
-    let (cuts, forced_cuts) = probe.span(Phase::ChunkLoad, || {
-        plan_cuts(src, config.delta, config.budget_bytes / workers)
-    });
-    // At most W threads, so at most W chunk graphs are ever resident.
-    let mut arenas: Vec<usize> = probe.span(Phase::Scan, || {
-        exec::map(workers, src.num_nodes(), cuts, |(lo, hi), scratch| {
-            let halo = src.load_range(
-                lo.saturating_sub(config.delta),
-                hi.saturating_add(config.delta),
-            );
-            let g = TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
-                .into_lane_layout(config.lane_layout);
-            scan(&g, lo, hi, scratch);
-            g.resident_lane_bytes()
-        })
-    });
-    arenas.sort_unstable_by(|a, b| b.cmp(a));
-    OocStats {
-        chunks: arenas.len(),
-        peak_resident_lane_bytes: arenas.iter().take(workers).sum(),
-        budget_bytes: config.budget_bytes,
-        forced_cuts,
-    }
-}
-
-/// Per-node first-edge position range owned by chunk `[lo, hi)`.
-fn owned_range(
-    g: &TemporalGraph,
-    u: temporal_graph::NodeId,
-    lo: Timestamp,
-    hi: Timestamp,
-) -> std::ops::Range<usize> {
-    let ts = g.node_events(u).ts_lane();
-    ts.partition_point(|t| t < lo)..ts.partition_point(|t| t < hi)
-}
-
-/// Run `visit` on every node of chunk `g` that owns a first edge in
-/// `[lo, hi)`, with that position range.
-fn for_owned_nodes(
-    g: &TemporalGraph,
-    lo: Timestamp,
-    hi: Timestamp,
-    mut visit: impl FnMut(temporal_graph::NodeId, std::ops::Range<usize>),
-) {
-    for u in g.node_ids() {
-        if g.node_events(u).len() < 2 {
-            continue;
-        }
-        let range = owned_range(g, u, lo, hi);
-        if !range.is_empty() {
-            visit(u, range);
-        }
-    }
-}
-
 /// Exact whole-graph motif counts computed out of core, oriented by
 /// [`EdgeSource::node_rank`]. The grid is bit-identical to
 /// [`crate::count_motifs`] over the same edge stream, for any budget,
@@ -409,7 +332,7 @@ fn for_owned_nodes(
 ///
 /// Every source is infallible, so the result is always `Ok`; the
 /// `Result` keeps one signature shape with [`count_motifs_ooc_probed`]
-/// and [`node_profiles_ooc`] for callers that `?` or `expect` it.
+/// for callers that `?` or `expect` it.
 pub fn count_motifs_ooc(
     src: &impl EdgeSource,
     config: OocConfig,
@@ -433,66 +356,67 @@ pub fn count_motifs_ooc_probed<P: Probe>(
     Ok(count_motifs_ooc_on(src, config, 0, probe))
 }
 
-/// [`count_motifs_ooc`] with a [`Probe`]: the one body of both.
+/// The one body of [`count_motifs_ooc`], [`count_motifs_ooc_probed`] and
+/// [`crate::query::Plan::execute_chunked`]: plan every chunk against
+/// `budget / workers`, then load, build and scan each one as one task of
+/// a single [`exec::map`] on at most `workers` threads, merging its tally
+/// into the shared one before the task ends.
 pub(crate) fn count_motifs_ooc_on<P: Probe>(
     src: &impl EdgeSource,
     config: OocConfig,
     threads: usize,
     probe: &P,
 ) -> (MotifCounts, OocStats) {
+    let workers = exec::workers(threads);
+    let (cuts, forced_cuts) = probe.span(Phase::ChunkLoad, || {
+        plan_cuts(src, config.delta, config.budget_bytes / workers)
+    });
     let rank = src.node_rank();
     let total = Mutex::new(CenterTally::default());
-    let stats = drive_chunks(src, config, threads, probe, |g, lo, hi, scratch| {
-        let mut tally = CenterTally::default();
-        for_owned_nodes(g, lo, hi, |u, range| {
-            count_node::<true, true, true>(g, u, range, config.delta, rank, scratch, &mut tally);
-        });
-        total.lock().expect("tally lock poisoned").merge(&tally);
+    // At most W threads, so at most W chunk graphs are ever resident.
+    let mut arenas: Vec<usize> = probe.span(Phase::Scan, || {
+        exec::map(workers, src.num_nodes(), cuts, |(lo, hi), scratch| {
+            let halo = src.load_range(
+                lo.saturating_sub(config.delta),
+                hi.saturating_add(config.delta),
+            );
+            let g = TemporalGraph::from_chronological_edges(src.num_nodes(), halo)
+                .into_lane_layout(config.lane_layout);
+            let mut tally = CenterTally::default();
+            for u in g.node_ids() {
+                let events = g.node_events(u);
+                if events.len() < 2 {
+                    continue;
+                }
+                // The first-edge positions this chunk owns: t_1 in [lo, hi).
+                let ts = events.ts_lane();
+                let owned = ts.partition_point(|t| t < lo)..ts.partition_point(|t| t < hi);
+                if !owned.is_empty() {
+                    count_node::<true, true, true>(
+                        &g,
+                        u,
+                        owned,
+                        config.delta,
+                        rank,
+                        scratch,
+                        &mut tally,
+                    );
+                }
+            }
+            total.lock().expect("tally lock poisoned").merge(&tally);
+            g.resident_lane_bytes()
+        })
     });
+    arenas.sort_unstable_by(|a, b| b.cmp(a));
+    let stats = OocStats {
+        chunks: arenas.len(),
+        peak_resident_lane_bytes: arenas.iter().take(workers).sum(),
+        budget_bytes: config.budget_bytes,
+        forced_cuts,
+    };
     let total = total.into_inner().expect("tally lock poisoned");
     let counts = probe.span(Phase::Fold, || total.into_counts_oriented());
     (counts, stats)
-}
-
-/// Sparse per-node motif profiles computed out of core. Bit-identical
-/// to [`NodeProfiles::compute`] over the same edge stream, for any
-/// budget and worker count (`threads`, `0` = all cores). Keeps a dense
-/// 288-byte accumulator per node resident (the node space must fit in
-/// RAM — the same assumption every scratch-based kernel makes). Each
-/// chunk gathers its non-empty profiles locally and merges them into it
-/// under one lock; only the *edge* lanes are budget-bounded. Always
-/// `Ok`, like [`count_motifs_ooc`].
-pub fn node_profiles_ooc(
-    src: &impl EdgeSource,
-    config: OocConfig,
-    threads: usize,
-) -> Result<(NodeProfiles, OocStats), Infallible> {
-    let num_nodes = src.num_nodes();
-    let dense = Mutex::new(vec![NodeProfile::default(); num_nodes]);
-    let stats = drive_chunks(src, config, threads, &NoopProbe, |g, lo, hi, scratch| {
-        let mut found = Vec::new();
-        for_owned_nodes(g, lo, hi, |u, range| {
-            let mut t = CenterTally::default();
-            count_node::<true, true, false>(g, u, range, config.delta, &[], scratch, &mut t);
-            let profile = fold_tally(&t);
-            if !profile.is_empty() {
-                found.push((u, profile));
-            }
-        });
-        let mut dense = dense.lock().expect("profile lock poisoned");
-        for (u, profile) in &found {
-            dense[*u as usize].merge_from(profile);
-        }
-    });
-    let entries = dense
-        .into_inner()
-        .expect("profile lock poisoned")
-        .into_iter()
-        .enumerate()
-        .filter(|(_, p)| !p.is_empty())
-        .map(|(u, p)| (u as temporal_graph::NodeId, p))
-        .collect();
-    Ok((NodeProfiles::from_entries(entries, num_nodes), stats))
 }
 
 #[cfg(test)]
@@ -748,37 +672,11 @@ mod tests {
     }
 
     #[test]
-    fn profiles_match_in_ram() {
-        let g = hub_burst(25, 1_000, 5_000, 6);
-        let delta = 400;
-        let want = NodeProfiles::compute(&g, delta, 1);
-        let src = InMemorySource::from_graph(&g);
-        let stream = packed(&g);
-        for threads in THREADS {
-            let w = exec::workers(threads);
-            for share in shares_for(&g) {
-                for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
-                    let ctx = format!("threads={threads} share={share} layout={layout}");
-                    let mut config = OocConfig::new(delta, share * w);
-                    config.lane_layout = layout;
-                    let (got, stats) = node_profiles_ooc(&src, config, threads).unwrap();
-                    assert_eq!(got, want, "{ctx}");
-                    let (got, stream_stats) = node_profiles_ooc(&stream, config, threads).unwrap();
-                    assert_eq!(got, want, "{ctx}");
-                    assert_eq!(stream_stats, stats, "{ctx}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_sources() {
         let empty = PackedEdges::from_edges(0, &[]);
         let (counts, stats) = count_motifs_ooc(&empty, OocConfig::new(10, 1_000), 0).unwrap();
         assert_eq!(counts.total(), 0);
         assert_eq!(stats.chunks, 0);
-        let (profiles, _) = node_profiles_ooc(&empty, OocConfig::new(10, 1_000), 0).unwrap();
-        assert!(profiles.is_empty());
 
         let one = PackedEdges::from_edges(2, &[TemporalEdge::new(0, 1, 5)]);
         let (counts, stats) = count_motifs_ooc(&one, OocConfig::new(10, 1_000), 0).unwrap();
@@ -815,15 +713,14 @@ mod tests {
     }
 
     /// A budget below one edge forces minimum-progress cuts everywhere:
-    /// counts and profiles stay exact at every thread count, layout and
-    /// source, with one chunk per distinct timestamp.
+    /// counts stay exact at every thread count, layout and source, with
+    /// one chunk per distinct timestamp.
     fn check_forced_cuts(g: &TemporalGraph, delta: Timestamp, ctx: &str) {
         let want = crate::count_motifs(g, delta);
         let src = InMemorySource::from_graph(g);
         let stream = packed(g);
         let mut times: Vec<Timestamp> = g.edges().iter().map(|e| e.t).collect();
         times.dedup();
-        let profiles = NodeProfiles::compute(g, delta, 1);
         for threads in THREADS {
             for layout in [LaneLayout::Raw, LaneLayout::Compressed] {
                 let ctx = format!("{ctx} threads={threads} layout={layout}");
@@ -838,16 +735,6 @@ mod tests {
                     assert_eq!(stats.chunks, times.len(), "{ctx}");
                     assert!(stats.forced_cuts > 0, "{ctx}");
                 }
-                assert_eq!(
-                    node_profiles_ooc(&src, config, threads).unwrap().0,
-                    profiles,
-                    "{ctx}"
-                );
-                assert_eq!(
-                    node_profiles_ooc(&stream, config, threads).unwrap().0,
-                    profiles,
-                    "{ctx}"
-                );
             }
         }
     }

@@ -418,10 +418,13 @@ impl WindowedCounter {
         };
         self.mid.clear();
         let mut n = [0u64; 2];
+        // The earliest first edge within δ. Saturating: at W = i64::MAX a
+        // live edge can lie further back than any i64 distance.
+        let floor = t3.saturating_sub(self.delta);
         // Scan candidate first edges backwards; `mid` holds the events
         // strictly between the candidate and the arrival.
         for e1 in events.iter().rev() {
-            if t3 - e1.t > self.delta {
+            if e1.t < floor {
                 break;
             }
             let d1 = e1.dir;
@@ -458,6 +461,9 @@ impl WindowedCounter {
         };
         self.mid.clear();
         let mut n = [0u64; 2];
+        // No overflow here or in `retire_triangles`: expiry runs before
+        // each arrival is stored, so live edges lie at most W apart, and
+        // W < i64::MAX whenever one retires.
         for e3 in events.iter() {
             if e3.t - t1 > self.delta {
                 break;
@@ -491,8 +497,10 @@ impl WindowedCounter {
         let Some(a_events) = self.node_events.get(&a) else {
             return;
         };
+        // Saturating, as in `count_completions`.
+        let floor = t3.saturating_sub(self.delta);
         for ea in a_events.iter().rev() {
-            if t3 - ea.t > self.delta {
+            if ea.t < floor {
                 break;
             }
             let u = ea.other;
@@ -508,7 +516,7 @@ impl WindowedCounter {
                 Dir::In => TemporalEdge::new(u, a, ea.t),
             };
             for eb in bu.iter().rev() {
-                if t3 - eb.t > self.delta {
+                if eb.t < floor {
                     break;
                 }
                 let eb_edge = match eb.dir {

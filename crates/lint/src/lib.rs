@@ -9,10 +9,9 @@
 //!
 //! Layering: [`lexer`] turns a source file into a masked view
 //! (comments/literals blanked), [`rules`] scans that view per rule
-//! family, [`baseline`] absorbs grandfathered findings, and `main.rs`
-//! is the CLI (`--deny` for CI, `--json` for machines).
+//! family, and `main.rs` is the CLI (`--deny` for CI, `--json` for
+//! machines).
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 

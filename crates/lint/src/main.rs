@@ -1,66 +1,41 @@
 //! `hare-lint` CLI.
 //!
 //! ```text
-//! hare-lint [--root DIR] [--baseline FILE] [--deny] [--json] [--write-baseline]
+//! hare-lint [--root DIR] [--deny] [--json]
 //! ```
 //!
-//! Exit codes: `0` clean (or informational run), `1` `--deny` with
-//! fresh findings or a stale baseline, `2` usage or I/O error.
+//! Exit codes: `0` clean (or informational run), `1` `--deny` with any
+//! finding, `2` usage or I/O error.
 
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hare_lint::baseline;
 use hare_lint::rules::Finding;
 use hare_lint::scan_workspace;
 
 struct Opts {
     root: PathBuf,
-    baseline_path: PathBuf,
     deny: bool,
     json: bool,
-    write_baseline: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut root = PathBuf::from(".");
-    let mut baseline_path = None;
     let mut deny = false;
     let mut json = false;
-    let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => {
                 root = PathBuf::from(args.next().ok_or("--root needs a directory argument")?);
             }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a file argument")?,
-                ));
-            }
             "--deny" => deny = true,
             "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: hare-lint [--root DIR] [--baseline FILE] [--deny] [--json] \
-                     [--write-baseline]"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Err("usage: hare-lint [--root DIR] [--deny] [--json]".into()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
-    Ok(Opts {
-        root,
-        baseline_path,
-        deny,
-        json,
-        write_baseline,
-    })
+    Ok(Opts { root, deny, json })
 }
 
 fn main() -> ExitCode {
@@ -79,106 +54,43 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.write_baseline {
-        let contents = baseline::render(&findings);
-        if let Err(e) = fs::write(&opts.baseline_path, contents) {
-            eprintln!("hare-lint: writing {}: {e}", opts.baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "hare-lint: wrote {} entries to {}",
-            findings.len(),
-            opts.baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let entries = match fs::read_to_string(&opts.baseline_path) {
-        Ok(contents) => match baseline::parse(&contents) {
-            Ok(e) => e,
-            Err(msg) => {
-                eprintln!("hare-lint: {}: {msg}", opts.baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Vec::new(), // no baseline file: everything is fresh
-    };
-    let applied = baseline::apply(findings, &entries);
-
     if opts.json {
-        println!("{}", render_json(&applied));
+        println!("{}", render_json(&findings));
     } else {
-        render_text(&applied);
+        render_text(&findings);
     }
 
-    if opts.deny && (!applied.fresh.is_empty() || !applied.stale.is_empty()) {
+    if opts.deny && !findings.is_empty() {
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS
 }
 
-fn render_text(applied: &baseline::Applied) {
-    for f in &applied.fresh {
+fn render_text(findings: &[Finding]) {
+    for f in findings {
         println!("{}:{}: [{}] {}", f.path, f.line, f.kind.code(), f.message);
         println!("    {}", f.snippet);
     }
-    for e in &applied.stale {
-        println!(
-            "stale baseline entry (fixed? prune it): {}\t{}\t{}",
-            e.rule, e.path, e.snippet
-        );
-    }
-    eprintln!(
-        "hare-lint: {} fresh, {} grandfathered, {} stale baseline entries",
-        applied.fresh.len(),
-        applied.grandfathered.len(),
-        applied.stale.len()
-    );
+    eprintln!("hare-lint: {} findings", findings.len());
 }
 
-fn render_json(applied: &baseline::Applied) -> String {
+fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"findings\": [");
-    let mut first = true;
-    let mut emit = |out: &mut String, f: &Finding, grandfathered: bool| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \
-             \"snippet\": {}, \"grandfathered\": {}}}",
-            json_str(f.kind.code()),
-            json_str(&f.path),
-            f.line,
-            json_str(&f.message),
-            json_str(&f.snippet),
-            grandfathered
-        ));
-    };
-    for f in &applied.fresh {
-        emit(&mut out, f, false);
-    }
-    for f in &applied.grandfathered {
-        emit(&mut out, f, true);
-    }
-    out.push_str("\n  ],\n  \"stale_baseline\": [");
-    for (i, e) in applied.stale.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}, \"snippet\": {}}}",
-            json_str(&e.rule),
-            json_str(&e.path),
-            json_str(&e.snippet)
+            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \
+             \"snippet\": {}}}",
+            json_str(f.kind.code()),
+            json_str(&f.path),
+            f.line,
+            json_str(&f.message),
+            json_str(&f.snippet)
         ));
     }
-    out.push_str(&format!(
-        "\n  ],\n  \"fresh\": {},\n  \"grandfathered\": {},\n  \"stale\": {}\n}}",
-        applied.fresh.len(),
-        applied.grandfathered.len(),
-        applied.stale.len()
-    ));
+    out.push_str(&format!("\n  ],\n  \"fresh\": {}\n}}", findings.len()));
     out
 }
 

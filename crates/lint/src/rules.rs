@@ -45,7 +45,7 @@ pub enum RuleKind {
 }
 
 impl RuleKind {
-    /// Stable machine-readable code (used in output and baseline keys).
+    /// Stable machine-readable code (used in text and JSON output).
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
@@ -99,7 +99,7 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
-    /// The trimmed source line (also the drift-stable baseline key).
+    /// The trimmed source line.
     pub snippet: String,
 }
 
@@ -643,7 +643,7 @@ fn scan_allocations(ctx: &mut Ctx<'_>) {
                         token.trim_end_matches(['(', '<', ':'])
                     ),
                 );
-                break; // one finding per line keeps baselines stable
+                break; // one finding per line
             }
         }
     }

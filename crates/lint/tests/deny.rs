@@ -1,8 +1,8 @@
 //! End-to-end tests of the `hare-lint` binary: the acceptance bar is
 //! that a deliberately-introduced violation from each rule family
 //! (D/A/P/U) makes `--deny` exit non-zero with a `file:line`
-//! diagnostic, and that the real repository stays clean against its
-//! checked-in baseline.
+//! diagnostic, and that the real repository passes `--deny` with no
+//! finding at all.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -118,40 +118,6 @@ fn each_rule_family_fails_deny_with_file_line() {
 }
 
 #[test]
-fn baseline_grandfathers_and_goes_stale() {
-    let ws = TempWorkspace::new("baseline");
-    ws.write(
-        "crates/serve/src/api.rs",
-        "fn f(x: Option<u64>) -> u64 {\n    x.unwrap()\n}\n",
-    );
-    // Snapshot the violation into a baseline: --deny now passes.
-    let out = ws.run(&["--write-baseline"]);
-    assert!(out.status.success());
-    let out = ws.run(&["--deny"]);
-    assert!(
-        out.status.success(),
-        "grandfathered finding must pass --deny"
-    );
-
-    // Fix the violation: the baseline entry is stale and --deny fails
-    // until the file is pruned (keeps the baseline from rotting).
-    ws.write(
-        "crates/serve/src/api.rs",
-        "fn f(x: Option<u64>) -> u64 {\n    x.unwrap_or(0)\n}\n",
-    );
-    let out = ws.run(&["--deny"]);
-    assert!(
-        !out.status.success(),
-        "stale baseline entry must fail --deny"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("stale baseline entry"),
-        "stale entry reported: {stdout}"
-    );
-}
-
-#[test]
 fn json_output_is_machine_readable() {
     let ws = TempWorkspace::new("json");
     ws.write(
@@ -166,7 +132,6 @@ fn json_output_is_machine_readable() {
         "{stdout}"
     );
     assert!(stdout.contains("\"line\": 2"), "{stdout}");
-    assert!(stdout.contains("\"grandfathered\": false"), "{stdout}");
     assert!(stdout.contains("\"fresh\": 1"), "{stdout}");
 }
 
@@ -174,7 +139,7 @@ fn json_output_is_machine_readable() {
 /// lint job runs, kept as a test so `cargo test` catches a regression
 /// before the workflow does.
 #[test]
-fn repository_passes_its_own_baseline() {
+fn repository_is_clean_under_deny() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)

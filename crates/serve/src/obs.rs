@@ -104,7 +104,6 @@ pub struct ServeObs {
     sessions_created: Arc<Counter>,
     session_pool: Arc<Gauge>,
     session_reserved: Arc<Gauge>,
-    ooc_peak_lane_bytes: Arc<Gauge>,
     resident_bytes: Arc<Gauge>,
 }
 
@@ -164,11 +163,6 @@ impl ServeObs {
             "hare_session_memory_reserved_bytes",
             "Bytes currently reserved from the session memory pool.",
         );
-        let ooc_peak_lane_bytes = registry.gauge(
-            "hare_ooc_peak_resident_lane_bytes",
-            "Peak resident lane bytes of the most recent out-of-core run \
-             (0 until an embedder runs one; HTTP queries count in RAM).",
-        );
         let resident_bytes = registry.gauge(
             "hare_resident_memory_bytes",
             "Process resident set size (VmRSS), sampled in the background.",
@@ -206,7 +200,6 @@ impl ServeObs {
             sessions_created,
             session_pool,
             session_reserved,
-            ooc_peak_lane_bytes,
             resident_bytes,
         }
     }
@@ -249,13 +242,6 @@ impl ServeObs {
         bump(&self.sessions_created, snap.sessions_created);
         self.session_pool.set(snap.session_pool_bytes.unwrap_or(0));
         self.session_reserved.set(snap.session_reserved_bytes);
-    }
-
-    /// Record the peak resident lane bytes of an out-of-core run. The
-    /// HTTP handlers never go out of core (catalog graphs are
-    /// resident), so this stays 0 unless an embedder reports one.
-    pub fn set_ooc_peak_resident_lane_bytes(&self, bytes: u64) {
-        self.ooc_peak_lane_bytes.set(bytes);
     }
 
     /// Record a resident-set sample (the background VmRSS sampler).

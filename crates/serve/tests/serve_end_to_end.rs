@@ -401,6 +401,35 @@ fn streaming_session_flush_matches_cli_final_tick() {
     server.shutdown_and_wait();
 }
 
+/// A session whose window is `i64::MAX` never expires an edge, however
+/// far back it lies. Four arrivals spanning the whole `i64` range, no
+/// three of them within δ, count 0 as batch counting does: each arrival
+/// stops its walk at δ instead of overflowing the distance to the oldest.
+#[test]
+fn widest_window_session_counts_like_batch() {
+    let server = ServeProc::spawn(&[]);
+    let created = server.post(
+        "/sessions",
+        &format!(r#"{{"delta":10,"window":{}}}"#, i64::MAX),
+    );
+    assert_eq!(created.status, 201, "{}", created.text());
+    let id = created.json().unwrap()["session"].as_u64().unwrap();
+
+    let (first, second, last) = (i64::MIN + 1, i64::MIN + 2, i64::MAX);
+    let push = server.post(
+        &format!("/sessions/{id}/edges"),
+        &format!(r#"{{"edges":[[0,1,{first}],[1,0,{second}],[1,2,{last}],[0,1,{last}]]}}"#),
+    );
+    assert_eq!(push.status, 200, "{}", push.text());
+    assert_eq!(push.json().unwrap()["accepted"].as_u64(), Some(4));
+
+    let polled = server.get(&format!("/sessions/{id}"));
+    assert_eq!(polled.status, 200, "{}", polled.text());
+    let pv = polled.json().unwrap();
+    assert_eq!(pv["total"].as_u64(), Some(0), "{}", polled.text());
+    server.shutdown_and_wait();
+}
+
 #[test]
 fn budgeted_session_flush_matches_cli_memory_budget_final_tick() {
     // Same stream as the exact session test, now through the
@@ -914,7 +943,6 @@ fn metrics_exposition_is_valid_and_reflects_traffic() {
         ("hare_requests_completed_total", "counter"),
         ("hare_requests_rejected_total", "counter"),
         ("hare_sessions_open", "gauge"),
-        ("hare_ooc_peak_resident_lane_bytes", "gauge"),
         ("hare_http_requests_total", "counter"),
         ("hare_http_request_duration_us", "histogram"),
     ] {

@@ -5,6 +5,7 @@
 //! provides an `FxHash`-style multiply-rotate hasher (the algorithm used by
 //! rustc) so we avoid pulling in an extra dependency for ~30 lines of code.
 
+// hare-lint: allow(std-hash, reason = "defines the FxHashMap/FxHashSet aliases over the deterministic FxHasher")
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

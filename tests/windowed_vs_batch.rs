@@ -28,7 +28,7 @@ fn batch_live_window(
 ) -> MotifMatrix {
     let mut b = GraphBuilder::new();
     for &(s, d, t) in accepted {
-        if t <= wm && wm - t <= window {
+        if t <= wm && wm.saturating_sub(t) <= window {
             b.add_edge(s, d, t);
         }
     }
@@ -243,6 +243,27 @@ mod fixed {
                 "CollegeMsg/{scale}"
             );
         }
+    }
+
+    /// A window of `i64::MAX` never expires an edge, however far back:
+    /// here the newest arrivals lie more than any `i64` distance after
+    /// the oldest. Each arrival's walk must stop at δ without overflowing,
+    /// and nothing lies within δ of another edge, so every tick counts 0.
+    #[test]
+    fn widest_window_spans_the_whole_timestamp_range() {
+        let arrivals = [
+            (0, 1, Timestamp::MIN + 1),
+            (1, 0, Timestamp::MIN + 2),
+            (1, 2, Timestamp::MAX),
+            (0, 1, Timestamp::MAX),
+        ];
+        assert_eq!(check_stream(&arrivals, 10, Timestamp::MAX, 0).unwrap(), 4);
+        let mut wc = WindowedCounter::new(10, Timestamp::MAX);
+        for (s, d, t) in arrivals {
+            wc.push(s, d, t).unwrap();
+        }
+        assert_eq!(wc.live_edges(), 4);
+        assert_eq!(wc.counts().total(), 0);
     }
 
     #[test]
